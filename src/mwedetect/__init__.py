@@ -44,7 +44,6 @@ from .pipeline import (
     EvalReport,
     ExperimentConfig,
     ExperimentResult,
-    Label,
     LabeledDataset,
     LabeledPair,
     PairSource,
@@ -64,10 +63,7 @@ from .scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
-    definition_content_similarity,
-    definition_similarity,
     score_pair,
-    word_similarity,
 )
 
 __version__ = "0.1.0"
@@ -101,9 +97,6 @@ __all__ = [
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",
-    "word_similarity",
-    "definition_similarity",
-    "definition_content_similarity",
     "score_pair",
     "classify",
     "LEFT_OOV",
@@ -111,7 +104,6 @@ __all__ = [
     "ZERO_NORM",
     "UNSCORABLE_REASONS",
     # pipeline
-    "Label",
     "PairSource",
     "LabeledPair",
     "LabeledDataset",

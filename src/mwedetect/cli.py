@@ -25,6 +25,7 @@ from .pipeline import (
     NEGATIVE_SOURCES,
     EvalReport,
     ExperimentResult,
+    both_orientations,
     load_compounds,
     load_config,
     run_experiment,
@@ -64,13 +65,9 @@ class ScanHit:
 
     pair: LexemePair
     count: int
-    method: ScoreMethod
     score: float
-    judgement: Judgement = Judgement.COMPOUND
 
     def __post_init__(self) -> None:
-        if self.judgement is not Judgement.COMPOUND:
-            raise ValueError("scan hits are COMPOUND by definition")
         if self.count < 1:
             raise ValueError(f"hit count must be positive, got {self.count}")
 
@@ -108,7 +105,7 @@ def scan_corpus(
             continue
         if classify(outcome, threshold) is Judgement.COMPOUND:
             assert outcome.value is not None
-            hits.append(ScanHit(pair=pair, count=count, method=method, score=outcome.value))
+            hits.append(ScanHit(pair=pair, count=count, score=outcome.value))
     hits.sort(key=lambda hit: (hit.score, hit.pair.left, hit.pair.right))
     if top_n is not None:
         hits = hits[:top_n]
@@ -295,10 +292,9 @@ def cmd_sample_negatives(args) -> int:
     stream = read_corpus(args.corpus)
     exclusions: set[tuple[str, str]] = set()
     if args.exclusions:
-        pairs = load_compounds(
-            args.exclusions, args.exclusions_left_column, args.exclusions_right_column
+        exclusions = both_orientations(
+            load_compounds(args.exclusions, args.exclusions_left_column, args.exclusions_right_column)
         )
-        exclusions = {(p.left, p.right) for p in pairs} | {(p.right, p.left) for p in pairs}
     if args.kind == "random":
         sampled = sample_random_pairs(set(stream.tokens), args.n, args.seed, exclusions)
         header = ["left", "right"]

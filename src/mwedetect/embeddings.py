@@ -158,20 +158,9 @@ def vector_sum(vectors: Sequence[np.ndarray | Sequence[float]]) -> np.ndarray:
     return total
 
 
-def is_finite_vector(vector: np.ndarray) -> bool:
-    """True when every coordinate is a finite float."""
-    return bool(np.all(np.isfinite(vector)))
-
-
-def norm(vector: np.ndarray | Sequence[float]) -> float:
-    return float(np.linalg.norm(np.asarray(vector, dtype=np.float64)))
-
-
 __all__ = [
     "EmbeddingTable",
     "load_embeddings",
     "cosine",
     "vector_sum",
-    "is_finite_vector",
-    "norm",
 ]

@@ -40,11 +40,6 @@ PER_SOURCE = "per-source"
 THRESHOLD_MODES = (SHARED, PER_SOURCE)
 
 
-class Label(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-
-
 class PairSource(enum.Enum):
     LADEC = "ladec"
     RANDOM = "random"
@@ -56,14 +51,14 @@ NEGATIVE_SOURCES = (PairSource.RANDOM, PairSource.COOCCUR)
 
 @dataclass(frozen=True)
 class LabeledPair:
+    """A pair and where it came from; only known compounds are positives."""
+
     pair: LexemePair
-    label: Label
     source: PairSource
 
-    def __post_init__(self) -> None:
-        positive = self.source is PairSource.LADEC
-        if (self.label is Label.POSITIVE) != positive:
-            raise ValueError(f"label {self.label} inconsistent with source {self.source}")
+    @property
+    def is_positive(self) -> bool:
+        return self.source is PairSource.LADEC
 
 
 @dataclass(frozen=True)
@@ -150,6 +145,15 @@ def load_compounds(
     return pairs
 
 
+def both_orientations(pairs: Iterable[LexemePair]) -> set[tuple[str, str]]:
+    """The ``(left, right)`` keys of ``pairs`` in both orientations.
+
+    Excluding both orientations keeps negatives label-clean: the scorers
+    are symmetric, so a reversed compound would score like the compound.
+    """
+    return {key for p in pairs for key in ((p.left, p.right), (p.right, p.left))}
+
+
 def split_dataset(
     pairs: Sequence[LabeledPair],
     fraction: float,
@@ -178,8 +182,7 @@ def split_dataset(
         calibration.extend(group[:k])
         heldout.extend(group[k:])
     for side_name, side in (("calibration", calibration), ("heldout", heldout)):
-        labels = {p.label for p in side}
-        if Label.POSITIVE not in labels or Label.NEGATIVE not in labels:
+        if {p.is_positive for p in side} != {True, False}:
             raise DatasetError(
                 f"stratified split infeasible: {side_name} split lacks a label "
                 "(need at least two pairs of each label)"
@@ -243,7 +246,7 @@ def evaluate(
     tp = fp = fn = tn = unscorable_pos = unscorable_neg = 0
     for labeled, outcome in scored_heldout:
         judgement = classify(outcome, threshold)
-        if labeled.label is Label.POSITIVE:
+        if labeled.is_positive:
             if judgement is Judgement.UNSCORABLE:
                 unscorable_pos += 1
             elif judgement is Judgement.COMPOUND:
@@ -435,17 +438,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     counts = build_bigram_counts(stream)
     vocabulary = set(stream.tokens)
 
-    # Excluding both orientations keeps negatives label-clean: the scorers
-    # are symmetric, so a reversed compound would score like the compound.
-    exclusions = {(p.left, p.right) for p in positives} | {(p.right, p.left) for p in positives}
+    exclusions = both_orientations(positives)
     n = len(positives)
     randoms = sample_random_pairs(vocabulary, n, config.sample_seed, exclusions)
     cooccurs = top_cooccurring_pairs(counts, n, exclusions)
 
     labeled = (
-        [LabeledPair(p, Label.POSITIVE, PairSource.LADEC) for p in positives]
-        + [LabeledPair(p, Label.NEGATIVE, PairSource.RANDOM) for p in randoms]
-        + [LabeledPair(p, Label.NEGATIVE, PairSource.COOCCUR) for p in cooccurs]
+        [LabeledPair(p, PairSource.LADEC) for p in positives]
+        + [LabeledPair(p, PairSource.RANDOM) for p in randoms]
+        + [LabeledPair(p, PairSource.COOCCUR) for p in cooccurs]
     )
     dataset = split_dataset(labeled, config.fraction, config.split_seed)
 
@@ -467,7 +468,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         pos = [
             scores[method][lp.pair].value
             for lp in dataset.calibration
-            if lp.label is Label.POSITIVE and scores[method][lp.pair].is_scorable
+            if lp.is_positive and scores[method][lp.pair].is_scorable
         ]
         neg = [
             scores[method][lp.pair].value
@@ -513,12 +514,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 __all__ = [
-    "Label",
     "PairSource",
     "LabeledPair",
     "LabeledDataset",
     "EvalReport",
     "load_compounds",
+    "both_orientations",
     "split_dataset",
     "calibrate_threshold",
     "evaluate",

@@ -1,11 +1,12 @@
-"""The three per-pair similarity scores and the threshold judgement.
+"""The per-pair similarity score and the threshold judgement.
 
-A candidate pair is scored by cosine similarity between, per method:
+Every method scores a candidate pair the same way: the cosine between the
+vectors that represent its two lexemes. The methods differ only in which
+vector a lexeme gets:
 
-* word similarity: the two lexeme embeddings themselves;
-* definition similarity: the summed embeddings of each lexeme's first
-  definition;
-* definition content similarity: the same definition sums after stop-word
+* word similarity: the lexeme's own embedding;
+* definition similarity: the summed embeddings of its first definition;
+* definition content similarity: the same definition sum after stop-word
   filtering.
 
 Low similarity signals non-compositionality, so a score strictly below the
@@ -71,52 +72,6 @@ class ScoreOutcome:
         return self.value is not None
 
 
-def word_similarity(table: EmbeddingTable, pair: LexemePair) -> ScoreOutcome:
-    """Cosine similarity of the two lexeme embeddings."""
-    left = table.lookup(pair.left)
-    if left is None:
-        return ScoreOutcome.unscorable(LEFT_OOV)
-    right = table.lookup(pair.right)
-    if right is None:
-        return ScoreOutcome.unscorable(RIGHT_OOV)
-    try:
-        return ScoreOutcome.scored(cosine(left, right))
-    except ZeroNormError:
-        return ScoreOutcome.unscorable(ZERO_NORM)
-
-
-def definition_similarity(
-    table: EmbeddingTable,
-    lexicon: DefinitionLexicon,
-    pair: LexemePair,
-) -> ScoreOutcome:
-    """Cosine similarity of the two unfiltered definition embeddings."""
-    return _definition_cosine(table, lexicon, pair, stopwords=None)
-
-
-def definition_content_similarity(
-    table: EmbeddingTable,
-    lexicon: DefinitionLexicon,
-    stopwords: frozenset[str] | set[str],
-    pair: LexemePair,
-) -> ScoreOutcome:
-    """Cosine similarity of the two stop-word-filtered definition embeddings."""
-    return _definition_cosine(table, lexicon, pair, stopwords=stopwords)
-
-
-def _definition_cosine(table, lexicon, pair, stopwords) -> ScoreOutcome:
-    left, reason = definition_embedding(lexicon, table, pair.left, stopwords)
-    if left is None:
-        return ScoreOutcome.unscorable(reason)
-    right, reason = definition_embedding(lexicon, table, pair.right, stopwords)
-    if right is None:
-        return ScoreOutcome.unscorable(reason)
-    try:
-        return ScoreOutcome.scored(cosine(left, right))
-    except ZeroNormError:
-        return ScoreOutcome.unscorable(ZERO_NORM)
-
-
 def score_pair(
     method: ScoreMethod,
     table: EmbeddingTable,
@@ -124,19 +79,32 @@ def score_pair(
     stopwords: frozenset[str] | set[str] | None,
     pair: LexemePair,
 ) -> ScoreOutcome:
-    """Dispatch to the scorer for ``method``.
+    """Cosine of the two lexemes' vectors under ``method``.
 
-    ``lexicon`` is required for the definition-based methods; a missing
-    stop-word set for definition content similarity degrades to the empty
-    set, which makes it identical to definition similarity.
+    A side without a vector makes the pair unscorable with that side's
+    reason, the left side's first. ``lexicon`` is required for the
+    definition-based methods. ``stopwords`` is used only for definition
+    content similarity; a missing set filters nothing, which makes it
+    identical to definition similarity.
     """
-    if method is ScoreMethod.WORD_SIMILARITY:
-        return word_similarity(table, pair)
-    if lexicon is None:
+    if method is not ScoreMethod.WORD_SIMILARITY and lexicon is None:
         raise ValueError(f"method {method.value!r} needs a definition lexicon")
-    if method is ScoreMethod.DEFINITION_SIMILARITY:
-        return definition_similarity(table, lexicon, pair)
-    return definition_content_similarity(table, lexicon, stopwords or frozenset(), pair)
+    if method is not ScoreMethod.DEFINITION_CONTENT_SIMILARITY:
+        stopwords = None
+
+    vectors = []
+    for lexeme, oov_reason in ((pair.left, LEFT_OOV), (pair.right, RIGHT_OOV)):
+        if method is ScoreMethod.WORD_SIMILARITY:
+            vector, reason = table.lookup(lexeme), oov_reason
+        else:
+            vector, reason = definition_embedding(lexicon, table, lexeme, stopwords)
+        if vector is None:
+            return ScoreOutcome.unscorable(reason)
+        vectors.append(vector)
+    try:
+        return ScoreOutcome.scored(cosine(*vectors))
+    except ZeroNormError:
+        return ScoreOutcome.unscorable(ZERO_NORM)
 
 
 def classify(outcome: ScoreOutcome, threshold: float) -> Judgement:
@@ -157,9 +125,6 @@ __all__ = [
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",
-    "word_similarity",
-    "definition_similarity",
-    "definition_content_similarity",
     "score_pair",
     "classify",
     "LEFT_OOV",

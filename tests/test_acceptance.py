@@ -26,7 +26,6 @@ from mwedetect.corpus import tokenize
 from mwedetect.embeddings import cosine
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
-    Label,
     PairSource,
     calibrate_threshold,
     evaluate,
@@ -34,12 +33,7 @@ from mwedetect.pipeline import (
     load_config,
     run_experiment,
 )
-from mwedetect.scoring import (
-    ScoreMethod,
-    ScoreOutcome,
-    definition_content_similarity,
-    definition_similarity,
-)
+from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
 
 
 @pytest.fixture
@@ -122,10 +116,10 @@ def test_criterion_3_metric_arithmetic_is_exact(announce):
     """Hand-labeled 10-pair fixture reproduces rational metrics exactly."""
     with announce("3 (exact metric arithmetic)"):
         positives = [
-            LabeledPair(LexemePair(t, "x"), Label.POSITIVE, PairSource.LADEC) for t in "abcde"
+            LabeledPair(LexemePair(t, "x"), PairSource.LADEC) for t in "abcde"
         ]
         negatives = [
-            LabeledPair(LexemePair(t, "y"), Label.NEGATIVE, PairSource.RANDOM) for t in "fghij"
+            LabeledPair(LexemePair(t, "y"), PairSource.RANDOM) for t in "fghij"
         ]
         outcomes = [0.1, 0.2, 0.6, 0.9, None, 0.3, 0.7, 0.8, 0.95, None]
         scored = [
@@ -158,8 +152,10 @@ def test_criterion_4_empty_stopword_filter_is_identity(announce, toy_table, toy_
                 if left == right:
                     continue
                 pair = LexemePair(left, right)
-                filtered = definition_content_similarity(toy_table, toy_lexicon, frozenset(), pair)
-                plain = definition_similarity(toy_table, toy_lexicon, pair)
+                filtered = score_pair(
+                    ScoreMethod.DEFINITION_CONTENT_SIMILARITY, toy_table, toy_lexicon, frozenset(), pair
+                )
+                plain = score_pair(ScoreMethod.DEFINITION_SIMILARITY, toy_table, toy_lexicon, None, pair)
                 assert _bits(filtered) == _bits(plain)
                 compared += 1
         assert compared == 17 * 16

@@ -11,7 +11,7 @@ from mwedetect.cli import ScanHit, main, scan_corpus
 from mwedetect.corpus import tokenize
 from mwedetect.errors import CorpusError
 from mwedetect.pairs import LexemePair
-from mwedetect.scoring import Judgement, ScoreMethod
+from mwedetect.scoring import ScoreMethod
 
 _DATA = Path(__file__).parent / "data"
 EMB = str(_DATA / "toy_embeddings.txt")
@@ -22,24 +22,9 @@ CONFIG = str(_DATA / "experiment.conf")
 
 
 class TestScanHit:
-    def test_non_compound_judgement_rejected(self):
-        with pytest.raises(ValueError, match="COMPOUND"):
-            ScanHit(
-                pair=LexemePair("a", "b"),
-                count=1,
-                method=ScoreMethod.WORD_SIMILARITY,
-                score=0.5,
-                judgement=Judgement.NOT_COMPOUND,
-            )
-
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
-            ScanHit(
-                pair=LexemePair("a", "b"),
-                count=0,
-                method=ScoreMethod.WORD_SIMILARITY,
-                score=0.5,
-            )
+            ScanHit(pair=LexemePair("a", "b"), count=0, score=0.5)
 
 
 class TestScanCorpus:
@@ -58,7 +43,6 @@ class TestScanCorpus:
         for hit in hits:
             assert hit.score < threshold
             assert hit.count >= min_count
-            assert hit.judgement is Judgement.COMPOUND
 
     def test_ascending_score_then_alphabetical_order(self, toy_table, data_dir):
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))

@@ -13,7 +13,6 @@ from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
     NEGATIVE_SOURCES,
     EvalReport,
-    Label,
     LabeledPair,
     PairSource,
     calibrate_threshold,
@@ -27,19 +26,18 @@ from mwedetect.scoring import ScoreMethod, ScoreOutcome
 
 
 def _positive(left: str, right: str) -> LabeledPair:
-    return LabeledPair(LexemePair(left, right), Label.POSITIVE, PairSource.LADEC)
+    return LabeledPair(LexemePair(left, right), PairSource.LADEC)
 
 
 def _negative(left: str, right: str, source: PairSource = PairSource.RANDOM) -> LabeledPair:
-    return LabeledPair(LexemePair(left, right), Label.NEGATIVE, source)
+    return LabeledPair(LexemePair(left, right), source)
 
 
 class TestLabeledPair:
     def test_positive_must_come_from_compound_source(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            LabeledPair(LexemePair("a", "b"), Label.POSITIVE, PairSource.RANDOM)
-        with pytest.raises(ValueError, match="inconsistent"):
-            LabeledPair(LexemePair("a", "b"), Label.NEGATIVE, PairSource.LADEC)
+        for source in PairSource:
+            labeled = LabeledPair(LexemePair("a", "b"), source)
+            assert labeled.is_positive is (source is PairSource.LADEC)
 
 
 class TestLoadCompounds:
@@ -92,8 +90,8 @@ class TestSplitDataset:
     def test_half_split_is_exact_for_even_groups(self):
         dataset = split_dataset(self._balanced(10, 10), fraction=0.5, seed=0)
         for side in (dataset.calibration, dataset.heldout):
-            assert sum(1 for p in side if p.label is Label.POSITIVE) == 5
-            assert sum(1 for p in side if p.label is Label.NEGATIVE) == 5
+            assert sum(1 for p in side if p.is_positive) == 5
+            assert sum(1 for p in side if not p.is_positive) == 5
 
     def test_partition_preserves_every_pair(self):
         pairs = self._balanced(7, 9)
@@ -128,9 +126,9 @@ class TestSplitDataset:
     def test_extreme_fraction_clamped_so_both_sides_populated(self):
         pairs = self._balanced(4, 4)
         low = split_dataset(pairs, fraction=0.1, seed=0)
-        assert sum(1 for p in low.calibration if p.label is Label.POSITIVE) == 1
+        assert sum(1 for p in low.calibration if p.is_positive) == 1
         high = split_dataset(pairs, fraction=0.9, seed=0)
-        assert sum(1 for p in high.heldout if p.label is Label.POSITIVE) == 1
+        assert sum(1 for p in high.heldout if p.is_positive) == 1
 
     def test_fraction_bounds_rejected(self):
         pairs = self._balanced(4, 4)

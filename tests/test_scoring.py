@@ -1,14 +1,15 @@
-"""The three similarity scorers and the threshold judgement."""
+"""The pair scorer under each method, and the threshold judgement."""
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mwedetect.definitions import DefinitionLexicon
-from mwedetect.embeddings import load_embeddings
+from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon
+from mwedetect.embeddings import EmbeddingTable, cosine, load_embeddings
 from mwedetect.pairs import LexemePair
 from mwedetect.scoring import (
     LEFT_OOV,
@@ -19,13 +20,13 @@ from mwedetect.scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
-    definition_content_similarity,
-    definition_similarity,
     score_pair,
-    word_similarity,
 )
 
 ALL_METHODS = list(ScoreMethod)
+WORD = ScoreMethod.WORD_SIMILARITY
+DEFINITION = ScoreMethod.DEFINITION_SIMILARITY
+CONTENT = ScoreMethod.DEFINITION_CONTENT_SIMILARITY
 
 
 class TestLexemePair:
@@ -75,46 +76,46 @@ class TestScoreOutcome:
 
 class TestWordSimilarity:
     def test_orthogonal_compound_scores_zero(self, toy_table):
-        outcome = word_similarity(toy_table, LexemePair("jet", "lag"))
+        outcome = score_pair(WORD, toy_table, None, None, LexemePair("jet", "lag"))
         assert outcome.value == 0.0
 
     def test_left_oov_checked_first(self, toy_table):
-        outcome = word_similarity(toy_table, LexemePair("zzz", "qqq"))
+        outcome = score_pair(WORD, toy_table, None, None, LexemePair("zzz", "qqq"))
         assert outcome.unscorable_reason == LEFT_OOV
 
     def test_right_oov(self, toy_table):
-        outcome = word_similarity(toy_table, LexemePair("jet", "qqq"))
+        outcome = score_pair(WORD, toy_table, None, None, LexemePair("jet", "qqq"))
         assert outcome.unscorable_reason == RIGHT_OOV
 
     def test_zero_norm_vector_unscorable(self):
         table = load_embeddings(["null 0 0", "unit 1 0"])
-        outcome = word_similarity(table, LexemePair("null", "unit"))
+        outcome = score_pair(WORD, table, None, None, LexemePair("null", "unit"))
         assert outcome.unscorable_reason == ZERO_NORM
 
     def test_self_pair_scores_one(self, toy_table):
         for token in ("jet", "video", "the"):
-            outcome = word_similarity(toy_table, LexemePair(token, token))
+            outcome = score_pair(WORD, toy_table, None, None, LexemePair(token, token))
             assert outcome.value == 1.0
 
 
 class TestDefinitionSimilarity:
     def test_identical_definitions_score_one(self, toy_table, toy_lexicon):
         # hot and the are both defined as "a jet".
-        outcome = definition_similarity(toy_table, toy_lexicon, LexemePair("hot", "the"))
+        outcome = score_pair(DEFINITION, toy_table, toy_lexicon, None, LexemePair("hot", "the"))
         assert outcome.value == 1.0
 
     def test_missing_definition_unscorable(self, toy_table):
         lexicon = DefinitionLexicon(entries={"jet": ("a", "jet")})
-        outcome = definition_similarity(toy_table, lexicon, LexemePair("jet", "lag"))
+        outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.unscorable_reason == NO_DEFINITION
 
     def test_uses_definition_vectors_not_word_vectors(self, toy_table):
         # Orthogonal word vectors, identical definitions: the definition
         # method must ignore the word-level disagreement entirely.
         lexicon = DefinitionLexicon(entries={"jet": ("home",), "lag": ("home",)})
-        outcome = definition_similarity(toy_table, lexicon, LexemePair("jet", "lag"))
+        outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.value == 1.0
-        word = word_similarity(toy_table, LexemePair("jet", "lag"))
+        word = score_pair(WORD, toy_table, None, None, LexemePair("jet", "lag"))
         assert word.value == 0.0
 
 
@@ -124,24 +125,20 @@ class TestDefinitionContentSimilarity:
         # token, so the score is exactly 1 despite different raw sums.
         table = load_embeddings(["the 9 9", "x 1 0"])
         lexicon = DefinitionLexicon(entries={"a": ("the", "x"), "b": ("x",)})
-        outcome = definition_content_similarity(
-            table, lexicon, frozenset({"the"}), LexemePair("a", "b")
-        )
+        outcome = score_pair(CONTENT, table, lexicon, frozenset({"the"}), LexemePair("a", "b"))
         assert outcome.value == 1.0
 
     def test_empty_stopword_set_is_the_identity(self, toy_table, toy_lexicon):
         vocab = list(toy_lexicon.entries)
         for left, right in itertools.product(vocab, repeat=2):
             pair = LexemePair(left, right)
-            filtered = definition_content_similarity(toy_table, toy_lexicon, frozenset(), pair)
-            unfiltered = definition_similarity(toy_table, toy_lexicon, pair)
+            filtered = score_pair(CONTENT, toy_table, toy_lexicon, frozenset(), pair)
+            unfiltered = score_pair(DEFINITION, toy_table, toy_lexicon, None, pair)
             assert filtered == unfiltered
 
     def test_all_stopword_definition_unscorable(self, toy_table, toy_stopwords):
         lexicon = DefinitionLexicon(entries={"x": ("the", "a"), "y": ("jet",)})
-        outcome = definition_content_similarity(
-            toy_table, lexicon, toy_stopwords, LexemePair("x", "y")
-        )
+        outcome = score_pair(CONTENT, toy_table, lexicon, toy_stopwords, LexemePair("x", "y"))
         assert outcome.unscorable_reason == "all-stopwords"
 
 
@@ -159,6 +156,76 @@ class TestScorerSymmetry:
                 else:
                     # Reasons flip sides but the unscorable verdict may not.
                     assert not other.is_scorable
+
+
+# Lexemes that may lack a vector, and definition tokens that may lack an
+# embedding. Small integer components keep every definition sum exact, so
+# "zero vector" is decided without round-off.
+_LEXEMES = ("a", "b", "c", "d")
+_TOKENS = _LEXEMES + ("x", "y")
+_VECTORS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _scoring_inputs(draw):
+    rows = draw(st.dictionaries(st.sampled_from(_TOKENS), _VECTORS))
+    table = EmbeddingTable(
+        dimension=2, entries={token: np.array(row, dtype=np.float64) for token, row in rows.items()}
+    )
+    definitions = draw(
+        st.dictionaries(
+            st.sampled_from(_LEXEMES),
+            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(tuple),
+        )
+    )
+    stopwords = draw(st.frozensets(st.sampled_from(_TOKENS)))
+    return table, DefinitionLexicon(entries=definitions), stopwords
+
+
+def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
+    """Reference (vector, reason) for one lexeme, built without mwedetect."""
+    if method is WORD:
+        vector = table.entries.get(lexeme)
+        return (None, oov_reason) if vector is None else (vector, None)
+    tokens = lexicon.entries.get(lexeme)
+    if tokens is None:
+        return None, NO_DEFINITION
+    if method is CONTENT:
+        tokens = [t for t in tokens if t not in stopwords]
+        if not tokens:
+            return None, ALL_STOPWORDS
+    rows = [table.entries[t] for t in tokens if t in table.entries]
+    if not rows:
+        return None, ALL_OOV
+    return np.sum(rows, axis=0), None
+
+
+class TestScorePairProperties:
+    @given(_scoring_inputs())
+    def test_matches_reference_vectors(self, inputs):
+        """Unscorable exactly when a side's vector is missing or zero; the
+        left side's reason wins; scores are symmetric; word scores are the
+        cosine of the two table rows."""
+        table, lexicon, stopwords = inputs
+        for method in ALL_METHODS:
+            for left, right in itertools.product(_LEXEMES, repeat=2):
+                pair = LexemePair(left, right)
+                outcome = score_pair(method, table, lexicon, stopwords, pair)
+                left_vec, left_reason = _side(method, table, lexicon, stopwords, left, LEFT_OOV)
+                right_vec, right_reason = _side(method, table, lexicon, stopwords, right, RIGHT_OOV)
+                if left_vec is None:
+                    assert outcome.unscorable_reason == left_reason
+                elif right_vec is None:
+                    assert outcome.unscorable_reason == right_reason
+                elif not left_vec.any() or not right_vec.any():
+                    assert outcome.unscorable_reason == ZERO_NORM
+                else:
+                    assert outcome.is_scorable
+                    if method is WORD:
+                        assert outcome.value == cosine(table.entries[left], table.entries[right])
+                flipped = score_pair(method, table, lexicon, stopwords, pair.reversed())
+                assert flipped.value == outcome.value
+                assert flipped.is_scorable == outcome.is_scorable
 
 
 class TestScorePairDispatch:
