@@ -36,6 +36,7 @@ from .errors import (
     EmbeddingFormatError,
     LexiconFormatError,
     MweDetectError,
+    NonFiniteError,
     SamplingError,
     ZeroNormError,
 )
@@ -56,6 +57,7 @@ from .pipeline import (
 )
 from .scoring import (
     LEFT_OOV,
+    NON_FINITE,
     RIGHT_OOV,
     UNSCORABLE_REASONS,
     ZERO_NORM,
@@ -64,6 +66,7 @@ from .scoring import (
     ScoreOutcome,
     classify,
     score_pair,
+    score_pairs,
 )
 
 __version__ = "0.1.0"
@@ -97,11 +100,13 @@ __all__ = [
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",
+    "score_pairs",
     "score_pair",
     "classify",
     "LEFT_OOV",
     "RIGHT_OOV",
     "ZERO_NORM",
+    "NON_FINITE",
     "UNSCORABLE_REASONS",
     # pipeline
     "PairSource",
@@ -120,6 +125,7 @@ __all__ = [
     "MweDetectError",
     "EmbeddingFormatError",
     "ZeroNormError",
+    "NonFiniteError",
     "LexiconFormatError",
     "CorpusError",
     "SamplingError",

@@ -30,7 +30,7 @@ from .pipeline import (
     load_config,
     run_experiment,
 )
-from .scoring import Judgement, ScoreMethod, classify, score_pair
+from .scoring import Judgement, ScoreMethod, classify, score_pair, score_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -95,12 +95,14 @@ def scan_corpus(
     if not stream.tokens:
         raise CorpusError("corpus contains no tokens")
     counts = build_bigram_counts(stream)
+    frequent = [
+        (LexemePair(left, right), count)
+        for (left, right), count in counts.counts.items()
+        if count >= min_count
+    ]
+    outcomes = score_pairs(method, table, lexicon, stopwords, [pair for pair, _ in frequent])
     hits: list[ScanHit] = []
-    for (left, right), count in counts.counts.items():
-        if count < min_count:
-            continue
-        pair = LexemePair(left, right)
-        outcome = score_pair(method, table, lexicon, stopwords, pair)
+    for (pair, count), outcome in zip(frequent, outcomes):
         if not outcome.is_scorable:
             continue
         if classify(outcome, threshold) is Judgement.COMPOUND:

@@ -7,6 +7,7 @@ their inputs and seed.
 
 from __future__ import annotations
 
+import heapq
 import random
 import re
 from collections import Counter
@@ -150,18 +151,21 @@ def top_cooccurring_pairs(
     if n < 0:
         raise ValueError("n must be nonnegative")
     excluded = {_pair_key(p) for p in exclusions}
-    candidates = [
-        (count, left, right)
-        for (left, right), count in counts.counts.items()
-        if (left, right) not in excluded
-    ]
-    if len(candidates) < n:
+    available = len(counts.counts) - sum(1 for key in excluded if key in counts.counts)
+    if available < n:
         raise SamplingError(
-            f"requested {n} co-occurring pairs but only {len(candidates)} "
-            f"non-excluded bigrams exist (short by {n - len(candidates)})"
+            f"requested {n} co-occurring pairs but only {available} "
+            f"non-excluded bigrams exist (short by {n - available})"
         )
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    return [LexemePair(left, right) for _, left, right in candidates[:n]]
+    top = heapq.nsmallest(
+        n,
+        (
+            (-count, left, right)
+            for (left, right), count in counts.counts.items()
+            if (left, right) not in excluded
+        ),
+    )
+    return [LexemePair(left, right) for _, left, right in top]
 
 
 __all__ = [

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._io import text_lines
-from .errors import EmbeddingFormatError, ZeroNormError
+from .errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 logger = logging.getLogger(__name__)
 
@@ -116,27 +116,59 @@ def load_embeddings(
     )
 
 
-def cosine(a: np.ndarray | Sequence[float], b: np.ndarray | Sequence[float]) -> float:
-    """Cosine similarity of two equal-length vectors, clamped to [-1, 1].
+def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of the (n, d) matrix ``u`` with the same row of ``v``.
 
-    The clamp guards against floating-point overshoot; without it a score
-    of 1.0000000000000002 could leak past a threshold of 1.0.
+    The (n, 1, d) @ (n, d, 1) matmul takes the same vector-vector product
+    as ``np.dot`` for each row, so every result is bit-identical to
+    ``np.dot(u[i], v[i])``.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of each row of the (n, d) matrix ``u`` with the same row of ``v``.
+
+    Returns ``(values, zero_norm)``. ``zero_norm`` flags the rows where
+    either vector has norm 0. ``values`` is NaN on those rows and on rows
+    whose formula overflows float64 (an inf component, or a squared norm or
+    product of norms past the float64 range). Every other value lies in
+    [-1, 1] and is bit-identical to ``np.dot(a, b) / (norm(a) * norm(b))``
+    with ``np.linalg.norm``, clamped; the clamp guards against round-off,
+    without which a score of 1.0000000000000002 could leak past a threshold
+    of 1.0.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm_u = np.sqrt(row_dots(u, u))
+        norm_v = np.sqrt(row_dots(v, v))
+        denominator = norm_u * norm_v
+        values = row_dots(u, v) / denominator
+    finite = np.isfinite(values) & np.isfinite(denominator)
+    values = np.clip(values, -1.0, 1.0)
+    # Identical vectors must score exactly 1.0: a self-pair stays on the
+    # NOT_COMPOUND side of every threshold <= 1.0, which sqrt round-off in
+    # the general formula cannot guarantee.
+    values[(u == v).all(axis=1)] = 1.0
+    values[~finite] = np.nan
+    return values, (norm_u == 0.0) | (norm_v == 0.0)
+
+
+def cosine(a: np.ndarray | Sequence[float], b: np.ndarray | Sequence[float]) -> float:
+    """Cosine similarity of two equal-length vectors: the one-row ``row_cosines``.
+
+    Raises ZeroNormError when either vector has norm 0, and NonFiniteError
+    when the formula overflows float64.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"vector length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
+    values, zero_norm = row_cosines(a[None, :], b[None, :])
+    if zero_norm[0]:
         raise ZeroNormError("cosine similarity is undefined for a zero-norm vector")
-    if np.array_equal(a, b):
-        # Identical vectors must score exactly 1.0: a self-pair stays on the
-        # NOT_COMPOUND side of every threshold <= 1.0, which sqrt round-off
-        # in the general formula cannot guarantee.
-        return 1.0
-    value = float(np.dot(a, b)) / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
+    if np.isnan(values[0]):
+        raise NonFiniteError("cosine similarity overflows float64")
+    return float(values[0])
 
 
 def vector_sum(vectors: Sequence[np.ndarray | Sequence[float]]) -> np.ndarray:
@@ -161,6 +193,8 @@ def vector_sum(vectors: Sequence[np.ndarray | Sequence[float]]) -> np.ndarray:
 __all__ = [
     "EmbeddingTable",
     "load_embeddings",
+    "row_dots",
+    "row_cosines",
     "cosine",
     "vector_sum",
 ]

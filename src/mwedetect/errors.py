@@ -13,6 +13,10 @@ class ZeroNormError(MweDetectError):
     """Cosine similarity requested for a zero-norm vector."""
 
 
+class NonFiniteError(MweDetectError):
+    """Cosine similarity whose formula overflows float64 (an inf component or norm)."""
+
+
 class LexiconFormatError(MweDetectError):
     """Malformed definitions or stop-word file."""
 

@@ -24,7 +24,8 @@ from .definitions import load_definitions, load_stopwords
 from .embeddings import load_embeddings
 from .errors import ConfigError, DatasetError
 from .pairs import LexemePair
-from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pair
+from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
+from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
 from ._io import text_lines
 
 logger = logging.getLogger(__name__)
@@ -451,11 +452,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     dataset = split_dataset(labeled, config.fraction, config.split_seed)
 
     unique_pairs = list(dict.fromkeys(lp.pair for lp in dataset.calibration + dataset.heldout))
-    scores: dict[ScoreMethod, dict[LexemePair, ScoreOutcome]] = {}
-    for method in METHODS:
-        scores[method] = {
-            pair: score_pair(method, table, lexicon, stopwords, pair) for pair in unique_pairs
-        }
+    scores = {
+        method: dict(zip(unique_pairs, score_pairs(method, table, lexicon, stopwords, unique_pairs)))
+        for method in METHODS
+    }
 
     def arm_scores(split: tuple[LabeledPair, ...], method: ScoreMethod, source: PairSource):
         return [

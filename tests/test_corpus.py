@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mwedetect.corpus import (
+    BigramCounts,
     build_bigram_counts,
     read_corpus,
     sample_random_pairs,
@@ -185,3 +186,34 @@ class TestTopCooccurringPairs:
         top = top_cooccurring_pairs(counts, len(counts.counts))
         ranked = [counts.counts[(p.left, p.right)] for p in top]
         assert ranked == sorted(ranked, reverse=True)
+
+
+_TOP_TOKENS = ("a", "b", "c", "d")
+_TOP_KEYS = st.tuples(st.sampled_from(_TOP_TOKENS), st.sampled_from(_TOP_TOKENS))
+
+
+class TestTopCooccurringPairsProperties:
+    @given(
+        counts=st.dictionaries(_TOP_KEYS, st.integers(min_value=1, max_value=3)),
+        exclusions=st.lists(_TOP_KEYS, max_size=6),
+        as_lexeme_pairs=st.booleans(),
+        n=st.integers(min_value=0, max_value=18),
+    )
+    def test_matches_full_sort(self, counts, exclusions, as_lexeme_pairs, n):
+        """Equal to the full sort by (-count, left, right), ties and exclusions
+        included, for n drawn, 0 and all that remain; short by k raises."""
+        bigrams = BigramCounts(counts=counts)
+        excluded = [LexemePair(*key) for key in exclusions] if as_lexeme_pairs else exclusions
+        remaining = [
+            (left, right, count)
+            for (left, right), count in counts.items()
+            if (left, right) not in exclusions
+        ]
+        remaining.sort(key=lambda item: (-item[2], item[0], item[1]))
+        for k in {n, 0, len(remaining)}:
+            if k > len(remaining):
+                with pytest.raises(SamplingError, match=f"short by {k - len(remaining)}"):
+                    top_cooccurring_pairs(bigrams, k, excluded)
+            else:
+                expected = [LexemePair(left, right) for left, right, _ in remaining[:k]]
+                assert top_cooccurring_pairs(bigrams, k, excluded) == expected

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mwedetect.embeddings import cosine, load_embeddings, vector_sum
-from mwedetect.errors import EmbeddingFormatError, ZeroNormError
+from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots, vector_sum
+from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 
 class TestLoadEmbeddings:
@@ -114,6 +114,37 @@ class TestCosine:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length mismatch"):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+    def test_overflow_raises_instead_of_scoring(self):
+        # inf / inf is NaN, which a bare clamp would turn into 1.0.
+        with pytest.raises(NonFiniteError):
+            cosine([np.inf, 2.0], [1.0, -1.0])
+        # The squared norm overflows although every component is finite.
+        with pytest.raises(NonFiniteError):
+            cosine([1e200, 1.0], [1.0, -1.0])
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("dim", [1, 3, 100, 301])
+    def test_bit_identical_to_scalar_formula(self, dim):
+        rng = np.random.default_rng(dim)
+        u = rng.standard_normal((64, dim))
+        v = rng.standard_normal((64, dim))
+        dots = row_dots(u, v)
+        norms = np.sqrt(row_dots(u, u))
+        for i in range(len(u)):
+            assert dots[i].tobytes() == np.dot(u[i], v[i]).tobytes()
+            assert norms[i].tobytes() == np.linalg.norm(u[i]).tobytes()
+
+    def test_rows_follow_the_cosine_rules(self):
+        u = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0], [np.inf, 1.0], [1.0, 0.0]])
+        v = np.array([[2.0, 1.0], [1.0, 0.0], [3.0, 1.0], [1.0, 1.0], [-3.0, 0.0]])
+        values, zero_norm = row_cosines(u, v)
+        assert zero_norm.tolist() == [False, True, False, False, False]
+        assert values[0] == cosine(u[0], v[0])
+        assert np.isnan(values[1]) and np.isnan(values[3])
+        assert values[2] == 1.0
+        assert values[4] == -1.0
 
 
 @st.composite

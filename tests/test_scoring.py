@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from mwedetect import scoring
 
 from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon
 from mwedetect.embeddings import EmbeddingTable, cosine, load_embeddings
@@ -14,13 +17,16 @@ from mwedetect.pairs import LexemePair
 from mwedetect.scoring import (
     LEFT_OOV,
     NO_DEFINITION,
+    NON_FINITE,
     RIGHT_OOV,
+    UNSCORABLE_REASONS,
     ZERO_NORM,
     Judgement,
     ScoreMethod,
     ScoreOutcome,
     classify,
     score_pair,
+    score_pairs,
 )
 
 ALL_METHODS = list(ScoreMethod)
@@ -197,7 +203,8 @@ def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
     rows = [table.entries[t] for t in tokens if t in table.entries]
     if not rows:
         return None, ALL_OOV
-    return np.sum(rows, axis=0), None
+    with np.errstate(over="ignore"):
+        return functools.reduce(np.add, rows), None
 
 
 class TestScorePairProperties:
@@ -226,6 +233,96 @@ class TestScorePairProperties:
                 flipped = score_pair(method, table, lexicon, stopwords, pair.reversed())
                 assert flipped.value == outcome.value
                 assert flipped.is_scorable == outcome.is_scorable
+
+
+class TestNonFiniteScores:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_definition_sum_is_unscorable(self):
+        # a + a overflows to [inf, 2]; its cosine with [1, -1] is inf / inf,
+        # a NaN that the clamp alone would turn into a silent 1.0.
+        table = load_embeddings(["a 1e308 1", "b 1 -1"])
+        lexicon = DefinitionLexicon(entries={"x": ("a", "a"), "y": ("b",)})
+        assert NON_FINITE in UNSCORABLE_REASONS
+        for method in (DEFINITION, CONTENT):
+            for pair in (LexemePair("x", "y"), LexemePair("y", "x")):
+                outcome = score_pair(method, table, lexicon, frozenset(), pair)
+                assert outcome.unscorable_reason == NON_FINITE
+
+
+@st.composite
+def _batch_inputs(draw):
+    dim = draw(st.integers(min_value=1, max_value=8))
+    plain = st.lists(
+        st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=dim, max_size=dim
+    )
+    # Tokens draw from a small pool that always holds a zero vector, so
+    # equal vectors under different tokens are common. Some pools also hold
+    # a vector with a component whose square or definition sum overflows.
+    pool = draw(st.lists(plain, min_size=2, max_size=4)) + [[0.0] * dim]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        pool.append(draw(plain)[:-1] + [draw(st.sampled_from([1e200, -1e308]))])
+    rows = draw(
+        st.dictionaries(st.sampled_from(_TOKENS), st.integers(0, len(pool) - 1), min_size=3)
+    )
+    table = EmbeddingTable(
+        dimension=dim,
+        entries={token: np.array(pool[i], dtype=np.float64) for token, i in rows.items()},
+    )
+    definitions = draw(
+        st.dictionaries(
+            st.sampled_from(_LEXEMES),
+            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(tuple),
+            min_size=2,
+        )
+    )
+    stopwords = draw(st.frozensets(st.sampled_from(_TOKENS)))
+    lexeme = st.sampled_from(_LEXEMES)
+    pairs = draw(st.lists(st.builds(LexemePair, lexeme, lexeme), max_size=12))
+    block_rows = draw(st.integers(min_value=1, max_value=5))
+    return table, DefinitionLexicon(entries=definitions), stopwords, pairs, block_rows
+
+
+def _reference_outcome(method, table, lexicon, stopwords, pair):
+    """The scalar formula with np.dot and np.linalg.norm, pair by pair."""
+    left, left_reason = _side(method, table, lexicon, stopwords, pair.left, LEFT_OOV)
+    right, right_reason = _side(method, table, lexicon, stopwords, pair.right, RIGHT_OOV)
+    if left is None:
+        return ScoreOutcome.unscorable(left_reason)
+    if right is None:
+        return ScoreOutcome.unscorable(right_reason)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm_left, norm_right = np.linalg.norm(left), np.linalg.norm(right)
+        if norm_left == 0.0 or norm_right == 0.0:
+            return ScoreOutcome.unscorable(ZERO_NORM)
+        denominator = norm_left * norm_right
+        value = np.dot(left, right) / denominator
+    if not (np.isfinite(value) and np.isfinite(denominator)):
+        return ScoreOutcome.unscorable(NON_FINITE)
+    if np.array_equal(left, right):
+        return ScoreOutcome.scored(1.0)
+    return ScoreOutcome.scored(max(-1.0, min(1.0, float(value))))
+
+
+def _bits(outcome):
+    return outcome.unscorable_reason, None if outcome.value is None else outcome.value.hex()
+
+
+class TestScorePairsProperties:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(_batch_inputs())
+    def test_bit_identical_to_scalar_reference(self, inputs):
+        """Every outcome equals the per-pair scalar formula bit for bit, in
+        blocks smaller than the batch, and score_pair is its one-pair case."""
+        table, lexicon, stopwords, pairs, block_rows = inputs
+        for method in ALL_METHODS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scoring, "BLOCK_ROWS", block_rows)
+                outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
+            assert len(outcomes) == len(pairs)
+            for pair, outcome in zip(pairs, outcomes):
+                expected = _reference_outcome(method, table, lexicon, stopwords, pair)
+                assert _bits(outcome) == _bits(expected)
+                assert _bits(score_pair(method, table, lexicon, stopwords, pair)) == _bits(outcome)
 
 
 class TestScorePairDispatch:
