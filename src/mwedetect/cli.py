@@ -7,8 +7,10 @@ that complete but produce an unscorable or empty result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import enum
 import logging
 import sys
 from collections.abc import Sequence
@@ -21,10 +23,8 @@ from .embeddings import EmbeddingTable, load_embeddings
 from .errors import CorpusError, MweDetectError
 from .pairs import LexemePair
 from .pipeline import (
-    METHODS,
-    NEGATIVE_SOURCES,
+    SHARED,
     EvalReport,
-    ExperimentResult,
     both_orientations,
     load_compounds,
     load_config,
@@ -34,20 +34,7 @@ from .scoring import Judgement, ScoreMethod, classify, score_pair, score_pairs
 
 logger = logging.getLogger(__name__)
 
-REPORT_COLUMNS = (
-    "method",
-    "negative_source",
-    "threshold",
-    "recall",
-    "precision",
-    "f1",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-    "unscorable_pos",
-    "unscorable_neg",
-)
+REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(EvalReport))
 
 
 class _UsageError(Exception):
@@ -165,43 +152,25 @@ def _format_report_table(reports: Sequence[EvalReport]) -> str:
     return "\n".join(lines)
 
 
-def _write_reports_csv(path: Path, reports: Sequence[EvalReport]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for report in reports:
-            writer.writerow(
-                [
-                    report.method.value,
-                    report.negative_source.value,
-                    report.threshold,
-                    "" if report.recall is None else report.recall,
-                    "" if report.precision is None else report.precision,
-                    "" if report.f1 is None else report.f1,
-                    report.tp,
-                    report.fp,
-                    report.fn,
-                    report.tn,
-                    report.unscorable_pos,
-                    report.unscorable_neg,
-                ]
-            )
+def _csv_cell(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    return "" if value is None else value
 
 
-def _write_thresholds_csv(path: Path, result: ExperimentResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+def _write_csv_rows(path: str | Path | None, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to standard output.
+
+    An enum cell is written as its value and None as an empty cell.
+    """
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if path is None
+        else open(path, "w", encoding="utf-8", newline="")
+    ) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["method", "negative_source", "threshold", "mode"])
-        for method in METHODS:
-            for source in NEGATIVE_SOURCES:
-                writer.writerow(
-                    [
-                        method.value,
-                        source.value,
-                        result.thresholds[(method, source)],
-                        result.threshold_mode,
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows([_csv_cell(value) for value in row] for row in rows)
 
 
 def cmd_run(args) -> int:
@@ -214,14 +183,22 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports_path = out_dir / "reports.csv"
     thresholds_path = out_dir / "thresholds.csv"
-    _write_reports_csv(reports_path, result.reports)
-    _write_thresholds_csv(thresholds_path, result)
+    _write_csv_rows(
+        reports_path,
+        REPORT_COLUMNS,
+        [[getattr(report, column) for column in REPORT_COLUMNS] for report in result.reports],
+    )
+    _write_csv_rows(
+        thresholds_path,
+        ("method", "negative_source", "threshold", "mode"),
+        [(*key, threshold, result.threshold_mode) for key, threshold in result.thresholds.items()],
+    )
 
     dataset = result.dataset
     # The split ratio and the choice of calibration negatives are assumptions,
     # not givens; surface them on every run so reports are self-describing.
     print(f"threshold mode: {result.threshold_mode}")
-    if result.threshold_mode == "shared":
+    if result.threshold_mode == SHARED:
         print("assumption: thresholds calibrated against random negatives, applied to both arms")
     else:
         print("assumption: thresholds calibrated per negative source")
@@ -230,6 +207,14 @@ def cmd_run(args) -> int:
         f"{len(dataset.heldout)} held-out pairs (fraction {dataset.split_fraction}, "
         f"seed {dataset.split_seed})"
     )
+    for (method, source), threshold in result.thresholds.items():
+        if not -1.0 <= threshold <= 1.0:
+            judged = Judgement.COMPOUND if threshold > 1.0 else Judgement.NOT_COMPOUND
+            print(
+                f"assumption: {method.value} vs {source.value} calibration is degenerate: "
+                f"threshold {threshold:.6f} lies outside [-1, 1], so every scored pair is "
+                f"judged {judged.value}"
+            )
     print(
         f"corpus: {result.vocabulary_size} vocabulary types, "
         f"{result.bigram_type_count} bigram types"
@@ -240,23 +225,6 @@ def cmd_run(args) -> int:
     print(f"wrote {reports_path}")
     print(f"wrote {thresholds_path}")
     return 0
-
-
-def _open_output(path: str | None):
-    if path is None:
-        return None
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write_csv_rows(path: str | None, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    handle = _open_output(path)
-    try:
-        writer = csv.writer(handle if handle is not None else sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 def cmd_scan(args) -> int:

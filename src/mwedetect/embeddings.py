@@ -45,28 +45,22 @@ class EmbeddingTable:
         return len(self.entries)
 
 
-def load_embeddings(
-    source: str | os.PathLike | Iterable[str],
-    expected_dimension: int | None = None,
-    source_label: str = "",
-) -> EmbeddingTable:
+def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable:
     """Parse a GloVe-format text stream into an EmbeddingTable.
 
-    Every non-blank line must carry the same number of values; the first
-    line fixes the dimension unless ``expected_dimension`` pins it up front.
+    Every non-blank line must carry the same number of values as the first.
     On a duplicate token the first occurrence wins and the token is recorded
     in ``duplicate_tokens`` alongside a logged warning. Values must be
-    finite decimal floats.
+    finite decimal floats. The table's ``source_label`` is the path, or
+    empty for a stream of lines.
 
     Raises EmbeddingFormatError naming the offending line on any format
     violation, and for an empty stream.
     """
-    if isinstance(source, (str, os.PathLike)) and not source_label:
-        source_label = os.fspath(source)
-
+    source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
     entries: dict[str, np.ndarray] = {}
     duplicates: list[str] = []
-    dimension = expected_dimension
+    dimension: int | None = None
 
     with text_lines(source) as lines:
         for lineno, raw in enumerate(lines, start=1):

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import bisect
 import csv
+import dataclasses
 import enum
 import logging
 import os
 import random
+import typing
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,8 +27,9 @@ from .definitions import load_definitions, load_stopwords
 from .embeddings import load_embeddings
 from .errors import ConfigError, DatasetError
 from .pairs import LexemePair
-from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
-from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
+from .scoring import ScoreMethod, ScoreOutcome, score_pairs
+# Bound here only for perfbench's pipeline.score_pair and pipeline.classify hooks.
+from .scoring import classify, score_pair  # noqa: F401
 from ._io import text_lines
 
 logger = logging.getLogger(__name__)
@@ -238,29 +242,22 @@ def evaluate(
     method: ScoreMethod,
     negative_source: PairSource,
 ) -> EvalReport:
-    """Classify every outcome and tally the confusion counts.
+    """Judge every outcome and tally the confusion counts.
 
-    A compound judgement on a positive is a true positive; unscorable
+    A score strictly below ``threshold`` is a compound judgement, and a
+    compound judgement on a positive is a true positive; unscorable
     outcomes are counted per label but excluded from the four metric
     counts and from all denominators.
     """
-    tp = fp = fn = tn = unscorable_pos = unscorable_neg = 0
-    for labeled, outcome in scored_heldout:
-        judgement = classify(outcome, threshold)
-        if labeled.is_positive:
-            if judgement is Judgement.UNSCORABLE:
-                unscorable_pos += 1
-            elif judgement is Judgement.COMPOUND:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if judgement is Judgement.UNSCORABLE:
-                unscorable_neg += 1
-            elif judgement is Judgement.COMPOUND:
-                fp += 1
-            else:
-                tn += 1
+    # Keyed (is positive, judged compound), None for unscorable. The rule is
+    # ``classify``'s without its range check: a degenerate calibration may
+    # pick a threshold above 1, which judges every scored pair a compound.
+    tally = Counter(
+        (labeled.is_positive, None if outcome.value is None else outcome.value < threshold)
+        for labeled, outcome in scored_heldout
+    )
+    tp, fn, unscorable_pos = tally[True, True], tally[True, False], tally[True, None]
+    fp, tn, unscorable_neg = tally[False, True], tally[False, False], tally[False, None]
 
     precision = tp / (tp + fp) if tp + fp else None
     recall = tp / (tp + fn) if tp + fn else None
@@ -291,8 +288,9 @@ def evaluate(
 class ExperimentConfig:
     """Parsed `key = value` experiment configuration.
 
-    All input paths are resolved relative to the config file's directory
-    when loaded from disk.
+    The fields are the config keys, and the ones without a default are the
+    required input files. All paths are resolved relative to the config
+    file's directory when loaded from disk.
     """
 
     embeddings: Path
@@ -309,26 +307,22 @@ class ExperimentConfig:
     output_dir: Path = Path(".")
 
 
-_REQUIRED_KEYS = ("embeddings", "compounds", "corpus", "definitions", "stopwords")
-_KNOWN_KEYS = set(_REQUIRED_KEYS) | {
-    "sample_seed",
-    "split_seed",
-    "fraction",
-    "threshold_mode",
-    "compound_left_column",
-    "compound_right_column",
-    "output_dir",
-}
+# The ConfigError wording for a value that does not parse as its field's type.
+_NUMBER_KINDS = {int: "an integer", float: "a number"}
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
     """Parse a declarative `key = value` config file.
 
-    Blank lines and lines starting with ``#`` are ignored. Unknown keys,
-    unparsable values, and missing required keys all raise ConfigError
-    naming the offending key.
+    The keys are the fields of ExperimentConfig: a field without a default
+    is required, and each value is parsed as its field's type. Blank lines
+    and lines starting with ``#`` are ignored. Unknown keys, unparsable
+    values, and missing required keys all raise ConfigError naming the
+    offending key.
     """
     path = Path(path)
+    fields = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
+    types = typing.get_type_hints(ExperimentConfig)
     raw: dict[str, str] = {}
     try:
         content = path.read_text(encoding="utf-8")
@@ -343,61 +337,41 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in fields:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         raw[key] = value
 
-    missing = [k for k in _REQUIRED_KEYS if k not in raw]
+    missing = [k for k, f in fields.items() if f.default is dataclasses.MISSING and k not in raw]
     if missing:
         raise ConfigError(f"config missing required key(s): {', '.join(missing)}")
 
-    base = path.parent
+    # A key left out takes its field's default, except that relative paths,
+    # the default output_dir included, resolve against the config directory.
+    values: dict[str, object] = {}
+    for key, field in fields.items():
+        kind = types[key]
+        if kind is Path:
+            value = Path(raw.get(key, field.default))
+            values[key] = value if value.is_absolute() else (path.parent / value).resolve()
+        elif key in raw:
+            try:
+                values[key] = kind(raw[key])
+            except ValueError:  # only int and float parsing can fail
+                raise ConfigError(
+                    f"config key {key!r}: not {_NUMBER_KINDS[kind]}: {raw[key]!r}"
+                ) from None
 
-    def _path(key: str, default: str | None = None) -> Path:
-        value = raw.get(key, default)
-        assert value is not None
-        return (base / value).resolve() if not os.path.isabs(value) else Path(value)
-
-    def _int(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not an integer: {raw[key]!r}") from None
-
-    def _float(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        try:
-            return float(raw[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: not a number: {raw[key]!r}") from None
-
-    fraction = _float("fraction", 0.5)
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"config key 'fraction': must be in (0, 1), got {fraction}")
-    mode = raw.get("threshold_mode", SHARED)
-    if mode not in THRESHOLD_MODES:
+    config = ExperimentConfig(**values)
+    if not 0.0 < config.fraction < 1.0:
+        raise ConfigError(f"config key 'fraction': must be in (0, 1), got {config.fraction}")
+    if config.threshold_mode not in THRESHOLD_MODES:
         raise ConfigError(
-            f"config key 'threshold_mode': expected one of {THRESHOLD_MODES}, got {mode!r}"
+            f"config key 'threshold_mode': expected one of {THRESHOLD_MODES}, "
+            f"got {config.threshold_mode!r}"
         )
-    return ExperimentConfig(
-        embeddings=_path("embeddings"),
-        compounds=_path("compounds"),
-        corpus=_path("corpus"),
-        definitions=_path("definitions"),
-        stopwords=_path("stopwords"),
-        sample_seed=_int("sample_seed", 0),
-        split_seed=_int("split_seed", 0),
-        fraction=fraction,
-        threshold_mode=mode,
-        compound_left_column=raw.get("compound_left_column", "c1"),
-        compound_right_column=raw.get("compound_right_column", "c2"),
-        output_dir=_path("output_dir", "."),
-    )
+    return config
 
 
 @dataclass(frozen=True)
@@ -424,10 +398,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     negatives alone and is applied to both arms, which makes held-out
     recall identical across negative sources by construction.
     """
-    for key in ("embeddings", "compounds", "corpus", "definitions", "stopwords"):
-        input_path: Path = getattr(config, key)
-        if not input_path.exists():
-            raise ConfigError(f"config key {key!r}: no such file: {input_path}")
+    for field in dataclasses.fields(config):
+        # The required fields are the input files.
+        input_path = getattr(config, field.name)
+        if field.default is dataclasses.MISSING and not input_path.exists():
+            raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
     table = load_embeddings(config.embeddings)
     lexicon = load_definitions(config.definitions)

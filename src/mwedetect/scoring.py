@@ -113,18 +113,22 @@ def score_pairs(
     # Lexeme -> its row of ``matrix``, or its (as left, as right) unscorable reasons.
     index: dict[str, int | tuple[str, str]] = {}
     rows = 0
-    for lexeme in lexemes:
-        if method is ScoreMethod.WORD_SIMILARITY:
-            vector, reasons = table.lookup(lexeme), (LEFT_OOV, RIGHT_OOV)
-        else:
-            vector, reason = definition_embedding(lexicon, table, lexeme, stopwords)
-            reasons = (reason, reason)
-        if vector is None:
-            index[lexeme] = reasons
-        else:
-            matrix[rows] = vector
-            index[lexeme] = rows
-            rows += 1
+    # A definition sum that overflows is reported below as non-finite, so
+    # numpy's overflow warning is noise. The context is entered once per
+    # call: entering it per vector doubled the time of the definition sums.
+    with np.errstate(over="ignore"):
+        for lexeme in lexemes:
+            if method is ScoreMethod.WORD_SIMILARITY:
+                vector, reasons = table.lookup(lexeme), (LEFT_OOV, RIGHT_OOV)
+            else:
+                vector, reason = definition_embedding(lexicon, table, lexeme, stopwords)
+                reasons = (reason, reason)
+            if vector is None:
+                index[lexeme] = reasons
+            else:
+                matrix[rows] = vector
+                index[lexeme] = rows
+                rows += 1
 
     outcomes: list[ScoreOutcome | None] = []
     scorable, left_rows, right_rows = [], [], []

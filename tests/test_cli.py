@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import shutil
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,30 @@ class TestRunCommand:
         code = main(["run", str(config)])
         assert code == 1
         assert "missing required key" in capsys.readouterr().err
+
+    def test_degenerate_calibration_still_reports(self, tmp_path, capsys):
+        # No compound here scores below a negative, so every method calibrates
+        # to the candidate above all scores, a threshold past 1.
+        for source in _DATA.iterdir():
+            shutil.copy(source, tmp_path)
+        (tmp_path / "compounds.csv").write_text(
+            "c1,c2\nvideo,game\nplay,time\nfood,water\nthe,a\n", encoding="utf-8"
+        )
+        code = main(["run", str(tmp_path / "experiment.conf"), "--output-dir", str(tmp_path / "out")])
+        assert code == 0
+        with open(tmp_path / "out" / "reports.csv", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 6
+        for row in rows:
+            assert float(row["threshold"]) > 1.0
+            assert (row["tp"], row["fn"], row["tn"]) == ("2", "0", "0")
+        out = capsys.readouterr().out
+        degenerate = [line for line in out.splitlines() if "outside [-1, 1]" in line]
+        assert len(degenerate) == 6
+        assert all(line.startswith("assumption:") for line in degenerate)
+
+        main(["run", CONFIG, "--output-dir", str(tmp_path / "golden")])
+        assert "outside [-1, 1]" not in capsys.readouterr().out
 
     def test_missing_input_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "exp.conf"

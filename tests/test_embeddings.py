@@ -53,10 +53,6 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 2: expected 3 values, found 2"):
             load_embeddings(["a 1 2 3", "b 1 2"])
 
-    def test_expected_dimension_pins_before_first_line(self):
-        with pytest.raises(EmbeddingFormatError, match="line 1: expected 2 values, found 3"):
-            load_embeddings(["a 1 2 3"], expected_dimension=2)
-
     def test_token_without_values(self):
         with pytest.raises(EmbeddingFormatError, match="line 1: token without values"):
             load_embeddings(["lonely"])

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import string
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mwedetect.errors import ConfigError, DatasetError, SamplingError
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
     NEGATIVE_SOURCES,
+    THRESHOLD_MODES,
     EvalReport,
+    ExperimentConfig,
     LabeledPair,
     PairSource,
     calibrate_threshold,
@@ -142,6 +147,13 @@ class TestSplitDataset:
             split_dataset(pairs, fraction=0.5, seed=0)
 
 
+# Scores in [-1, 1]: a coarse grid, so ties and duplicates are common, or any float.
+_SCORES = st.one_of(
+    st.sampled_from([round(k * 0.05 - 1.0, 2) for k in range(41)]),
+    st.floats(min_value=-1, max_value=1),
+)
+
+
 class TestCalibrateThreshold:
     def test_separable_scores_use_midpoint(self):
         assert calibrate_threshold([0.2, 0.4], [0.7, 0.9]) == 0.55
@@ -165,7 +177,8 @@ class TestCalibrateThreshold:
             calibrate_threshold([0.5], [])
 
     @staticmethod
-    def _oracle(positives, negatives):
+    def _candidate_f1s(positives, negatives):
+        """Each candidate threshold with its exact F1."""
         values = sorted(set(positives) | set(negatives))
         candidates = [values[0] - 1.0]
         candidates.extend((a + b) / 2.0 for a, b in zip(values, values[1:]))
@@ -178,6 +191,11 @@ class TestCalibrateThreshold:
             denominator = 2 * tp + fp + fn
             f1 = Fraction(2 * tp, denominator) if denominator else Fraction(0)
             scored.append((threshold, f1))
+        return scored
+
+    @classmethod
+    def _oracle(cls, positives, negatives):
+        scored = cls._candidate_f1s(positives, negatives)
         best = max(f1 for _, f1 in scored)
         return min(threshold for threshold, f1 in scored if f1 == best)
 
@@ -193,6 +211,27 @@ class TestCalibrateThreshold:
     def test_matches_exhaustive_rational_oracle(self, positives, negatives):
         # Scores drawn from a coarse grid so ties and duplicates are common.
         assert calibrate_threshold(positives, negatives) == self._oracle(positives, negatives)
+
+    @settings(max_examples=300)
+    @given(
+        positives=st.lists(_SCORES, min_size=1, max_size=30),
+        negatives=st.lists(_SCORES, min_size=1, max_size=30),
+    )
+    def test_evaluate_at_calibrated_threshold_reaches_best_f1(self, positives, negatives):
+        """The calibrated threshold may lie above 1 (no positive scores below
+        a negative); evaluate must still judge by ``value < threshold``."""
+        threshold = calibrate_threshold(positives, negatives)
+        scored = [
+            (_positive(f"p{i}", "x"), ScoreOutcome.scored(v)) for i, v in enumerate(positives)
+        ] + [(_negative(f"n{i}", "y"), ScoreOutcome.scored(v)) for i, v in enumerate(negatives)]
+        report = evaluate(scored, threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        assert report.tp == sum(1 for v in positives if v < threshold)
+        assert report.fp == sum(1 for v in negatives if v < threshold)
+        assert report.tp + report.fn == report.positives_evaluated == len(positives)
+        assert report.fp + report.tn == report.negatives_evaluated == len(negatives)
+        assert report.unscorable_pos == report.unscorable_neg == 0
+        best = max(f1 for _, f1 in self._candidate_f1s(positives, negatives))
+        assert report.f1 == float(best)
 
 
 class TestEvaluate:
@@ -263,6 +302,37 @@ class TestEvaluate:
         assert report.f1 is None
 
 
+_REPO = Path(__file__).resolve().parent.parent
+
+_REQUIRED_KEYS = ("embeddings", "compounds", "corpus", "definitions", "stopwords")
+
+# Values that survive a `key = value` line: no line breaks, no surrounding
+# blanks, and a leading `#` or an inner `=` kept as part of the value.
+_CONFIG_TEXT = st.text(
+    alphabet=string.ascii_letters + string.digits + "_-.,#=", min_size=1, max_size=12
+)
+_ABSOLUTE_PATHS = st.lists(
+    st.text(alphabet=string.ascii_letters + string.digits + "_-", min_size=1, max_size=8),
+    min_size=1,
+    max_size=3,
+).map(lambda parts: Path("/", *parts))
+_CONFIGS = st.builds(
+    ExperimentConfig,
+    embeddings=_ABSOLUTE_PATHS,
+    compounds=_ABSOLUTE_PATHS,
+    corpus=_ABSOLUTE_PATHS,
+    definitions=_ABSOLUTE_PATHS,
+    stopwords=_ABSOLUTE_PATHS,
+    sample_seed=st.integers(min_value=-(2**64), max_value=2**64),
+    split_seed=st.integers(min_value=-(2**64), max_value=2**64),
+    fraction=st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
+    threshold_mode=st.sampled_from(THRESHOLD_MODES),
+    compound_left_column=_CONFIG_TEXT,
+    compound_right_column=_CONFIG_TEXT,
+    output_dir=_ABSOLUTE_PATHS,
+)
+
+
 class TestLoadConfig:
     def _write(self, tmp_path, text):
         path = tmp_path / "exp.conf"
@@ -324,6 +394,44 @@ class TestLoadConfig:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.conf")
+
+    @pytest.mark.parametrize("key", ["Embeddings", "output-dir", "seed", "threshold"])
+    def test_each_unknown_key_named(self, tmp_path, key):
+        with pytest.raises(ConfigError) as error:
+            load_config(self._write(tmp_path, self.REQUIRED + f"{key} = 1\n"))
+        assert str(error.value) == f"config line 6: unknown key {key!r}"
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(missing=st.sets(st.sampled_from(_REQUIRED_KEYS), min_size=1))
+    def test_each_missing_required_key_named(self, tmp_path, missing):
+        text = "".join(f"{key} = {key}.txt\n" for key in _REQUIRED_KEYS if key not in missing)
+        with pytest.raises(ConfigError) as error:
+            load_config(self._write(tmp_path, text))
+        named = ", ".join(key for key in _REQUIRED_KEYS if key in missing)
+        assert str(error.value) == f"config missing required key(s): {named}"
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        config=_CONFIGS,
+        order=st.permutations([field.name for field in dataclasses.fields(ExperimentConfig)]),
+    )
+    def test_written_config_loads_back_equal(self, tmp_path, config, order):
+        text = "".join(f"{key} = {getattr(config, key)}\n" for key in order)
+        assert load_config(self._write(tmp_path, text)) == config
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (_REPO / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        config = load_config(self._write(tmp_path, example))
+        base = tmp_path.resolve()
+        assert config.output_dir == base
+        for field in dataclasses.fields(ExperimentConfig):
+            value = getattr(config, field.name)
+            if field.default is dataclasses.MISSING:
+                # The example names the bundled test data, relative to the repository.
+                assert (_REPO / value.relative_to(base)).is_file()
+            elif field.name != "output_dir":
+                assert value == field.default
 
 
 class TestRunExperiment:

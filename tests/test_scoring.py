@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -236,16 +237,19 @@ class TestScorePairProperties:
 
 
 class TestNonFiniteScores:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_definition_sum_is_unscorable(self):
         # a + a overflows to [inf, 2]; its cosine with [1, -1] is inf / inf,
-        # a NaN that the clamp alone would turn into a silent 1.0.
+        # a NaN that the clamp alone would turn into a silent 1.0. The pair
+        # is reported as non-finite, so numpy's overflow warning must not
+        # escape as well.
         table = load_embeddings(["a 1e308 1", "b 1 -1"])
         lexicon = DefinitionLexicon(entries={"x": ("a", "a"), "y": ("b",)})
         assert NON_FINITE in UNSCORABLE_REASONS
         for method in (DEFINITION, CONTENT):
             for pair in (LexemePair("x", "y"), LexemePair("y", "x")):
-                outcome = score_pair(method, table, lexicon, frozenset(), pair)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    outcome = score_pair(method, table, lexicon, frozenset(), pair)
                 assert outcome.unscorable_reason == NON_FINITE
 
 
