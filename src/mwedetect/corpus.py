@@ -47,9 +47,14 @@ class BigramCounts:
         return len(self.counts)
 
 
-def tokenize(text: str, source_label: str = "") -> TokenStream:
+def word_tokens(text: str) -> tuple[str, ...]:
     """Lowercase ``text`` and split it on every non-alphabetic character."""
-    return TokenStream(tokens=tuple(_TOKEN_RE.findall(text.lower())), source_label=source_label)
+    return tuple(_TOKEN_RE.findall(text.lower()))
+
+
+def tokenize(text: str, source_label: str = "") -> TokenStream:
+    """The ``word_tokens`` of ``text`` as a labelled stream."""
+    return TokenStream(tokens=word_tokens(text), source_label=source_label)
 
 
 def read_corpus(path: str | Path) -> TokenStream:
@@ -171,6 +176,7 @@ def top_cooccurring_pairs(
 __all__ = [
     "TokenStream",
     "BigramCounts",
+    "word_tokens",
     "tokenize",
     "read_corpus",
     "build_bigram_counts",

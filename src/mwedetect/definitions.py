@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import text_lines
-from .corpus import tokenize
+from .corpus import word_tokens
 from .embeddings import EmbeddingTable, vector_sum
 from .errors import LexiconFormatError
 
@@ -62,11 +62,11 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
             lexeme = lexeme.strip().lower()
             if not lexeme:
                 raise LexiconFormatError(f"line {lineno}: empty lexeme")
-            if any(ch.isspace() for ch in lexeme):
+            if lexeme.split() != [lexeme]:
                 raise LexiconFormatError(f"line {lineno}: lexeme contains whitespace: {lexeme!r}")
             if lexeme in entries:
                 continue
-            tokens = tokenize(definition).tokens
+            tokens = word_tokens(definition)
             if not tokens:
                 raise LexiconFormatError(f"line {lineno}: definition has no usable tokens")
             entries[lexeme] = tokens
@@ -81,7 +81,7 @@ def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
             word = raw.strip()
             if not word:
                 continue
-            if any(ch.isspace() for ch in word):
+            if word.split() != [word]:
                 raise LexiconFormatError(f"line {lineno}: stop word contains whitespace: {word!r}")
             words.add(word.lower())
     return frozenset(words)

@@ -2,14 +2,16 @@
 
 Embedding files use the plain-text GloVe convention: one entry per line,
 token first, then a fixed number of decimal floats, all separated by single
-ASCII spaces, no header line.
+ASCII spaces. A word2vec ``V D`` header line is also accepted.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
-from collections.abc import Iterable, Sequence
+import re
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,15 @@ from ._io import text_lines
 from .errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 logger = logging.getLogger(__name__)
+
+# Entry lines parsed per call of numpy's text reader. Larger blocks parse no
+# faster and raise the peak memory of a load.
+BLOCK_LINES = 1024
+
+_LOADTXT_OPTIONS = dict(dtype=np.float64, delimiter=" ", comments=None, quotechar=None, ndmin=2)
+
+# loadtxt's position in its error messages; the line number replaces the row.
+_AT_ROW = re.compile(r" at row \d+,")
 
 
 @dataclass(frozen=True)
@@ -48,52 +59,76 @@ class EmbeddingTable:
 def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable:
     """Parse a GloVe-format text stream into an EmbeddingTable.
 
-    Every non-blank line must carry the same number of values as the first.
-    On a duplicate token the first occurrence wins and the token is recorded
-    in ``duplicate_tokens`` alongside a logged warning. Values must be
-    finite decimal floats. The table's ``source_label`` is the path, or
-    empty for a stream of lines.
+    Every entry line must carry the same number of values as the first. A
+    first line of two integers ``V D`` that is followed by lines of ``D``
+    values is a word2vec header: it is not an entry, and the file must then
+    hold exactly ``V`` entry lines. On a duplicate token the first
+    occurrence wins and the token is recorded in ``duplicate_tokens``
+    alongside a logged warning. Values must be finite decimal floats as
+    numpy's text reader parses them. The table's ``source_label`` is the
+    path, or empty for a stream of lines.
 
-    Raises EmbeddingFormatError naming the offending line on any format
+    Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream.
     """
     source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
     entries: dict[str, np.ndarray] = {}
     duplicates: list[str] = []
     dimension: int | None = None
+    # The pending block: the lowercase token, the value text and the line
+    # number of each entry line not yet parsed.
+    tokens: list[str] = []
+    rests: list[str] = []
+    linenos: list[int] = []
+
+    def parse_pending() -> None:
+        if not rests:
+            return
+        for token, row in zip(tokens, _parse_rows(rests, linenos)):
+            if token in entries:
+                duplicates.append(token)
+            else:
+                entries[token] = row
+        tokens.clear()
+        rests.clear()
+        linenos.clear()
 
     with text_lines(source) as lines:
-        for lineno, raw in enumerate(lines, start=1):
+        declared, numbered = _skip_header(iter(lines))
+        for lineno, raw in numbered:
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            parts = line.split(" ")
-            token = parts[0].lower()
-            if not token or any(ch.isspace() for ch in token):
-                raise EmbeddingFormatError(f"line {lineno}: empty or whitespace token")
-            found = len(parts) - 1
-            if found == 0:
-                raise EmbeddingFormatError(f"line {lineno}: token without values")
-            if dimension is None:
+            token, sep, rest = line.partition(" ")
+            found = rest.count(" ") + 1
+            if dimension is None and sep:
                 dimension = found
+            if token.split() != [token]:
+                problem = "empty or whitespace token"
+            elif not sep:
+                problem = "token without values"
             elif found != dimension:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: expected {dimension} values, found {found}"
-                )
-            try:
-                vector = np.array(parts[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingFormatError(f"line {lineno}: non-numeric value ({exc})") from None
-            if not np.all(np.isfinite(vector)):
-                raise EmbeddingFormatError(f"line {lineno}: non-finite value")
-            if token in entries:
-                duplicates.append(token)
+                problem = f"expected {dimension} values, found {found}"
+            elif not rest:
+                # loadtxt would skip an empty row instead of rejecting it.
+                problem = "non-numeric value (empty field)"
+            else:
+                tokens.append(token.lower())
+                rests.append(rest)
+                linenos.append(lineno)
+                if len(rests) == BLOCK_LINES:
+                    parse_pending()
                 continue
-            vector.flags.writeable = False
-            entries[token] = vector
+            # A bad value on an earlier line of the pending block comes first.
+            parse_pending()
+            raise EmbeddingFormatError(f"line {lineno}: {problem}")
+        parse_pending()
 
     if not entries:
         raise EmbeddingFormatError("embedding source contains no entries")
+    entry_lines = len(entries) + len(duplicates)
+    if declared is not None and declared != entry_lines:
+        raise EmbeddingFormatError(f"line 1: header declares {declared} entries, found {entry_lines}")
     if duplicates:
         logger.warning(
             "embedding source %s: %d duplicate token(s) ignored (first occurrence kept), e.g. %r",
@@ -108,6 +143,53 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
         source_label=source_label,
         duplicate_tokens=tuple(duplicates),
     )
+
+
+def _skip_header(lines: Iterator[str]) -> tuple[int | None, Iterator[tuple[int, str]]]:
+    """Take a word2vec ``V D`` header off the front of ``lines``.
+
+    Line 1 is a header when it holds exactly two ASCII integers >= 1 and the
+    next non-blank line carries ``D`` values; a 1-d GloVe entry such as
+    ``2 3`` is not. Returns ``V`` (None without a header) and the numbered
+    lines left to parse.
+    """
+    first = next(lines, None)
+    if first is None:
+        return None, iter(())
+    fields = first.rstrip("\r\n").split(" ")
+    ahead = [first]
+    if len(fields) == 2 and all(f.isascii() and f.isdigit() and int(f) >= 1 for f in fields):
+        for raw in lines:
+            ahead.append(raw)
+            line = raw.rstrip("\r\n")
+            if line:
+                if line.count(" ") == int(fields[1]):
+                    return int(fields[0]), enumerate(itertools.chain(ahead[1:], lines), start=2)
+                break
+    return None, enumerate(itertools.chain(ahead, lines), start=1)
+
+
+def _parse_rows(rests: list[str], linenos: list[int]) -> np.ndarray:
+    """Parse the value text of a block of entry lines into a read-only matrix.
+
+    Raises EmbeddingFormatError naming the first line in file order whose
+    values are non-numeric or non-finite.
+    """
+    try:
+        block = np.loadtxt(rests, **_LOADTXT_OPTIONS)
+    except ValueError as exc:
+        if len(rests) > 1:
+            # loadtxt does not always name the row it stopped at, and a
+            # non-finite row before it must win: parse the lines one by one.
+            for rest, lineno in zip(rests, linenos):
+                _parse_rows([rest], [lineno])
+        reason = _AT_ROW.sub(" at", str(exc))
+        raise EmbeddingFormatError(f"line {linenos[0]}: non-numeric value ({reason})") from None
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        raise EmbeddingFormatError(f"line {linenos[int(finite.argmin())]}: non-finite value")
+    block.flags.writeable = False
+    return block
 
 
 def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

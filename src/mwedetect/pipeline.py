@@ -208,9 +208,11 @@ def calibrate_threshold(
 
     Candidate thresholds are the midpoints between consecutive distinct
     values in the sorted union of all scores, plus one candidate below the
-    minimum and one above the maximum. Classification is strictly-below,
-    and ties in F1 break toward the smallest threshold. Unscorable
-    outcomes must already be removed from both lists.
+    minimum and one above the maximum. Where two values are adjacent floats
+    their midpoint rounds onto the smaller, so the larger is the candidate.
+    Classification is strictly-below, and ties in F1 break toward the
+    smallest threshold. Unscorable outcomes must already be removed from
+    both lists.
     """
     if not positive_scores or not negative_scores:
         raise DatasetError("calibration needs at least one positive and one negative score")
@@ -218,7 +220,9 @@ def calibrate_threshold(
     neg = sorted(negative_scores)
     values = sorted(set(pos) | set(neg))
     candidates = [values[0] - 1.0]
-    candidates.extend((a + b) / 2.0 for a, b in zip(values, values[1:]))
+    for a, b in zip(values, values[1:]):
+        midpoint = (a + b) / 2.0
+        candidates.append(b if midpoint == a else midpoint)
     candidates.append(values[-1] + 1.0)
 
     total_pos = len(pos)

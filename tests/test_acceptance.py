@@ -82,22 +82,40 @@ def _exact_best_threshold(positives: list[float], negatives: list[float]) -> flo
     """Brute-force oracle: exhaustive candidate scan with rational F1."""
     values = sorted(set(positives) | set(negatives))
     candidates = [values[0] - 1.0]
-    candidates.extend((lo + hi) / 2.0 for lo, hi in zip(values, values[1:]))
+    for lo, hi in zip(values, values[1:]):
+        midpoint = (lo + hi) / 2.0
+        candidates.append(hi if midpoint == lo else midpoint)
     candidates.append(values[-1] + 1.0)
-    best: list[tuple[Fraction, float]] = []
-    for threshold in candidates:
-        tp = sum(1 for v in positives if v < threshold)
-        fp = sum(1 for v in negatives if v < threshold)
-        fn = len(positives) - tp
-        denominator = 2 * tp + fp + fn
-        f1 = Fraction(2 * tp, denominator) if denominator else Fraction(0)
-        best.append((f1, threshold))
+    best = [(_f1_at(threshold, positives, negatives), threshold) for threshold in candidates]
     top = max(f1 for f1, _ in best)
     return min(threshold for f1, threshold in best if f1 == top)
 
 
+def _f1_at(threshold: float, positives: list[float], negatives: list[float]) -> Fraction:
+    """Exact F1 of judging every score strictly below ``threshold`` compound."""
+    tp = sum(1 for v in positives if v < threshold)
+    fp = sum(1 for v in negatives if v < threshold)
+    fn = len(positives) - tp
+    denominator = 2 * tp + fp + fn
+    return Fraction(2 * tp, denominator) if denominator else Fraction(0)
+
+
+def _best_cut_f1(positives: list[float], negatives: list[float]) -> Fraction:
+    """Best exact F1 over every cut by index (the k smallest distinct scores
+    judged compound, for each k), with no threshold formula involved."""
+    values = sorted(set(positives) | set(negatives))
+    best = Fraction(0)
+    for k in range(len(values) + 1):
+        compound = set(values[:k])
+        tp = sum(1 for v in positives if v in compound)
+        fp = sum(1 for v in negatives if v in compound)
+        best = max(best, Fraction(2 * tp, tp + fp + len(positives)))
+    return best
+
+
 def test_criterion_2_calibration_matches_bruteforce_oracle(announce):
-    """500 random instances, exact equality including the smallest-tie-break, < 10 s."""
+    """500 random grid instances and 100 with adjacent-float scores: exact
+    equality including the smallest-tie-break, and the best F1 over every cut, < 10 s."""
     with announce("2 (calibration vs brute-force oracle, 500 instances)"):
         grid = [round(k * 0.05, 2) - 1.0 for k in range(41)]
         rng = random.Random(977)
@@ -105,9 +123,20 @@ def test_criterion_2_calibration_matches_bruteforce_oracle(announce):
         for _ in range(500):
             positives = [rng.choice(grid) for _ in range(rng.randint(1, 50))]
             negatives = [rng.choice(grid) for _ in range(rng.randint(1, 50))]
-            assert calibrate_threshold(positives, negatives) == _exact_best_threshold(
-                positives, negatives
-            )
+            threshold = calibrate_threshold(positives, negatives)
+            assert threshold == _exact_best_threshold(positives, negatives)
+            assert _f1_at(threshold, positives, negatives) == _best_cut_f1(positives, negatives)
+        # Scores a few representable floats apart, where a midpoint can round
+        # onto a score and so must not be the only kind of cut.
+        for _ in range(100):
+            steps = [rng.uniform(-0.99, 0.99)]
+            for _ in range(3):
+                steps.append(math.nextafter(steps[-1], 1.0))
+            positives = [rng.choice(steps) for _ in range(rng.randint(1, 10))]
+            negatives = [rng.choice(steps) for _ in range(rng.randint(1, 10))]
+            threshold = calibrate_threshold(positives, negatives)
+            assert threshold == _exact_best_threshold(positives, negatives)
+            assert _f1_at(threshold, positives, negatives) == _best_cut_f1(positives, negatives)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"oracle comparison took {elapsed:.2f}s"
 

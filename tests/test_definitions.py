@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mwedetect.definitions import (
     ALL_OOV,
@@ -70,6 +73,70 @@ class TestLoadStopwords:
     def test_embedded_whitespace_raises(self):
         with pytest.raises(LexiconFormatError, match="line 1"):
             load_stopwords(["two words"])
+
+
+# Lines mixing letters, tabs, Unicode whitespace and characters that are not
+# whitespace, so every loader rule is reached.
+_LEXICON_LINES = st.lists(
+    st.text(alphabet="aB1 \t\u00a0\u2028\x1c\u00e9,", max_size=8), max_size=8
+)
+
+
+def _reference_definitions(lines):
+    """The per-line rules, written out: entries, or the first error message."""
+    entries = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            return f"line {lineno}: expected `lexeme<TAB>definition`"
+        lexeme, definition = line.split("\t", 1)
+        lexeme = lexeme.strip().lower()
+        if not lexeme:
+            return f"line {lineno}: empty lexeme"
+        if any(ch.isspace() for ch in lexeme):
+            return f"line {lineno}: lexeme contains whitespace: {lexeme!r}"
+        if lexeme in entries:
+            continue
+        tokens = tuple(re.findall("[a-z]+", definition.lower()))
+        if not tokens:
+            return f"line {lineno}: definition has no usable tokens"
+        entries[lexeme] = tokens
+    return entries
+
+
+def _reference_stopwords(lines):
+    words = set()
+    for lineno, raw in enumerate(lines, start=1):
+        word = raw.strip()
+        if word and any(ch.isspace() for ch in word):
+            return f"line {lineno}: stop word contains whitespace: {word!r}"
+        if word:
+            words.add(word.lower())
+    return frozenset(words)
+
+
+class TestLoaderRulesProperties:
+    @given(_LEXICON_LINES)
+    def test_definitions_match_per_line_rules(self, lines):
+        expected = _reference_definitions(lines)
+        if isinstance(expected, str):
+            with pytest.raises(LexiconFormatError) as caught:
+                load_definitions(lines)
+            assert str(caught.value) == expected
+        else:
+            assert load_definitions(lines).entries == expected
+
+    @given(_LEXICON_LINES)
+    def test_stopwords_match_per_line_rules(self, lines):
+        expected = _reference_stopwords(lines)
+        if isinstance(expected, str):
+            with pytest.raises(LexiconFormatError) as caught:
+                load_stopwords(lines)
+            assert str(caught.value) == expected
+        else:
+            assert load_stopwords(lines) == expected
 
 
 class TestDefinitionEmbedding:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mwedetect import embeddings
 from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots, vector_sum
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
@@ -82,6 +88,181 @@ class TestLoadEmbeddings:
     def test_source_label_defaults_to_path(self, data_dir):
         table = load_embeddings(data_dir / "toy_embeddings.txt")
         assert table.source_label.endswith("toy_embeddings.txt")
+
+
+    @pytest.mark.parametrize("token", ["a\u00a0b", "\x1c", "a\u2028", "\u3000x"])
+    def test_unicode_whitespace_in_token_rejected(self, token):
+        with pytest.raises(EmbeddingFormatError, match="^line 2: empty or whitespace token$"):
+            load_embeddings(["a 1", f"{token} 1"])
+
+    @pytest.mark.parametrize("value", ["1_0", "\uff11", "\u0661"])
+    def test_python_only_float_spellings_rejected(self, value):
+        # float() reads digit groups and non-ASCII digits; numpy's text reader does not.
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric value"):
+            load_embeddings(["a 1", f"b {value}"])
+
+    def test_empty_value_field_rejected(self):
+        with pytest.raises(EmbeddingFormatError, match=r"line 2: non-numeric value \(empty field\)"):
+            load_embeddings(["a 1", "b "])
+
+    def test_embedded_carriage_return_rejected(self):
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric value"):
+            load_embeddings(["a 1 2", "b 1\r2 3", "c 1 2"])
+
+    def test_earlier_non_finite_line_beats_later_non_numeric_line(self):
+        with pytest.raises(EmbeddingFormatError, match="^line 2: non-finite value$"):
+            load_embeddings(["a 1 2", "b inf 2", "c 1 x"])
+
+    def test_bad_value_in_block_beats_later_bad_token(self):
+        with pytest.raises(EmbeddingFormatError, match="^line 2: non-numeric value"):
+            load_embeddings(["a 1 2", "b 1 x", " 1 2"])
+
+
+class TestWord2vecHeader:
+    def test_header_is_not_an_entry(self, data_dir):
+        table = load_embeddings(data_dir / "word2vec_header.txt")
+        assert table.dimension == 2
+        assert list(table.entries) == ["alpha", "beta", "gamma"]
+        np.testing.assert_array_equal(table.lookup("gamma"), [0.5, -0.5])
+
+    def test_one_dimensional_entry_that_looks_like_a_header(self, data_dir):
+        # "2 3" is followed by lines of one value, not three: it is the entry "2".
+        table = load_embeddings(data_dir / "glove_1d_header_like.txt")
+        assert table.dimension == 1
+        assert list(table.entries) == ["2", "alpha", "beta"]
+        np.testing.assert_array_equal(table.lookup("2"), [3.0])
+
+    def test_wrong_entry_count_names_the_header(self, data_dir):
+        with pytest.raises(EmbeddingFormatError, match="^line 1: header declares 4 entries, found 3$"):
+            load_embeddings(data_dir / "word2vec_wrong_count.txt")
+
+    def test_single_line_file_is_an_entry(self):
+        assert list(load_embeddings(["2 3"]).entries) == ["2"]
+
+    def test_blank_lines_and_crlf_after_header(self):
+        table = load_embeddings(["2 2\r\n", "\r\n", "a 1 0\r\n", "", "b 0 1\r\n"])
+        assert list(table.entries) == ["a", "b"]
+
+    def test_header_must_be_line_one(self):
+        with pytest.raises(EmbeddingFormatError, match="line 3: expected 1 values, found 2"):
+            load_embeddings(["", "2 2", "a 1 0", "b 0 1"])
+
+    def test_header_fields_must_be_positive_integers(self):
+        # A zero entry count or a non-integer is not a header, so "0 2" is an entry.
+        with pytest.raises(EmbeddingFormatError, match="line 2: expected 1 values, found 2"):
+            load_embeddings(["0 2", "a 1 0"])
+
+
+_TOKENS = st.text(alphabet="abcAB\u00e9\u00df\u0130", min_size=1, max_size=3)
+_FORMATS = (repr, "{:.6f}".format, "{:.3e}".format, "{:G}".format, lambda x: f"{x:+}")
+_VALUES = st.tuples(
+    # Bounded so that no format rounds a value up past the float64 range.
+    st.floats(min_value=-1e300, max_value=1e300), st.sampled_from(_FORMATS)
+).map(lambda drawn: drawn[1](drawn[0]))
+
+
+@st.composite
+def embedding_lines(draw, header=True, min_entries=1):
+    """A well-formed embedding file as lines with their endings, and its entry lines."""
+    dim = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(st.lists(_TOKENS, min_size=1, max_size=6))
+    count = draw(st.integers(min_value=min_entries, max_value=14))
+    entries = [
+        " ".join([draw(st.sampled_from(pool))] + draw(st.lists(_VALUES, min_size=dim, max_size=dim)))
+        for _ in range(count)
+    ]
+    body = []
+    for entry in entries:
+        body.extend([""] * draw(st.integers(min_value=0, max_value=2)))
+        body.append(entry)
+    if header and draw(st.booleans()):
+        body.insert(0, f"{count} {dim}")
+    endings = st.sampled_from(["\n", "\r\n"])
+    return [line + draw(endings) for line in body], entries
+
+
+def _reference_table(entries):
+    """The parse of each line on its own, first occurrence kept."""
+    table = {}
+    duplicates = []
+    for entry in entries:
+        parts = entry.split(" ")
+        token = parts[0].lower()
+        if token in table:
+            duplicates.append(token)
+        else:
+            table[token] = np.array(parts[1:], dtype=np.float64)
+    return table, tuple(duplicates)
+
+
+@contextlib.contextmanager
+def _list_and_path(lines):
+    """``lines`` as both kinds of source: the list itself and a file holding them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "embeddings.txt"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        yield [lines, path]
+
+
+class TestBlockParseProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(embedding_lines(), st.integers(min_value=1, max_value=5))
+    def test_matches_line_by_line_reference(self, drawn, block_lines):
+        lines, entries = drawn
+        expected, duplicates = _reference_table(entries)
+        with pytest.MonkeyPatch.context() as patch, _list_and_path(lines) as sources:
+            patch.setattr(embeddings, "BLOCK_LINES", block_lines)
+            tables = [load_embeddings(source) for source in sources]
+        for table in tables:
+            assert table.dimension == len(entries[0].split(" ")) - 1
+            assert table.duplicate_tokens == duplicates
+            assert list(table.entries) == list(expected)
+            for token, vector in expected.items():
+                assert table.entries[token].tobytes() == vector.tobytes()
+                assert not table.entries[token].flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # A bad line right after a header would make the header a 1-d entry.
+        embedding_lines(header=False, min_entries=2),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1),
+                st.sampled_from(["token", "count", "non-numeric", "inf"]),
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_error_names_first_bad_line(self, drawn, bad, block_lines):
+        lines, entries = drawn
+        contents = [line.rstrip("\r\n") for line in lines]
+        # Entry lines after the first, which fixes the dimension, by line number.
+        entry_linenos = [i for i, text in enumerate(contents, start=1) if text][1:]
+        dim = len(entries[0].split(" ")) - 1
+        problems = {}
+        for position, kind in bad:
+            lineno = entry_linenos[position % len(entry_linenos)]
+            token, _, rest = contents[lineno - 1].partition(" ")
+            values = rest.split(" ")
+            if kind == "token":
+                token, problems[lineno] = f"{token}\t{token}", "empty or whitespace token"
+            elif kind == "count":
+                values.append("1")
+                problems[lineno] = f"expected {dim} values, found {dim + 1}"
+            elif kind == "non-numeric":
+                values[-1], problems[lineno] = "x" + values[-1], "non-numeric value"
+            else:
+                values[-1], problems[lineno] = "-inf", "non-finite value"
+            lines[lineno - 1] = " ".join([token, *values]) + "\n"
+        first = min(problems)
+        with pytest.MonkeyPatch.context() as patch, _list_and_path(lines) as sources:
+            patch.setattr(embeddings, "BLOCK_LINES", block_lines)
+            for source in sources:
+                with pytest.raises(EmbeddingFormatError) as caught:
+                    load_embeddings(source)
+                assert re.match(f"line {first}: {re.escape(problems[first])}", str(caught.value))
 
 
 class TestCosine:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import string
 from fractions import Fraction
@@ -176,22 +177,46 @@ class TestCalibrateThreshold:
         with pytest.raises(DatasetError):
             calibrate_threshold([0.5], [])
 
+    def test_adjacent_floats_cut_at_the_larger(self):
+        # (0.1 + next) / 2 rounds back onto 0.1, which would leave no cut
+        # between the two scores and the best F1 at 2/3 instead of 1.
+        larger = math.nextafter(0.1, 1.0)
+        assert calibrate_threshold([0.1], [larger]) == larger
+
     @staticmethod
-    def _candidate_f1s(positives, negatives):
+    def _f1_at(threshold, positives, negatives):
+        """Exact F1 of judging every score strictly below ``threshold`` compound."""
+        tp = sum(1 for v in positives if v < threshold)
+        fp = sum(1 for v in negatives if v < threshold)
+        fn = len(positives) - tp
+        denominator = 2 * tp + fp + fn
+        return Fraction(2 * tp, denominator) if denominator else Fraction(0)
+
+    @staticmethod
+    def _best_cut_f1(positives, negatives):
+        """Best exact F1 over every cut by index: the k smallest distinct
+        scores judged compound, for each k. No threshold formula is involved."""
+        values = sorted(set(positives) | set(negatives))
+        best = Fraction(0)
+        for k in range(len(values) + 1):
+            compound = set(values[:k])
+            tp = sum(1 for v in positives if v in compound)
+            fp = sum(1 for v in negatives if v in compound)
+            best = max(best, Fraction(2 * tp, tp + fp + len(positives)))
+        return best
+
+    @classmethod
+    def _candidate_f1s(cls, positives, negatives):
         """Each candidate threshold with its exact F1."""
         values = sorted(set(positives) | set(negatives))
         candidates = [values[0] - 1.0]
-        candidates.extend((a + b) / 2.0 for a, b in zip(values, values[1:]))
+        for a, b in zip(values, values[1:]):
+            midpoint = (a + b) / 2.0
+            candidates.append(b if midpoint == a else midpoint)
         candidates.append(values[-1] + 1.0)
-        scored = []
-        for threshold in candidates:
-            tp = sum(1 for v in positives if v < threshold)
-            fp = sum(1 for v in negatives if v < threshold)
-            fn = len(positives) - tp
-            denominator = 2 * tp + fp + fn
-            f1 = Fraction(2 * tp, denominator) if denominator else Fraction(0)
-            scored.append((threshold, f1))
-        return scored
+        return [
+            (threshold, cls._f1_at(threshold, positives, negatives)) for threshold in candidates
+        ]
 
     @classmethod
     def _oracle(cls, positives, negatives):
@@ -210,7 +235,30 @@ class TestCalibrateThreshold:
     )
     def test_matches_exhaustive_rational_oracle(self, positives, negatives):
         # Scores drawn from a coarse grid so ties and duplicates are common.
-        assert calibrate_threshold(positives, negatives) == self._oracle(positives, negatives)
+        threshold = calibrate_threshold(positives, negatives)
+        assert threshold == self._oracle(positives, negatives)
+        assert self._f1_at(threshold, positives, negatives) == self._best_cut_f1(
+            positives, negatives
+        )
+
+    @settings(max_examples=300)
+    @given(
+        base=st.floats(min_value=-0.99, max_value=0.99),
+        positives=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
+        negatives=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
+    )
+    def test_adjacent_float_scores_reach_best_cut(self, base, positives, negatives):
+        """Scores a few representable floats apart, where midpoints round onto a score."""
+        steps = [base]
+        for _ in range(3):
+            steps.append(math.nextafter(steps[-1], 1.0))
+        positives = [steps[i] for i in positives]
+        negatives = [steps[i] for i in negatives]
+        threshold = calibrate_threshold(positives, negatives)
+        assert threshold == self._oracle(positives, negatives)
+        assert self._f1_at(threshold, positives, negatives) == self._best_cut_f1(
+            positives, negatives
+        )
 
     @settings(max_examples=300)
     @given(
@@ -232,6 +280,7 @@ class TestCalibrateThreshold:
         assert report.unscorable_pos == report.unscorable_neg == 0
         best = max(f1 for _, f1 in self._candidate_f1s(positives, negatives))
         assert report.f1 == float(best)
+        assert report.f1 == float(self._best_cut_f1(positives, negatives))
 
 
 class TestEvaluate:
