@@ -28,7 +28,7 @@ from .definitions import (
     load_definitions,
     load_stopwords,
 )
-from .embeddings import EmbeddingTable, cosine, load_embeddings, vector_sum
+from .embeddings import EmbeddingTable, cosine, load_embeddings
 from .errors import (
     ConfigError,
     CorpusError,
@@ -48,11 +48,13 @@ from .pipeline import (
     LabeledDataset,
     LabeledPair,
     PairSource,
+    ScanHit,
     calibrate_threshold,
     evaluate,
     load_compounds,
     load_config,
     run_experiment,
+    scan_corpus,
     split_dataset,
 )
 from .scoring import (
@@ -77,7 +79,6 @@ __all__ = [
     "EmbeddingTable",
     "load_embeddings",
     "cosine",
-    "vector_sum",
     # pairs
     "LexemePair",
     # corpus
@@ -121,6 +122,8 @@ __all__ = [
     "load_config",
     "ExperimentResult",
     "run_experiment",
+    "ScanHit",
+    "scan_corpus",
     # errors
     "MweDetectError",
     "EmbeddingFormatError",

@@ -14,13 +14,12 @@ import enum
 import logging
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import TokenStream, build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
+from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords
 from .embeddings import EmbeddingTable, load_embeddings
-from .errors import CorpusError, MweDetectError
+from .errors import MweDetectError
 from .pairs import LexemePair
 from .pipeline import (
     SHARED,
@@ -29,8 +28,9 @@ from .pipeline import (
     load_compounds,
     load_config,
     run_experiment,
+    scan_corpus,
 )
-from .scoring import Judgement, ScoreMethod, classify, score_pair, score_pairs
+from .scoring import ScoreMethod, ScoreOutcome, classify, score_pair
 
 logger = logging.getLogger(__name__)
 
@@ -44,61 +44,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class ScanHit:
-    """One corpus bigram judged COMPOUND under the active threshold."""
-
-    pair: LexemePair
-    count: int
-    score: float
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"hit count must be positive, got {self.count}")
-
-
-def scan_corpus(
-    stream: TokenStream,
-    table: EmbeddingTable,
-    method: ScoreMethod,
-    threshold: float,
-    min_count: int = 1,
-    top_n: int | None = None,
-    lexicon: DefinitionLexicon | None = None,
-    stopwords: frozenset[str] | None = None,
-) -> list[ScanHit]:
-    """Classify every adjacent bigram of the corpus; keep compound hits.
-
-    Bigrams below ``min_count`` and pairs the method cannot score are
-    dropped silently. Hits come back sorted by ascending score (most
-    non-compositional first), then alphabetically, truncated to ``top_n``.
-    """
-    if not -1.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [-1, 1], got {threshold}")
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    if not stream.tokens:
-        raise CorpusError("corpus contains no tokens")
-    counts = build_bigram_counts(stream)
-    frequent = [
-        (LexemePair(left, right), count)
-        for (left, right), count in counts.counts.items()
-        if count >= min_count
-    ]
-    outcomes = score_pairs(method, table, lexicon, stopwords, [pair for pair, _ in frequent])
-    hits: list[ScanHit] = []
-    for (pair, count), outcome in zip(frequent, outcomes):
-        if not outcome.is_scorable:
-            continue
-        if classify(outcome, threshold) is Judgement.COMPOUND:
-            assert outcome.value is not None
-            hits.append(ScanHit(pair=pair, count=count, score=outcome.value))
-    hits.sort(key=lambda hit: (hit.score, hit.pair.left, hit.pair.right))
-    if top_n is not None:
-        hits = hits[:top_n]
-    return hits
 
 
 def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
@@ -178,6 +123,7 @@ def cmd_run(args) -> int:
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=Path(args.output_dir).resolve())
     result = run_experiment(config)
+    mode = result.config.threshold_mode
 
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -191,14 +137,14 @@ def cmd_run(args) -> int:
     _write_csv_rows(
         thresholds_path,
         ("method", "negative_source", "threshold", "mode"),
-        [(*key, threshold, result.threshold_mode) for key, threshold in result.thresholds.items()],
+        [(*key, threshold, mode) for key, threshold in result.thresholds.items()],
     )
 
     dataset = result.dataset
     # The split ratio and the choice of calibration negatives are assumptions,
     # not givens; surface them on every run so reports are self-describing.
-    print(f"threshold mode: {result.threshold_mode}")
-    if result.threshold_mode == SHARED:
+    print(f"threshold mode: {mode}")
+    if mode == SHARED:
         print("assumption: thresholds calibrated against random negatives, applied to both arms")
     else:
         print("assumption: thresholds calibrated per negative source")
@@ -209,7 +155,8 @@ def cmd_run(args) -> int:
     )
     for (method, source), threshold in result.thresholds.items():
         if not -1.0 <= threshold <= 1.0:
-            judged = Judgement.COMPOUND if threshold > 1.0 else Judgement.NOT_COMPOUND
+            # Every score in [-1, 1] falls on the same side of this threshold.
+            judged = classify(ScoreOutcome.scored(0.0), threshold)
             print(
                 f"assumption: {method.value} vs {source.value} calibration is degenerate: "
                 f"threshold {threshold:.6f} lies outside [-1, 1], so every scored pair is "

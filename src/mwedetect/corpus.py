@@ -12,7 +12,7 @@ import random
 import re
 from collections import Counter
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorpusError, SamplingError
@@ -27,10 +27,9 @@ _ENUMERATION_LIMIT = 1_000_000
 
 @dataclass(frozen=True)
 class TokenStream:
-    """Ordered lowercase alphabetic tokens plus a provenance label."""
+    """Ordered lowercase alphabetic tokens."""
 
     tokens: tuple[str, ...]
-    source_label: str = ""
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -41,7 +40,6 @@ class BigramCounts:
     """Adjacent-pair occurrence counts over a token stream."""
 
     counts: dict[tuple[str, str], int]
-    total_bigrams: int = field(default=0)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -52,9 +50,9 @@ def word_tokens(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
-def tokenize(text: str, source_label: str = "") -> TokenStream:
-    """The ``word_tokens`` of ``text`` as a labelled stream."""
-    return TokenStream(tokens=word_tokens(text), source_label=source_label)
+def tokenize(text: str) -> TokenStream:
+    """The ``word_tokens`` of ``text`` as a stream."""
+    return TokenStream(tokens=word_tokens(text))
 
 
 def read_corpus(path: str | Path) -> TokenStream:
@@ -71,14 +69,14 @@ def read_corpus(path: str | Path) -> TokenStream:
         text = "\n".join(p.read_text(encoding="utf-8") for p in files)
     else:
         text = path.read_text(encoding="utf-8")
-    return tokenize(text, source_label=str(path))
+    return tokenize(text)
 
 
 def build_bigram_counts(stream: TokenStream) -> BigramCounts:
     """Count every adjacent token pair; n tokens yield n-1 observations."""
     tokens = stream.tokens
     counts = Counter(zip(tokens, tokens[1:]))
-    return BigramCounts(counts=dict(counts), total_bigrams=max(0, len(tokens) - 1))
+    return BigramCounts(counts=dict(counts))
 
 
 def _pair_key(pair) -> tuple[str, str]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._io import text_lines
 from .corpus import word_tokens
-from .embeddings import EmbeddingTable, vector_sum
+from .embeddings import EmbeddingTable
 from .errors import LexiconFormatError
 
 logger = logging.getLogger(__name__)
@@ -111,19 +111,18 @@ def definition_embedding(
             return None, ALL_STOPWORDS
     else:
         kept = list(tokens)
-    vectors = []
-    dropped = 0
-    for token in kept:
-        vec = table.lookup(token)
-        if vec is None:
-            dropped += 1
-        else:
-            vectors.append(vec)
+    vectors = [vec for vec in map(table.lookup, kept) if vec is not None]
     if not vectors:
         return None, ALL_OOV
+    dropped = len(kept) - len(vectors)
     if dropped:
         logger.debug("definition of %r: %d token(s) out of vocabulary", lexeme, dropped)
-    return vector_sum(vectors), None
+    # Added left to right into a copy of the first row, so the sum is
+    # bit-deterministic for a given definition.
+    total = np.array(vectors[0], dtype=np.float64)
+    for vec in vectors[1:]:
+        total += vec
+    return total, None
 
 
 __all__ = [

@@ -247,30 +247,10 @@ def cosine(a: np.ndarray | Sequence[float], b: np.ndarray | Sequence[float]) -> 
     return float(values[0])
 
 
-def vector_sum(vectors: Sequence[np.ndarray | Sequence[float]]) -> np.ndarray:
-    """Elementwise sum of one or more equal-length vectors.
-
-    Summation runs left to right in input order, so results are
-    bit-deterministic for a fixed input sequence.
-    """
-    if len(vectors) == 0:
-        raise ValueError("vector_sum needs at least one vector")
-    total = np.array(vectors[0], dtype=np.float64)
-    for i, vec in enumerate(vectors[1:], start=1):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != total.shape:
-            raise ValueError(
-                f"vector length mismatch at position {i}: {arr.shape[0]} vs {total.shape[0]}"
-            )
-        total = total + arr
-    return total
-
-
 __all__ = [
     "EmbeddingTable",
     "load_embeddings",
     "row_dots",
     "row_cosines",
     "cosine",
-    "vector_sum",
 ]

@@ -1,10 +1,11 @@
-"""Dataset assembly, threshold calibration, and the end-to-end experiment.
+"""Dataset assembly, threshold calibration, the end-to-end experiment, and scans.
 
 The experiment mirrors a 1:1:1 design: known compounds as positives, an
 equal number of uniformly random word pairs, and an equal number of the
 corpus's most frequent bigrams as two separate negative populations.
 Thresholds are calibrated on a seen split and applied to the held-out
-split, producing one report per (method, negative source).
+split, producing one report per (method, negative source). A scan applies
+one threshold to every bigram of raw text.
 """
 
 from __future__ import annotations
@@ -22,14 +23,19 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
-from .definitions import load_definitions, load_stopwords
-from .embeddings import load_embeddings
-from .errors import ConfigError, DatasetError
+from .corpus import (
+    TokenStream,
+    build_bigram_counts,
+    read_corpus,
+    sample_random_pairs,
+    top_cooccurring_pairs,
+)
+from .definitions import DefinitionLexicon, load_definitions, load_stopwords
+from .embeddings import EmbeddingTable, load_embeddings
+from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
-from .scoring import ScoreMethod, ScoreOutcome, score_pairs
-# Bound here only for perfbench's pipeline.score_pair and pipeline.classify hooks.
-from .scoring import classify, score_pair  # noqa: F401
+from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
+from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
 from ._io import text_lines
 
 logger = logging.getLogger(__name__)
@@ -246,22 +252,19 @@ def evaluate(
     method: ScoreMethod,
     negative_source: PairSource,
 ) -> EvalReport:
-    """Judge every outcome and tally the confusion counts.
+    """Judge every outcome with ``classify`` and tally the confusion counts.
 
-    A score strictly below ``threshold`` is a compound judgement, and a
-    compound judgement on a positive is a true positive; unscorable
+    A compound judgement on a positive is a true positive; unscorable
     outcomes are counted per label but excluded from the four metric
     counts and from all denominators.
     """
-    # Keyed (is positive, judged compound), None for unscorable. The rule is
-    # ``classify``'s without its range check: a degenerate calibration may
-    # pick a threshold above 1, which judges every scored pair a compound.
     tally = Counter(
-        (labeled.is_positive, None if outcome.value is None else outcome.value < threshold)
-        for labeled, outcome in scored_heldout
+        (labeled.is_positive, classify(outcome, threshold)) for labeled, outcome in scored_heldout
     )
-    tp, fn, unscorable_pos = tally[True, True], tally[True, False], tally[True, None]
-    fp, tn, unscorable_neg = tally[False, True], tally[False, False], tally[False, None]
+    tp, fp = tally[True, Judgement.COMPOUND], tally[False, Judgement.COMPOUND]
+    fn, tn = tally[True, Judgement.NOT_COMPOUND], tally[False, Judgement.NOT_COMPOUND]
+    unscorable_pos = tally[True, Judgement.UNSCORABLE]
+    unscorable_neg = tally[False, Judgement.UNSCORABLE]
 
     precision = tp / (tp + fp) if tp + fp else None
     recall = tp / (tp + fn) if tp + fn else None
@@ -384,7 +387,6 @@ class ExperimentResult:
 
     reports: tuple[EvalReport, ...]
     thresholds: dict[tuple[ScoreMethod, PairSource], float]
-    threshold_mode: str
     dataset: LabeledDataset
     config: ExperimentConfig
     vocabulary_size: int
@@ -484,12 +486,64 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         reports=reports,
         thresholds=thresholds,
-        threshold_mode=config.threshold_mode,
         dataset=dataset,
         config=config,
         vocabulary_size=len(vocabulary),
         bigram_type_count=len(counts.counts),
     )
+
+
+@dataclass(frozen=True)
+class ScanHit:
+    """One corpus bigram judged COMPOUND under the active threshold."""
+
+    pair: LexemePair
+    count: int
+    score: float
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise ValueError(f"hit count must be positive, got {self.count}")
+
+
+def scan_corpus(
+    stream: TokenStream,
+    table: EmbeddingTable,
+    method: ScoreMethod,
+    threshold: float,
+    min_count: int = 1,
+    top_n: int | None = None,
+    lexicon: DefinitionLexicon | None = None,
+    stopwords: frozenset[str] | None = None,
+) -> list[ScanHit]:
+    """Classify every adjacent bigram of the corpus; keep compound hits.
+
+    Bigrams below ``min_count`` and pairs the method cannot score are
+    dropped silently. Hits come back sorted by ascending score (most
+    non-compositional first), then alphabetically, truncated to ``top_n``.
+    """
+    if not -1.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [-1, 1], got {threshold}")
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
+    if top_n is not None and top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
+    if not stream.tokens:
+        raise CorpusError("corpus contains no tokens")
+    counts = build_bigram_counts(stream)
+    frequent = [
+        (LexemePair(left, right), count)
+        for (left, right), count in counts.counts.items()
+        if count >= min_count
+    ]
+    outcomes = score_pairs(method, table, lexicon, stopwords, [pair for pair, _ in frequent])
+    hits = [
+        ScanHit(pair=pair, count=count, score=outcome.value)
+        for (pair, count), outcome in zip(frequent, outcomes)
+        if classify(outcome, threshold) is Judgement.COMPOUND
+    ]
+    hits.sort(key=lambda hit: (hit.score, hit.pair.left, hit.pair.right))
+    return hits[:top_n]
 
 
 __all__ = [
@@ -506,6 +560,8 @@ __all__ = [
     "load_config",
     "ExperimentResult",
     "run_experiment",
+    "ScanHit",
+    "scan_corpus",
     "METHODS",
     "NEGATIVE_SOURCES",
     "SHARED",

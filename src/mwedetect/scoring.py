@@ -172,10 +172,12 @@ def classify(outcome: ScoreOutcome, threshold: float) -> Judgement:
     """Strictly-below-threshold rule: value < threshold means compound.
 
     The boundary value itself is NOT_COMPOUND; an absent value is
-    UNSCORABLE. The threshold must lie in [-1, 1].
+    UNSCORABLE. Any finite threshold is accepted, including one outside
+    [-1, 1] from a degenerate calibration, which judges every scored pair
+    alike.
     """
-    if not -1.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [-1, 1]")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     if outcome.value is None:
         return Judgement.UNSCORABLE
     return Judgement.COMPOUND if outcome.value < threshold else Judgement.NOT_COMPOUND

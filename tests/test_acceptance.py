@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mwedetect.cli import main, scan_corpus
+from mwedetect import scan_corpus
+from mwedetect.cli import main
 from mwedetect.corpus import tokenize
 from mwedetect.embeddings import cosine
 from mwedetect.pairs import LexemePair
@@ -224,7 +225,7 @@ def test_criterion_6_shared_threshold_recall_equality(announce, config_path):
     """Shared-threshold mode: recall is identical across negative sources."""
     with announce("6 (shared-threshold recall equality)"):
         result = run_experiment(load_config(config_path))
-        assert result.threshold_mode == "shared"
+        assert result.config.threshold_mode == "shared"
         by_method = {}
         for report in result.reports:
             by_method.setdefault(report.method, {})[report.negative_source] = report

@@ -8,11 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mwedetect.cli import ScanHit, main, scan_corpus
-from mwedetect.corpus import tokenize
-from mwedetect.errors import CorpusError
-from mwedetect.pairs import LexemePair
-from mwedetect.scoring import ScoreMethod
+from mwedetect.cli import main
 
 _DATA = Path(__file__).parent / "data"
 EMB = str(_DATA / "toy_embeddings.txt")
@@ -20,67 +16,6 @@ DEFS = str(_DATA / "toy_definitions.tsv")
 COMPOUNDS = str(_DATA / "compounds.csv")
 CORPUS = str(_DATA / "toy_corpus.txt")
 CONFIG = str(_DATA / "experiment.conf")
-
-
-class TestScanHit:
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            ScanHit(pair=LexemePair("a", "b"), count=0, score=0.5)
-
-
-class TestScanCorpus:
-    def test_repeated_bigram_is_one_hit(self, toy_table):
-        hits = scan_corpus(tokenize("jet lag jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=2)
-        assert len(hits) == 1
-        assert hits[0].pair == LexemePair("jet", "lag")
-        assert hits[0].count == 2
-        assert hits[0].score == 0.0
-
-    def test_hits_satisfy_documented_predicates(self, toy_table, data_dir):
-        corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        threshold, min_count = 0.3, 1
-        hits = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, threshold, min_count)
-        assert hits
-        for hit in hits:
-            assert hit.score < threshold
-            assert hit.count >= min_count
-
-    def test_ascending_score_then_alphabetical_order(self, toy_table, data_dir):
-        corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        hits = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
-        keys = [(hit.score, hit.pair.left, hit.pair.right) for hit in hits]
-        assert keys == sorted(keys)
-
-    def test_threshold_at_lower_bound_yields_nothing(self, toy_table):
-        hits = scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, -1.0)
-        assert hits == []
-
-    def test_min_count_above_max_yields_nothing(self, toy_table):
-        hits = scan_corpus(
-            tokenize("jet lag jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=3
-        )
-        assert hits == []
-
-    def test_top_n_truncates_after_sorting(self, toy_table, data_dir):
-        corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        full = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
-        top = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3, top_n=2)
-        assert top == full[:2]
-
-    def test_unscorable_bigrams_skipped(self, toy_table):
-        # "xyzzy" has no vector, so its bigrams silently drop out of the scan.
-        hits = scan_corpus(
-            tokenize("jet lag xyzzy jet"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5
-        )
-        assert [hit.pair for hit in hits] == [LexemePair("jet", "lag")]
-
-    def test_empty_corpus_rejected(self, toy_table):
-        with pytest.raises(CorpusError, match="no tokens"):
-            scan_corpus(tokenize("123 !!"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5)
-
-    def test_out_of_range_threshold_rejected(self, toy_table):
-        with pytest.raises(ValueError, match="threshold"):
-            scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 1.5)
 
 
 class TestScoreCommand:
@@ -193,6 +128,7 @@ class TestRunCommand:
         degenerate = [line for line in out.splitlines() if "outside [-1, 1]" in line]
         assert len(degenerate) == 6
         assert all(line.startswith("assumption:") for line in degenerate)
+        assert all(line.endswith("every scored pair is judged compound") for line in degenerate)
 
         main(["run", CONFIG, "--output-dir", str(tmp_path / "golden")])
         assert "outside [-1, 1]" not in capsys.readouterr().out

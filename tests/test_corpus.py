@@ -76,23 +76,22 @@ class TestBigramCounts:
     def test_hand_counted_example(self):
         counts = build_bigram_counts(tokenize("the cat sat the cat"))
         assert counts.counts == {("the", "cat"): 2, ("cat", "sat"): 1, ("sat", "the"): 1}
-        assert counts.total_bigrams == 4
+        assert sum(counts.counts.values()) == 4
 
     def test_single_token_has_no_bigrams(self):
         counts = build_bigram_counts(tokenize("lonely"))
         assert counts.counts == {}
-        assert counts.total_bigrams == 0
+        assert sum(counts.counts.values()) == 0
 
     def test_empty_stream(self):
         counts = build_bigram_counts(tokenize(""))
-        assert counts.total_bigrams == 0
+        assert sum(counts.counts.values()) == 0
 
     @given(st.text(max_size=300))
     def test_totals_match_token_count(self, text):
         stream = tokenize(text)
         counts = build_bigram_counts(stream)
-        assert counts.total_bigrams == max(0, len(stream.tokens) - 1)
-        assert sum(counts.counts.values()) == counts.total_bigrams
+        assert sum(counts.counts.values()) == max(0, len(stream) - 1)
 
 
 class TestSampleRandomPairs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from mwedetect.definitions import (
     load_definitions,
     load_stopwords,
 )
-from mwedetect.embeddings import load_embeddings
+from mwedetect.embeddings import EmbeddingTable, load_embeddings
 from mwedetect.errors import LexiconFormatError
 
 
@@ -139,7 +140,40 @@ class TestLoaderRulesProperties:
             assert load_stopwords(lines) == expected
 
 
+def _summed(rows):
+    """``definition_embedding`` of a lexeme whose definition has exactly ``rows`` as vectors."""
+    tokens = tuple(f"t{i}" for i in range(len(rows)))
+    table = EmbeddingTable(dimension=len(rows[0]), entries=dict(zip(tokens, rows)))
+    vector, reason = definition_embedding(DefinitionLexicon(entries={"x": tokens}), table, "x")
+    assert reason is None
+    return vector
+
+
 class TestDefinitionEmbedding:
+    def test_exact_sum(self):
+        total = _summed([np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])])
+        np.testing.assert_array_equal(total, [9.0, 12.0])
+
+    def test_single_vector_identity(self):
+        np.testing.assert_array_equal(_summed([np.array([1.5, -2.5])]), [1.5, -2.5])
+
+    def test_left_to_right_determinism(self):
+        # Floating-point addition is order-sensitive; the sum must be the
+        # left-to-right one, bit for bit.
+        rng = np.random.default_rng(3)
+        rows = [rng.uniform(-1, 1, size=8) for _ in range(50)]
+        assert _summed(rows).tobytes() == functools.reduce(np.add, rows).tobytes()
+
+    def test_does_not_mutate_inputs(self):
+        first = np.array([1.0, 2.0])
+        second = np.array([3.0, 4.0])
+        _summed([first, second])
+        np.testing.assert_array_equal(first, [1.0, 2.0])
+        np.testing.assert_array_equal(second, [3.0, 4.0])
+        single = _summed([first])
+        single += 1.0
+        np.testing.assert_array_equal(first, [1.0, 2.0])
+
     def test_sums_definition_vectors_in_order(self, toy_table, toy_lexicon):
         # jet is defined as "a jet": the sum of those two vectors, exactly.
         vector, reason = definition_embedding(toy_lexicon, toy_table, "jet")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwedetect import embeddings
-from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots, vector_sum
+from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 
@@ -365,36 +365,3 @@ class TestCosineProperties:
         if not _nonzero(a):
             return
         assert cosine(a, a) == 1.0
-
-
-class TestVectorSum:
-    def test_exact_sum(self):
-        total = vector_sum([np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])])
-        np.testing.assert_array_equal(total, [9.0, 12.0])
-
-    def test_single_vector_identity(self):
-        np.testing.assert_array_equal(vector_sum([np.array([1.5, -2.5])]), [1.5, -2.5])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="at least one"):
-            vector_sum([])
-
-    def test_length_mismatch_names_position(self):
-        vectors = [np.array([1.0, 2.0]), np.array([1.0, 2.0]), np.array([1.0])]
-        with pytest.raises(ValueError, match="position 2"):
-            vector_sum(vectors)
-
-    def test_left_to_right_determinism(self):
-        # Floating-point addition is order-sensitive; a fixed input order must
-        # always give bit-identical output.
-        rng = np.random.default_rng(3)
-        vectors = [rng.uniform(-1, 1, size=8) for _ in range(50)]
-        first = vector_sum(vectors)
-        second = vector_sum(vectors)
-        assert first.tobytes() == second.tobytes()
-
-    def test_does_not_mutate_inputs(self):
-        first = np.array([1.0, 2.0])
-        second = np.array([3.0, 4.0])
-        vector_sum([first, second])
-        np.testing.assert_array_equal(first, [1.0, 2.0])

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mwedetect import scoring
 from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon
 from mwedetect.embeddings import EmbeddingTable, cosine, load_embeddings
 from mwedetect.pairs import LexemePair
+from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate
 from mwedetect.scoring import (
     LEFT_OOV,
     NO_DEFINITION,
@@ -352,6 +355,23 @@ class TestScorePairDispatch:
         assert without == with_empty
 
 
+@st.composite
+def _calibration_scores(draw):
+    """Non-empty (positive, negative) score lists in [-1, 1].
+
+    Half the draws put every positive above every negative. Those calibrate
+    degenerately, to the candidate above all scores, which lies past 1 when
+    the top score is positive.
+    """
+    if draw(st.booleans()):
+        cut = draw(st.floats(-1, 1, exclude_min=True))
+        negatives = st.lists(st.floats(-1, cut, exclude_max=True), min_size=1, max_size=8)
+        positives = st.lists(st.floats(cut, 1), min_size=1, max_size=8)
+    else:
+        negatives = positives = st.lists(st.floats(-1, 1), min_size=1, max_size=8)
+    return draw(positives), draw(negatives)
+
+
 class TestClassify:
     def test_below_threshold_is_compound(self):
         assert classify(ScoreOutcome.scored(0.50), 0.78) is Judgement.COMPOUND
@@ -365,10 +385,48 @@ class TestClassify:
     def test_unscorable_passes_through(self):
         assert classify(ScoreOutcome.unscorable(LEFT_OOV), 0.5) is Judgement.UNSCORABLE
 
-    def test_threshold_out_of_range_rejected(self):
-        for threshold in (-1.5, 1.5):
-            with pytest.raises(ValueError, match="outside"):
+    def test_non_finite_threshold_rejected(self):
+        for threshold in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
                 classify(ScoreOutcome.scored(0.0), threshold)
+
+    @given(scores=_calibration_scores(), unscorable=st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    def test_accepts_every_calibrated_threshold(self, scores, unscorable):
+        positives, negatives = scores
+        threshold = calibrate_threshold(positives, negatives)
+        labeled = [
+            (LabeledPair(LexemePair(f"p{i}", "x"), source), outcome)
+            for source, values, unscored in (
+                (PairSource.LADEC, positives, unscorable[0]),
+                (PairSource.RANDOM, negatives, unscorable[1]),
+            )
+            for i, outcome in enumerate(
+                [ScoreOutcome.scored(value) for value in values]
+                + [ScoreOutcome.unscorable(LEFT_OOV)] * unscored
+            )
+        ]
+        judged = Counter()
+        for pair, outcome in labeled:
+            judgement = classify(outcome, threshold)
+            if outcome.is_scorable:
+                assert (judgement is Judgement.COMPOUND) == (outcome.value < threshold)
+            judged[pair.is_positive, judgement] += 1
+        report = evaluate(labeled, threshold, WORD, PairSource.RANDOM)
+        assert (report.tp, report.fn, report.unscorable_pos) == (
+            judged[True, Judgement.COMPOUND],
+            judged[True, Judgement.NOT_COMPOUND],
+            judged[True, Judgement.UNSCORABLE],
+        )
+        assert (report.fp, report.tn, report.unscorable_neg) == (
+            judged[False, Judgement.COMPOUND],
+            judged[False, Judgement.NOT_COMPOUND],
+            judged[False, Judgement.UNSCORABLE],
+        )
+
+    def test_degenerate_calibration_repro(self):
+        threshold = calibrate_threshold([0.9], [0.5])
+        assert threshold > 1.0
+        assert classify(ScoreOutcome.scored(0.9), threshold) is Judgement.COMPOUND
 
     @given(
         value_low=st.floats(min_value=-1, max_value=1),
