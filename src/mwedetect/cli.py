@@ -220,7 +220,7 @@ def cmd_sample_negatives(args) -> int:
         counts = build_bigram_counts(stream)
         sampled = top_cooccurring_pairs(counts, args.n, exclusions)
         header = ["left", "right", "count"]
-        rows = [(pair.left, pair.right, counts.counts[(pair.left, pair.right)]) for pair in sampled]
+        rows = [(pair.left, pair.right, counts.count(pair.left, pair.right)) for pair in sampled]
     _write_csv_rows(args.output, header, rows)
     return 0
 

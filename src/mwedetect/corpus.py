@@ -1,20 +1,22 @@
 """Corpus tokenization, bigram statistics, and negative-pair sampling.
 
 The tokenizer keeps only runs of ASCII letters, lowercased; numerals and
-punctuation never become tokens. Both samplers are deterministic given
-their inputs and seed.
+punctuation never become tokens. Bigrams are counted as integer codes over
+the sorted vocabulary. Both samplers are deterministic given their inputs
+and seed.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
-from collections import Counter
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from ._io import read_text
 from .errors import CorpusError, SamplingError
 from .pairs import LexemePair
 
@@ -35,14 +37,51 @@ class TokenStream:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BigramCounts:
-    """Adjacent-pair occurrence counts over a token stream."""
+    """Adjacent-pair occurrence counts over a token stream, as integer codes.
 
-    counts: dict[tuple[str, str], int]
+    ``vocabulary`` holds the stream's distinct tokens in sorted order, and
+    ``index`` maps each one to its rank there. The bigram ``(left, right)``
+    has the code ``rank(left) * V + rank(right)`` with ``V`` the vocabulary
+    size, so code order is the lexical ``(left, right)`` order. ``codes``
+    holds each observed bigram's code once, ascending, and ``counts`` its
+    number of occurrences (int64 arrays of equal length).
+    """
+
+    vocabulary: tuple[str, ...]
+    codes: np.ndarray
+    counts: np.ndarray
+    index: dict[str, int] = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.counts)
+        return len(self.codes)
+
+    def code(self, left: str, right: str) -> int | None:
+        """The code of ``(left, right)``, or None when a token is not in the vocabulary."""
+        i, j = self.index.get(left), self.index.get(right)
+        if i is None or j is None:
+            return None
+        return i * len(self.vocabulary) + j
+
+    def count(self, left: str, right: str) -> int:
+        """How often ``left`` directly precedes ``right``; 0 for an unseen pair."""
+        code = self.code(left, right)
+        if code is None:
+            return 0
+        position = int(np.searchsorted(self.codes, code))
+        if position < len(self.codes) and self.codes[position] == code:
+            return int(self.counts[position])
+        return 0
+
+    def pairs(self, codes: np.ndarray) -> list[LexemePair]:
+        """The bigram of each code in ``codes``, in the same order."""
+        vocabulary = self.vocabulary
+        lefts, rights = np.divmod(codes, len(vocabulary))
+        return [
+            LexemePair(vocabulary[i], vocabulary[j])
+            for i, j in zip(lefts.tolist(), rights.tolist())
+        ]
 
 
 def word_tokens(text: str) -> tuple[str, ...]:
@@ -66,17 +105,26 @@ def read_corpus(path: str | Path) -> TokenStream:
         files = sorted(p for p in path.rglob("*") if p.is_file())
         if not files:
             raise CorpusError(f"corpus directory contains no files: {path}")
-        text = "\n".join(p.read_text(encoding="utf-8") for p in files)
+        text = "\n".join(read_text(p, CorpusError) for p in files)
     else:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path, CorpusError)
     return tokenize(text)
 
 
 def build_bigram_counts(stream: TokenStream) -> BigramCounts:
-    """Count every adjacent token pair; n tokens yield n-1 observations."""
+    """Count every adjacent token pair; n tokens yield n-1 observations.
+
+    Each token becomes its rank in the sorted vocabulary, each adjacent pair
+    of ranks one int64 code, and ``np.unique`` counts the codes.
+    """
     tokens = stream.tokens
-    counts = Counter(zip(tokens, tokens[1:]))
-    return BigramCounts(counts=dict(counts))
+    vocabulary = tuple(sorted(set(tokens)))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, count=len(tokens))
+    codes, counts = np.unique(ids[:-1] * len(vocabulary) + ids[1:], return_counts=True)
+    return BigramCounts(
+        vocabulary=vocabulary, codes=codes, counts=counts.astype(np.int64, copy=False), index=index
+    )
 
 
 def _pair_key(pair) -> tuple[str, str]:
@@ -106,10 +154,11 @@ def sample_random_pairs(
     if size < 2 and n > 0:
         raise SamplingError(f"need at least 2 vocabulary tokens, have {size}")
     excluded = {_pair_key(p) for p in exclusions}
+    members = set(vocab)
 
     total_ordered = size * (size - 1)
     blocked = sum(
-        1 for left, right in excluded if left != right and left in vocabulary and right in vocabulary
+        1 for left, right in excluded if left != right and left in members and right in members
     )
     available = total_ordered - blocked
     if n > available:
@@ -149,26 +198,22 @@ def top_cooccurring_pairs(
     """Return the ``n`` most frequent non-excluded bigrams.
 
     Ordered by descending count, then lexicographically by (left, right)
-    so equal counts break ties deterministically.
+    so equal counts break ties deterministically. The excluded codes are
+    masked out with ``np.isin``, and one ``np.lexsort`` by (-count, code)
+    gives that order, since code order is the lexical order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    excluded = {_pair_key(p) for p in exclusions}
-    available = len(counts.counts) - sum(1 for key in excluded if key in counts.counts)
+    excluded = (counts.code(*_pair_key(p)) for p in exclusions)
+    kept = ~np.isin(counts.codes, np.array([c for c in excluded if c is not None], np.int64))
+    codes, tallies = counts.codes[kept], counts.counts[kept]
+    available = len(codes)
     if available < n:
         raise SamplingError(
             f"requested {n} co-occurring pairs but only {available} "
             f"non-excluded bigrams exist (short by {n - available})"
         )
-    top = heapq.nsmallest(
-        n,
-        (
-            (-count, left, right)
-            for (left, right), count in counts.counts.items()
-            if (left, right) not in excluded
-        ),
-    )
-    return [LexemePair(left, right) for _, left, right in top]
+    return counts.pairs(codes[np.lexsort((codes, -tallies))[:n]])
 
 
 __all__ = [

@@ -51,7 +51,7 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
     tokenizer, so entries hold lowercase alphabetic tokens.
     """
     entries: dict[str, tuple[str, ...]] = {}
-    with text_lines(source) as lines:
+    with text_lines(source, LexiconFormatError) as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip():
@@ -76,7 +76,7 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
 def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
     """Read one stop word per line into a lowercase set; blank lines are skipped."""
     words: set[str] = set()
-    with text_lines(source) as lines:
+    with text_lines(source, LexiconFormatError) as lines:
         for lineno, raw in enumerate(lines, start=1):
             word = raw.strip()
             if not word:

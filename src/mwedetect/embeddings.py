@@ -93,7 +93,7 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
         rests.clear()
         linenos.clear()
 
-    with text_lines(source) as lines:
+    with text_lines(source, EmbeddingFormatError) as lines:
         declared, numbered = _skip_header(iter(lines))
         for lineno, raw in numbered:
             line = raw.rstrip("\r\n")

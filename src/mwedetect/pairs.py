@@ -23,7 +23,7 @@ class LexemePair:
             token = getattr(self, name)
             if not token:
                 raise ValueError(f"{name} token is empty")
-            if any(ch.isspace() for ch in token):
+            if token.split() != [token]:
                 raise ValueError(f"{name} token contains whitespace: {token!r}")
             object.__setattr__(self, name, token.lower())
 

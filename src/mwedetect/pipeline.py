@@ -36,7 +36,7 @@ from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
 from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
 from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
-from ._io import text_lines
+from ._io import read_text, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +123,7 @@ def load_compounds(
     whose two constituents are identical are skipped with a warning
     (self-pairs are rejected at ingestion).
     """
-    with text_lines(source) as lines:
+    with text_lines(source, DatasetError) as lines:
         reader = csv.DictReader(lines)
         if reader.fieldnames is None:
             raise DatasetError("compound CSV is empty")
@@ -332,7 +332,7 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     types = typing.get_type_hints(ExperimentConfig)
     raw: dict[str, str] = {}
     try:
-        content = path.read_text(encoding="utf-8")
+        content = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(content.splitlines(), start=1):
@@ -418,11 +418,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     stream = read_corpus(config.corpus)
     counts = build_bigram_counts(stream)
-    vocabulary = set(stream.tokens)
 
     exclusions = both_orientations(positives)
     n = len(positives)
-    randoms = sample_random_pairs(vocabulary, n, config.sample_seed, exclusions)
+    randoms = sample_random_pairs(counts.vocabulary, n, config.sample_seed, exclusions)
     cooccurs = top_cooccurring_pairs(counts, n, exclusions)
 
     labeled = (
@@ -488,8 +487,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         thresholds=thresholds,
         dataset=dataset,
         config=config,
-        vocabulary_size=len(vocabulary),
-        bigram_type_count=len(counts.counts),
+        vocabulary_size=len(counts.vocabulary),
+        bigram_type_count=len(counts),
     )
 
 
@@ -518,9 +517,11 @@ def scan_corpus(
 ) -> list[ScanHit]:
     """Classify every adjacent bigram of the corpus; keep compound hits.
 
-    Bigrams below ``min_count`` and pairs the method cannot score are
-    dropped silently. Hits come back sorted by ascending score (most
-    non-compositional first), then alphabetically, truncated to ``top_n``.
+    Bigrams below ``min_count`` are masked out of the integer-coded counts,
+    and only the rest become LexemePairs to score. Pairs the method cannot
+    score are dropped silently. Hits come back sorted by ascending score
+    (most non-compositional first), then alphabetically, truncated to
+    ``top_n``.
     """
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [-1, 1], got {threshold}")
@@ -531,15 +532,12 @@ def scan_corpus(
     if not stream.tokens:
         raise CorpusError("corpus contains no tokens")
     counts = build_bigram_counts(stream)
-    frequent = [
-        (LexemePair(left, right), count)
-        for (left, right), count in counts.counts.items()
-        if count >= min_count
-    ]
-    outcomes = score_pairs(method, table, lexicon, stopwords, [pair for pair, _ in frequent])
+    frequent = counts.counts >= min_count
+    pairs = counts.pairs(counts.codes[frequent])
+    outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
     hits = [
         ScanHit(pair=pair, count=count, score=outcome.value)
-        for (pair, count), outcome in zip(frequent, outcomes)
+        for pair, count, outcome in zip(pairs, counts.counts[frequent].tolist(), outcomes)
         if classify(outcome, threshold) is Judgement.COMPOUND
     ]
     hits.sort(key=lambda hit: (hit.score, hit.pair.left, hit.pair.right))

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mwedetect.corpus import (
-    BigramCounts,
+    TokenStream,
     build_bigram_counts,
     read_corpus,
     sample_random_pairs,
@@ -61,7 +63,7 @@ class TestReadCorpus:
         (tmp_path / "a.txt").write_text("one two", encoding="utf-8")
         (tmp_path / "b.txt").write_text("three", encoding="utf-8")
         counts = build_bigram_counts(read_corpus(tmp_path))
-        assert counts.counts == {("one", "two"): 1, ("two", "three"): 1}
+        assert _as_dict(counts) == {("one", "two"): 1, ("two", "three"): 1}
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(CorpusError, match="no files"):
@@ -72,26 +74,70 @@ class TestReadCorpus:
             read_corpus(tmp_path / "absent.txt")
 
 
+def _as_dict(counts):
+    """Every observed bigram of ``counts`` and its ``count()``."""
+    return {(p.left, p.right): counts.count(p.left, p.right) for p in counts.pairs(counts.codes)}
+
+
 class TestBigramCounts:
     def test_hand_counted_example(self):
         counts = build_bigram_counts(tokenize("the cat sat the cat"))
-        assert counts.counts == {("the", "cat"): 2, ("cat", "sat"): 1, ("sat", "the"): 1}
-        assert sum(counts.counts.values()) == 4
+        assert _as_dict(counts) == {("the", "cat"): 2, ("cat", "sat"): 1, ("sat", "the"): 1}
+        assert counts.count("the", "cat") == 2
+        assert counts.count("cat", "the") == 0
+        assert sum(counts.counts.tolist()) == 4
 
     def test_single_token_has_no_bigrams(self):
         counts = build_bigram_counts(tokenize("lonely"))
-        assert counts.counts == {}
-        assert sum(counts.counts.values()) == 0
+        assert _as_dict(counts) == {}
+        assert len(counts) == 0
+        assert counts.count("lonely", "lonely") == 0
+        assert sum(counts.counts.tolist()) == 0
 
     def test_empty_stream(self):
         counts = build_bigram_counts(tokenize(""))
-        assert sum(counts.counts.values()) == 0
+        assert sum(counts.counts.tolist()) == 0
+        assert counts.vocabulary == ()
+        assert counts.count("a", "b") == 0
 
     @given(st.text(max_size=300))
     def test_totals_match_token_count(self, text):
         stream = tokenize(text)
         counts = build_bigram_counts(stream)
-        assert sum(counts.counts.values()) == max(0, len(stream) - 1)
+        assert sum(counts.counts.tolist()) == max(0, len(stream) - 1)
+
+    def test_codes_follow_lexical_order(self):
+        counts = build_bigram_counts(tokenize("b a b a c a c a z z"))
+        assert counts.vocabulary == ("a", "b", "c", "z")
+        keys = [(p.left, p.right) for p in counts.pairs(counts.codes)]
+        assert keys == sorted(keys)
+        assert counts.codes.tolist() == sorted(set(counts.codes.tolist()))
+
+
+# Token streams over a small alphabet, so pairs repeat; "q" never occurs in
+# them and stands in for an out-of-vocabulary token.
+_STREAM_TOKENS = ("a", "b", "c", "d", "e")
+_TOKEN_LISTS = st.one_of(
+    st.lists(st.sampled_from(_STREAM_TOKENS), max_size=60),
+    st.builds(lambda token, n: [token] * n, st.sampled_from(_STREAM_TOKENS), st.integers(0, 5)),
+)
+
+
+class TestBigramCountsProperties:
+    @given(_TOKEN_LISTS)
+    @example([])
+    @example(["a"])
+    @example(["c", "c", "c", "c"])
+    def test_matches_counter_reference(self, tokens):
+        """len, count() of every pair and 0 off the stream equal Counter(zip(...))."""
+        reference = Counter(zip(tokens, tokens[1:]))
+        counts = build_bigram_counts(TokenStream(tuple(tokens)))
+        assert len(counts) == len(reference)
+        assert counts.vocabulary == tuple(sorted(set(tokens)))
+        for left in (*_STREAM_TOKENS, "q"):
+            for right in (*_STREAM_TOKENS, "q"):
+                assert counts.count(left, right) == reference[(left, right)]
+        assert _as_dict(counts) == dict(reference)
 
 
 class TestSampleRandomPairs:
@@ -182,26 +228,29 @@ class TestTopCooccurringPairs:
         counts = build_bigram_counts(
             tokenize("a b a b a b c d c d e f e f e f e f g h")
         )
-        top = top_cooccurring_pairs(counts, len(counts.counts))
-        ranked = [counts.counts[(p.left, p.right)] for p in top]
+        top = top_cooccurring_pairs(counts, len(counts))
+        ranked = [counts.count(p.left, p.right) for p in top]
         assert ranked == sorted(ranked, reverse=True)
 
 
+# "e" is drawn only for exclusions, so some excluded pairs lie outside the
+# vocabulary.
 _TOP_TOKENS = ("a", "b", "c", "d")
-_TOP_KEYS = st.tuples(st.sampled_from(_TOP_TOKENS), st.sampled_from(_TOP_TOKENS))
+_TOP_KEYS = st.tuples(st.sampled_from((*_TOP_TOKENS, "e")), st.sampled_from(_TOP_TOKENS))
 
 
 class TestTopCooccurringPairsProperties:
     @given(
-        counts=st.dictionaries(_TOP_KEYS, st.integers(min_value=1, max_value=3)),
+        tokens=st.lists(st.sampled_from(_TOP_TOKENS), max_size=40),
         exclusions=st.lists(_TOP_KEYS, max_size=6),
         as_lexeme_pairs=st.booleans(),
         n=st.integers(min_value=0, max_value=18),
     )
-    def test_matches_full_sort(self, counts, exclusions, as_lexeme_pairs, n):
+    def test_matches_full_sort(self, tokens, exclusions, as_lexeme_pairs, n):
         """Equal to the full sort by (-count, left, right), ties and exclusions
         included, for n drawn, 0 and all that remain; short by k raises."""
-        bigrams = BigramCounts(counts=counts)
+        counts = Counter(zip(tokens, tokens[1:]))
+        bigrams = build_bigram_counts(TokenStream(tuple(tokens)))
         excluded = [LexemePair(*key) for key in exclusions] if as_lexeme_pairs else exclusions
         remaining = [
             (left, right, count)

@@ -1,0 +1,83 @@
+"""A byte that is not UTF-8 fails each loader with its own typed error."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from mwedetect.cli import main
+from mwedetect.corpus import read_corpus
+from mwedetect.definitions import load_definitions, load_stopwords
+from mwedetect.embeddings import load_embeddings
+from mwedetect.errors import (
+    ConfigError,
+    CorpusError,
+    DatasetError,
+    EmbeddingFormatError,
+    LexiconFormatError,
+)
+from mwedetect.pipeline import load_compounds, load_config
+
+# Each loader, its error type, and a valid line for line number i; the bad
+# line is the valid one with its first "w" spelled "caf\xe9".
+LOADERS = {
+    "corpus": (read_corpus, CorpusError, lambda i: f"w{i} text here"),
+    "embeddings": (load_embeddings, EmbeddingFormatError, lambda i: f"w{i} 1 0"),
+    "definitions": (load_definitions, LexiconFormatError, lambda i: f"w{i}\tsome text"),
+    "stopwords": (load_stopwords, LexiconFormatError, lambda i: f"w{i}"),
+    "compounds": (load_compounds, DatasetError, lambda i: "c1,c2" if i == 1 else f"w{i},x{i}"),
+    "config": (load_config, ConfigError, lambda i: f"# w{i} comment"),
+}
+
+
+def _write_bad_file(path, line_of, bad_line: int) -> None:
+    lines = [line_of(i).encode() for i in range(1, bad_line + 2)]
+    lines[bad_line - 1] = lines[bad_line - 1].replace(b"w", b"caf\xe9", 1)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("name", LOADERS)
+# Line 2 lies in the first chunk a text file decodes; line 3000 lies past
+# it, where a loader's own line counter would be wrong.
+@pytest.mark.parametrize("bad_line", [2, 3000])
+def test_loader_names_path_and_line(tmp_path, name, bad_line):
+    loader, error, line_of = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    _write_bad_file(path, line_of, bad_line)
+    expected = f"^{re.escape(str(path))}: line {bad_line}: not UTF-8 .*byte 0xe9"
+    with pytest.raises(error, match=expected):
+        loader(path)
+
+
+def test_bad_file_in_corpus_directory_is_named(tmp_path):
+    (tmp_path / "a.txt").write_text("good words\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_bytes(b"more words\nstill fine\ncaf\xe9\n")
+    expected = f"^{re.escape(str(tmp_path / 'b.txt'))}: line 3: not UTF-8"
+    with pytest.raises(CorpusError, match=expected):
+        read_corpus(tmp_path)
+
+
+def test_truncated_character_at_end_of_file(tmp_path):
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes(b"the\na\n\xe2\x82")
+    with pytest.raises(LexiconFormatError, match=r": line 3: not UTF-8 \(unexpected end of data"):
+        load_stopwords(path)
+
+
+def test_scan_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"jet lag\ncaf\xe9 jet lag\n")
+    code = main(
+        ["scan", "--corpus", str(corpus), "--embeddings", str(data_dir / "toy_embeddings.txt"),
+         "--method", "word", "--threshold", "0.5"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus}: line 2: not UTF-8")
+
+
+def test_run_exits_one_naming_the_config_line(tmp_path, capsys):
+    config = tmp_path / "experiment.conf"
+    config.write_bytes(b"# settings\nsample_seed = 1\ncorpus = caf\xe9.txt\n")
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {config}: line 3: not UTF-8")

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import string
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mwedetect import ScanHit, scan_corpus
-from mwedetect.corpus import tokenize
+from mwedetect.corpus import TokenStream, tokenize
 from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
@@ -30,7 +31,7 @@ from mwedetect.pipeline import (
     run_experiment,
     split_dataset,
 )
-from mwedetect.scoring import ScoreMethod, ScoreOutcome
+from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
 
 
 def _positive(left: str, right: str) -> LabeledPair:
@@ -629,6 +630,38 @@ class TestScanCorpus:
     def test_out_of_range_threshold_rejected(self, toy_table):
         with pytest.raises(ValueError, match="threshold"):
             scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 1.5)
+
+    @given(
+        # "xyzzy" has no vector and no definition.
+        tokens=st.lists(
+            st.sampled_from(("jet", "lag", "hot", "dog", "the", "book", "xyzzy")),
+            min_size=1,
+            max_size=40,
+        ),
+        method=st.sampled_from(list(ScoreMethod)),
+        threshold=st.sampled_from((-0.5, 0.0, 0.3, 0.9, 1.0)),
+        min_count=st.integers(min_value=1, max_value=3),
+    )
+    def test_matches_counter_reference(
+        self, toy_table, toy_lexicon, toy_stopwords, tokens, method, threshold, min_count
+    ):
+        """Hits equal Counter's bigrams with count >= min_count, each judged by score_pair."""
+        expected = []
+        for (left, right), count in Counter(zip(tokens, tokens[1:])).items():
+            pair = LexemePair(left, right)
+            outcome = score_pair(method, toy_table, toy_lexicon, toy_stopwords, pair)
+            if count >= min_count and outcome.is_scorable and outcome.value < threshold:
+                expected.append((outcome.value, left, right, count))
+        hits = scan_corpus(
+            TokenStream(tuple(tokens)),
+            toy_table,
+            method,
+            threshold,
+            min_count,
+            lexicon=toy_lexicon,
+            stopwords=toy_stopwords,
+        )
+        assert [(h.score, h.pair.left, h.pair.right, h.count) for h in hits] == sorted(expected)
 
     def test_top_n_below_one_rejected(self, toy_table, data_dir):
         # A negative top_n would slice hits off the end instead of failing.

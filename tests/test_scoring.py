@@ -58,6 +58,29 @@ class TestLexemePair:
         with pytest.raises(ValueError, match="whitespace"):
             LexemePair("two words", "x")
 
+    # ASCII and Unicode whitespace, the information separators \x1c-\x1f that
+    # str.isspace() counts as whitespace, and look-alikes that are not
+    # whitespace (zero-width space, word joiner).
+    @given(
+        st.one_of(
+            st.text(
+                alphabet="aB \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029"
+                "\u202f\u3000\u200b\u2060",
+                min_size=1,
+                max_size=6,
+            ),
+            st.text(min_size=1, max_size=6),
+        )
+    )
+    def test_whitespace_rule_matches_per_character_rule(self, token):
+        try:
+            LexemePair(token, "x")
+        except ValueError as exc:
+            assert "whitespace" in str(exc)
+            assert any(ch.isspace() for ch in token)
+        else:
+            assert not any(ch.isspace() for ch in token)
+
     def test_equal_tokens_allowed(self):
         # Corpora contain bigrams like "the the"; rejecting self-pairs is the
         # dataset loader's job, not the pair type's.
