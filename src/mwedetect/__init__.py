@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .corpus import (
     BigramCounts,
-    TokenStream,
     build_bigram_counts,
     read_corpus,
     sample_random_pairs,
@@ -82,7 +81,6 @@ __all__ = [
     # pairs
     "LexemePair",
     # corpus
-    "TokenStream",
     "BigramCounts",
     "tokenize",
     "read_corpus",

@@ -1,4 +1,9 @@
-"""Small helpers for loaders that read UTF-8 text from a path or an open stream."""
+"""Small helpers for loaders that read UTF-8 text from a path or an open stream.
+
+A loader's own error raised while it reads a source names that source once:
+``<path>: line 3: ...``. The name is the path of a path source, or the
+``name`` of an open file; other line sources go unnamed.
+"""
 
 from __future__ import annotations
 
@@ -16,41 +21,55 @@ def text_lines(
 ) -> Iterator[Iterable[str]]:
     """Yield an iterable of lines from a path or a pre-opened line source.
 
-    Strings and PathLikes are treated as file system paths and opened UTF-8;
-    a byte that is not UTF-8 raises ``error`` naming the path and the line.
+    Strings and PathLikes are treated as file system paths and opened UTF-8.
     Anything else is assumed to already iterate over lines and is not closed.
+    An ``error`` raised in the block is prefixed with the source's name, and
+    a byte that is not UTF-8 raises ``error`` naming the line.
     """
     if isinstance(source, (str, os.PathLike)):
-        with decoding(source, error), open(source, encoding="utf-8") as handle:
+        with naming(source, error), open(source, encoding="utf-8") as handle:
             yield handle
     else:
-        yield source
+        with naming(source, error):
+            yield source
 
 
 def read_text(path: str | os.PathLike, error: type[MweDetectError]) -> str:
     """The whole of a UTF-8 file; a byte that is not UTF-8 raises ``error``."""
-    with decoding(path, error):
+    with naming(path, error):
         return Path(path).read_text(encoding="utf-8")
 
 
 @contextlib.contextmanager
-def decoding(path: str | os.PathLike, error: type[MweDetectError]) -> Iterator[None]:
-    """Turn a UnicodeDecodeError raised while reading ``path`` into ``error``.
+def naming(source: object, error: type[MweDetectError]) -> Iterator[None]:
+    """Prefix an ``error`` raised in the block with the name of ``source``.
 
-    Text is decoded in chunks, so neither the error's offset nor a loader's
-    line counter locates the bad byte. Only on this path, the file's bytes
-    are read again and the newlines before the first bad byte are counted.
+    A UnicodeDecodeError becomes ``error`` too. Text is decoded in chunks, so
+    neither the error's offset nor a loader's line counter locates the bad
+    byte. Only on this path, a named regular file's bytes are read again and
+    the newlines before the first bad byte are counted.
     """
+    if isinstance(source, (str, os.PathLike)):
+        name = os.fspath(source)
+    else:
+        name = getattr(source, "name", None)
+        name = name if isinstance(name, str) else None
+    prefix = "" if name is None else f"{name}: "
     try:
         yield
     except UnicodeDecodeError as exc:
-        data = Path(path).read_bytes()
-        where = "line unknown"  # the file no longer fails to decode
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as first:
-            exc = first
-            lineno = data.count(b"\n", 0, first.start) + 1
-            where = f"line {lineno}"
+        where = "line unknown"  # no file to read again, or it no longer fails to decode
+        if name is not None and os.path.isfile(name):
+            data = Path(name).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as first:
+                exc = first
+                lineno = data.count(b"\n", 0, first.start) + 1
+                where = f"line {lineno}"
         bad = exc.object[exc.start : exc.start + 1].hex()
-        raise error(f"{os.fspath(path)}: {where}: not UTF-8 ({exc.reason}, byte 0x{bad})") from None
+        raise error(f"{prefix}{where}: not UTF-8 ({exc.reason}, byte 0x{bad})") from None
+    except error as exc:
+        if name is None:
+            raise
+        raise error(f"{prefix}{exc}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords
 from .embeddings import EmbeddingTable, load_embeddings
-from .errors import MweDetectError
+from .errors import ConfigError, MweDetectError
 from .pairs import LexemePair
 from .pipeline import (
     SHARED,
@@ -37,20 +37,16 @@ logger = logging.getLogger(__name__)
 REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(EvalReport))
 
 
-class _UsageError(Exception):
-    """Bad flags or flag combinations; reported on stderr with exit 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
     if method is not ScoreMethod.WORD_SIMILARITY and definitions is None:
-        raise _UsageError(f"--definitions is required for method {method.value!r}")
+        raise ConfigError(f"--definitions is required for method {method.value!r}")
     if method is ScoreMethod.DEFINITION_CONTENT_SIMILARITY and stopwords is None:
-        raise _UsageError(f"--stopwords is required for method {method.value!r}")
+        raise ConfigError(f"--stopwords is required for method {method.value!r}")
 
 
 def _load_method_inputs(args) -> tuple[EmbeddingTable, DefinitionLexicon | None, frozenset[str] | None]:
@@ -63,8 +59,11 @@ def _load_method_inputs(args) -> tuple[EmbeddingTable, DefinitionLexicon | None,
 def cmd_score(args) -> int:
     method = ScoreMethod(args.method)
     _require_method_inputs(method, args.definitions, args.stopwords)
+    try:
+        pair = LexemePair(args.left, args.right)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     table, lexicon, stopwords = _load_method_inputs(args)
-    pair = LexemePair(args.left, args.right)
     outcome = score_pair(method, table, lexicon, stopwords, pair)
     if outcome.is_scorable:
         print(f"{outcome.value:.6f}")
@@ -178,15 +177,14 @@ def cmd_scan(args) -> int:
     method = ScoreMethod(args.method)
     _require_method_inputs(method, args.definitions, args.stopwords)
     if not -1.0 <= args.threshold <= 1.0:
-        raise _UsageError(f"--threshold must be in [-1, 1], got {args.threshold}")
+        raise ConfigError(f"--threshold must be in [-1, 1], got {args.threshold}")
     if args.min_count < 1:
-        raise _UsageError(f"--min-count must be >= 1, got {args.min_count}")
+        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
     if args.top_n is not None and args.top_n < 1:
-        raise _UsageError(f"--top-n must be >= 1, got {args.top_n}")
+        raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     table, lexicon, stopwords = _load_method_inputs(args)
-    stream = read_corpus(args.corpus)
     hits = scan_corpus(
-        stream,
+        read_corpus(args.corpus),
         table,
         method,
         args.threshold,
@@ -205,19 +203,19 @@ def cmd_scan(args) -> int:
 
 def cmd_sample_negatives(args) -> int:
     if args.n < 1:
-        raise _UsageError(f"--n must be >= 1, got {args.n}")
-    stream = read_corpus(args.corpus)
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    tokens = read_corpus(args.corpus)
     exclusions: set[tuple[str, str]] = set()
     if args.exclusions:
         exclusions = both_orientations(
             load_compounds(args.exclusions, args.exclusions_left_column, args.exclusions_right_column)
         )
     if args.kind == "random":
-        sampled = sample_random_pairs(set(stream.tokens), args.n, args.seed, exclusions)
+        sampled = sample_random_pairs(set(tokens), args.n, args.seed, exclusions)
         header = ["left", "right"]
         rows = [(pair.left, pair.right) for pair in sampled]
     else:
-        counts = build_bigram_counts(stream)
+        counts = build_bigram_counts(tokens)
         sampled = top_cooccurring_pairs(counts, args.n, exclusions)
         header = ["left", "right", "count"]
         rows = [(pair.left, pair.right, counts.count(pair.left, pair.right)) for pair in sampled]
@@ -273,19 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MweDetectError, OSError, ValueError) as exc:
+    except (MweDetectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

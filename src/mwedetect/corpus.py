@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,21 +27,11 @@ _TOKEN_RE = re.compile(r"[a-z]+")
 _ENUMERATION_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    """Ordered lowercase alphabetic tokens."""
-
-    tokens: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
 @dataclass(frozen=True, eq=False)
 class BigramCounts:
-    """Adjacent-pair occurrence counts over a token stream, as integer codes.
+    """Adjacent-pair occurrence counts over a token sequence, as integer codes.
 
-    ``vocabulary`` holds the stream's distinct tokens in sorted order, and
+    ``vocabulary`` holds the sequence's distinct tokens in sorted order, and
     ``index`` maps each one to its rank there. The bigram ``(left, right)``
     has the code ``rank(left) * V + rank(right)`` with ``V`` the vocabulary
     size, so code order is the lexical ``(left, right)`` order. ``codes``
@@ -84,21 +74,16 @@ class BigramCounts:
         ]
 
 
-def word_tokens(text: str) -> tuple[str, ...]:
+def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase ``text`` and split it on every non-alphabetic character."""
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
-def tokenize(text: str) -> TokenStream:
-    """The ``word_tokens`` of ``text`` as a stream."""
-    return TokenStream(tokens=word_tokens(text))
-
-
-def read_corpus(path: str | Path) -> TokenStream:
+def read_corpus(path: str | Path) -> tuple[str, ...]:
     """Tokenize a UTF-8 text file, or every file under a directory.
 
     Directory contents are concatenated in lexicographic path order with a
-    newline between files, then tokenized as one stream.
+    newline between files, then tokenized as one sequence.
     """
     path = Path(path)
     if path.is_dir():
@@ -111,13 +96,12 @@ def read_corpus(path: str | Path) -> TokenStream:
     return tokenize(text)
 
 
-def build_bigram_counts(stream: TokenStream) -> BigramCounts:
+def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
     """Count every adjacent token pair; n tokens yield n-1 observations.
 
     Each token becomes its rank in the sorted vocabulary, each adjacent pair
     of ranks one int64 code, and ``np.unique`` counts the codes.
     """
-    tokens = stream.tokens
     vocabulary = tuple(sorted(set(tokens)))
     index = dict(zip(vocabulary, range(len(vocabulary))))
     ids = np.fromiter(map(index.__getitem__, tokens), np.int64, count=len(tokens))
@@ -217,9 +201,7 @@ def top_cooccurring_pairs(
 
 
 __all__ = [
-    "TokenStream",
     "BigramCounts",
-    "word_tokens",
     "tokenize",
     "read_corpus",
     "build_bigram_counts",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import text_lines
-from .corpus import word_tokens
+from .corpus import tokenize
 from .embeddings import EmbeddingTable
 from .errors import LexiconFormatError
 
@@ -66,7 +66,7 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
                 raise LexiconFormatError(f"line {lineno}: lexeme contains whitespace: {lexeme!r}")
             if lexeme in entries:
                 continue
-            tokens = word_tokens(definition)
+            tokens = tokenize(definition)
             if not tokens:
                 raise LexiconFormatError(f"line {lineno}: definition has no usable tokens")
             entries[lexeme] = tokens

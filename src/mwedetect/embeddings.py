@@ -69,7 +69,8 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     path, or empty for a stream of lines.
 
     Raises EmbeddingFormatError naming the first offending line on any format
-    violation, and for an empty stream.
+    violation, and for an empty stream; for a path or an open file the
+    message starts with its name.
     """
     source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
     entries: dict[str, np.ndarray] = {}
@@ -123,12 +124,14 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
             parse_pending()
             raise EmbeddingFormatError(f"line {lineno}: {problem}")
         parse_pending()
+        if not entries:
+            raise EmbeddingFormatError("embedding source contains no entries")
+        entry_lines = len(entries) + len(duplicates)
+        if declared is not None and declared != entry_lines:
+            raise EmbeddingFormatError(
+                f"line 1: header declares {declared} entries, found {entry_lines}"
+            )
 
-    if not entries:
-        raise EmbeddingFormatError("embedding source contains no entries")
-    entry_lines = len(entries) + len(duplicates)
-    if declared is not None and declared != entry_lines:
-        raise EmbeddingFormatError(f"line 1: header declares {declared} entries, found {entry_lines}")
     if duplicates:
         logger.warning(
             "embedding source %s: %d duplicate token(s) ignored (first occurrence kept), e.g. %r",

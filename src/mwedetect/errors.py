@@ -34,4 +34,7 @@ class DatasetError(MweDetectError):
 
 
 class ConfigError(MweDetectError):
-    """Invalid experiment configuration (bad key, bad value, missing file)."""
+    """Invalid experiment configuration or command-line arguments.
+
+    A bad config key or value, a bad flag or flag combination, a missing file.
+    """

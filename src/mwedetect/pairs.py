@@ -27,9 +27,6 @@ class LexemePair:
                 raise ValueError(f"{name} token contains whitespace: {token!r}")
             object.__setattr__(self, name, token.lower())
 
-    def reversed(self) -> LexemePair:
-        return LexemePair(self.right, self.left)
-
     def __str__(self) -> str:
         return f"{self.left} {self.right}"
 

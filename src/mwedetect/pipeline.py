@@ -23,20 +23,14 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import (
-    TokenStream,
-    build_bigram_counts,
-    read_corpus,
-    sample_random_pairs,
-    top_cooccurring_pairs,
-)
+from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
 from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
 from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
-from ._io import read_text, text_lines
+from ._io import naming, read_text, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -103,14 +97,6 @@ class EvalReport:
     unscorable_pos: int
     unscorable_neg: int
 
-    @property
-    def positives_evaluated(self) -> int:
-        return self.tp + self.fn + self.unscorable_pos
-
-    @property
-    def negatives_evaluated(self) -> int:
-        return self.fp + self.tn + self.unscorable_neg
-
 
 def load_compounds(
     source: str | os.PathLike | Iterable[str],
@@ -125,34 +111,38 @@ def load_compounds(
     """
     with text_lines(source, DatasetError) as lines:
         reader = csv.DictReader(lines)
-        if reader.fieldnames is None:
-            raise DatasetError("compound CSV is empty")
-        missing = [c for c in (left_column, right_column) if c not in reader.fieldnames]
-        if missing:
-            raise DatasetError(f"compound CSV lacks column(s): {', '.join(missing)}")
         pairs: list[LexemePair] = []
         seen: set[LexemePair] = set()
         self_pairs = 0
-        for rownum, row in enumerate(reader, start=2):
-            left = (row[left_column] or "").strip().lower()
-            right = (row[right_column] or "").strip().lower()
-            if not left or not right:
-                raise DatasetError(f"compound CSV row {rownum}: empty constituent")
-            if left == right:
-                self_pairs += 1
-                continue
-            try:
-                pair = LexemePair(left, right)
-            except ValueError as exc:
-                raise DatasetError(f"compound CSV row {rownum}: {exc}") from None
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
-    if self_pairs:
-        logger.warning("compound CSV: skipped %d self-pair row(s)", self_pairs)
-    if not pairs:
-        raise DatasetError("compound CSV contains no usable pairs")
+        try:
+            if reader.fieldnames is None:
+                raise DatasetError("compound CSV is empty")
+            missing = [c for c in (left_column, right_column) if c not in reader.fieldnames]
+            if missing:
+                raise DatasetError(f"compound CSV lacks column(s): {', '.join(missing)}")
+            for rownum, row in enumerate(reader, start=2):
+                left = (row[left_column] or "").strip().lower()
+                right = (row[right_column] or "").strip().lower()
+                if not left or not right:
+                    raise DatasetError(f"compound CSV row {rownum}: empty constituent")
+                if left == right:
+                    self_pairs += 1
+                    continue
+                try:
+                    pair = LexemePair(left, right)
+                except ValueError as exc:
+                    raise DatasetError(f"compound CSV row {rownum}: {exc}") from None
+                if pair in seen:
+                    continue
+                seen.add(pair)
+                pairs.append(pair)
+        except csv.Error as exc:
+            # DictReader's own line_num lags behind on a failed row; its reader's does not.
+            raise DatasetError(f"compound CSV line {reader.reader.line_num}: {exc}") from None
+        if self_pairs:
+            logger.warning("compound CSV: skipped %d self-pair row(s)", self_pairs)
+        if not pairs:
+            raise DatasetError("compound CSV contains no usable pairs")
     return pairs
 
 
@@ -160,7 +150,8 @@ def both_orientations(pairs: Iterable[LexemePair]) -> set[tuple[str, str]]:
     """The ``(left, right)`` keys of ``pairs`` in both orientations.
 
     Excluding both orientations keeps negatives label-clean: the scorers
-    are symmetric, so a reversed compound would score like the compound.
+    are symmetric, so a compound with its constituents swapped would score
+    like the compound.
     """
     return {key for p in pairs for key in ((p.left, p.right), (p.right, p.left))}
 
@@ -325,16 +316,21 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     is required, and each value is parsed as its field's type. Blank lines
     and lines starting with ``#`` are ignored. Unknown keys, unparsable
     values, and missing required keys all raise ConfigError naming the
-    offending key.
+    file and the offending key.
     """
     path = Path(path)
-    fields = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
-    types = typing.get_type_hints(ExperimentConfig)
-    raw: dict[str, str] = {}
     try:
         content = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
+    with naming(path, ConfigError):
+        return _parse_config(content, path.parent)
+
+
+def _parse_config(content: str, base: Path) -> ExperimentConfig:
+    fields = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
+    types = typing.get_type_hints(ExperimentConfig)
+    raw: dict[str, str] = {}
     for lineno, line in enumerate(content.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -360,8 +356,10 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
     for key, field in fields.items():
         kind = types[key]
         if kind is Path:
+            if "\0" in raw.get(key, ""):  # no file system takes a NUL byte in a path
+                raise ConfigError(f"config key {key!r}: not a path: {raw[key]!r}")
             value = Path(raw.get(key, field.default))
-            values[key] = value if value.is_absolute() else (path.parent / value).resolve()
+            values[key] = value if value.is_absolute() else (base / value).resolve()
         elif key in raw:
             try:
                 values[key] = kind(raw[key])
@@ -416,8 +414,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     positives = load_compounds(
         config.compounds, config.compound_left_column, config.compound_right_column
     )
-    stream = read_corpus(config.corpus)
-    counts = build_bigram_counts(stream)
+    counts = build_bigram_counts(read_corpus(config.corpus))
 
     exclusions = both_orientations(positives)
     n = len(positives)
@@ -506,7 +503,7 @@ class ScanHit:
 
 
 def scan_corpus(
-    stream: TokenStream,
+    tokens: Sequence[str],
     table: EmbeddingTable,
     method: ScoreMethod,
     threshold: float,
@@ -529,9 +526,9 @@ def scan_corpus(
         raise ValueError(f"min_count must be >= 1, got {min_count}")
     if top_n is not None and top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
-    if not stream.tokens:
+    if not tokens:
         raise CorpusError("corpus contains no tokens")
-    counts = build_bigram_counts(stream)
+    counts = build_bigram_counts(tokens)
     frequent = counts.counts >= min_count
     pairs = counts.pairs(counts.codes[frequent])
     outcomes = score_pairs(method, table, lexicon, stopwords, pairs)

@@ -184,7 +184,6 @@ def classify(outcome: ScoreOutcome, threshold: float) -> Judgement:
 
 
 __all__ = [
-    "LexemePair",
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",

@@ -191,14 +191,9 @@ def test_criterion_4_empty_stopword_filter_is_identity(announce, toy_table, toy_
         assert compared == 17 * 16
 
 
-def _count_identities_hold(report) -> bool:
-    nonnegative = min(report.tp, report.fp, report.fn, report.tn,
-                      report.unscorable_pos, report.unscorable_neg) >= 0
-    return (
-        nonnegative
-        and report.positives_evaluated == report.tp + report.fn + report.unscorable_pos
-        and report.negatives_evaluated == report.fp + report.tn + report.unscorable_neg
-    )
+def _counts_nonnegative(report) -> bool:
+    return min(report.tp, report.fp, report.fn, report.tn,
+               report.unscorable_pos, report.unscorable_neg) >= 0
 
 
 def test_criterion_5_end_to_end_fixture_run(announce, config_path, toy_table):
@@ -211,9 +206,9 @@ def test_criterion_5_end_to_end_fixture_run(announce, config_path, toy_table):
         result = run_experiment(config)
         assert len(result.reports) == 6
         for report in result.reports:
-            assert _count_identities_hold(report)
-            assert report.positives_evaluated == 2
-            assert report.negatives_evaluated == 2
+            assert _counts_nonnegative(report)
+            assert report.tp + report.fn + report.unscorable_pos == 2
+            assert report.fp + report.tn + report.unscorable_neg == 2
 
         again = run_experiment(load_config(config_path))
         assert again.reports == result.reports
@@ -307,7 +302,7 @@ def test_criterion_8_scan_emits_exactly_the_qualifying_bigrams(announce, toy_tab
         threshold, min_count = 0.5, 2
 
         # Independent recount: explicit bigram loop plus a from-scratch cosine.
-        tokens = tokenize(text).tokens
+        tokens = tokenize(text)
         counts: dict[tuple[str, str], int] = {}
         for left, right in zip(tokens, tokens[1:]):
             counts[(left, right)] = counts.get((left, right), 0) + 1

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mwedetect import cli
 from mwedetect.cli import main
 
 _DATA = Path(__file__).parent / "data"
@@ -49,6 +52,11 @@ class TestScoreCommand:
         )
         assert code == 0
         assert capsys.readouterr().out == "1.000000\n"
+
+    def test_whitespace_token_is_usage_error(self, capsys):
+        code = main(["score", "hot dog", "x", "--method", "word", "--embeddings", EMB])
+        assert code == 1
+        assert capsys.readouterr().err == "error: left token contains whitespace: 'hot dog'\n"
 
     def test_missing_embedding_file_is_error(self, capsys):
         code = main(["score", "a", "b", "--method", "word", "--embeddings", "no/such/file"])
@@ -245,6 +253,18 @@ class TestSampleNegativesCommand:
         assert code == 1
         assert "short by" in capsys.readouterr().err
 
+    def test_oversized_exclusions_field_is_an_error(self, capsys, tmp_path):
+        exclusions = tmp_path / "compounds.csv"
+        exclusions.write_text("c1,c2\njet,lag\n" + "x" * 140_000 + ",y\n", encoding="utf-8")
+        code = main(
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "random", "--n", "2",
+             "--exclusions", str(exclusions)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {exclusions}: compound CSV line 3: field larger than field limit (131072)\n"
+        )
+
     def test_output_flag_writes_file(self, tmp_path):
         out = tmp_path / "pairs.csv"
         code = main(
@@ -274,3 +294,88 @@ class TestArgumentHandling:
         )
         assert code == 1
         assert "min-count" in capsys.readouterr().err
+
+    def test_value_error_from_a_command_propagates(self, monkeypatch):
+        # A ValueError is a bug, not a user error: main must not report it as exit 1.
+        def broken(args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "cmd_score", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["score", "jet", "lag", "--method", "word", "--embeddings", EMB])
+
+
+def _swap_columns(data: bytes) -> bytes:
+    """Swap the first two fields of every line around its first separator."""
+    lines = []
+    for line in data.split(b"\n"):
+        for separator in (b",", b"\t", b" "):
+            left, found, right = line.partition(separator)
+            if found:
+                line = right + separator + left
+                break
+        lines.append(line)
+    return b"\n".join(lines)
+
+
+_BAD_UTF8 = (b"\xe9", b"\xc3", b"\xff", b"\xed\xa0\x80", b"\xf0\x9f\x98")
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three byte-level mutations."""
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["truncate", "insert", "swap", "crlf", "utf8"]))
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+        elif kind == "swap":
+            data = _swap_columns(data)
+        elif kind == "crlf":
+            data = data.replace(b"\n", b"\r\n")
+        else:
+            data = data[:at] + draw(st.sampled_from(_BAD_UTF8)) + data[at:]
+    return data
+
+
+# The files each command reads, and its arguments given a directory of inputs.
+_COMMANDS = {
+    "score": (
+        ("toy_embeddings.txt", "toy_definitions.tsv", "stopwords.txt"),
+        lambda d, method: ["score", "jet", "lag", "--method", method,
+                           "--embeddings", f"{d}/toy_embeddings.txt",
+                           "--definitions", f"{d}/toy_definitions.tsv",
+                           "--stopwords", f"{d}/stopwords.txt"],
+    ),
+    "scan": (
+        ("toy_corpus.txt", "toy_embeddings.txt", "toy_definitions.tsv", "stopwords.txt"),
+        lambda d, method: ["scan", "--corpus", f"{d}/toy_corpus.txt", "--method", method,
+                           "--threshold", "0.5", "--embeddings", f"{d}/toy_embeddings.txt",
+                           "--definitions", f"{d}/toy_definitions.tsv",
+                           "--stopwords", f"{d}/stopwords.txt"],
+    ),
+    "run": (
+        ("experiment.conf", "compounds.csv", "toy_corpus.txt", "toy_embeddings.txt",
+         "toy_definitions.tsv", "stopwords.txt"),
+        lambda d, method: ["run", f"{d}/experiment.conf", "--output-dir", f"{d}/out"],
+    ),
+}
+
+
+class TestMutatedInputs:
+    """On damaged input files, main exits 0, 1 or 2 and raises nothing."""
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), method=st.sampled_from(["word", "definition", "definition-content"]))
+    def test_exit_code_is_0_1_or_2(self, command, data, method):
+        names, argv = _COMMANDS[command]
+        name = data.draw(st.sampled_from(names), label="file")
+        damaged = data.draw(_mutated((_DATA / name).read_bytes()), label="bytes")
+        with tempfile.TemporaryDirectory() as tmp:
+            for source in _DATA.iterdir():
+                shutil.copy(source, tmp)
+            Path(tmp, name).write_bytes(damaged)
+            assert main(argv(tmp, method)) in (0, 1, 2)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mwedetect.corpus import (
-    TokenStream,
     build_bigram_counts,
     read_corpus,
     sample_random_pairs,
@@ -21,41 +20,40 @@ from mwedetect.pairs import LexemePair
 
 class TestTokenize:
     def test_lowercases_and_splits_on_non_letters(self):
-        stream = tokenize("The hot-dog, 42 times!")
-        assert stream.tokens == ("the", "hot", "dog", "times")
+        assert tokenize("The hot-dog, 42 times!") == ("the", "hot", "dog", "times")
 
     def test_apostrophes_split(self):
-        assert tokenize("don't").tokens == ("don", "t")
+        assert tokenize("don't") == ("don", "t")
 
     def test_digits_and_punctuation_drop_out(self):
-        assert tokenize("3.14 ... !!").tokens == ()
+        assert tokenize("3.14 ... !!") == ()
 
     def test_empty_text(self):
-        assert tokenize("").tokens == ()
+        assert tokenize("") == ()
 
     @given(st.text(max_size=200))
     def test_tokens_are_lowercase_alphabetic(self, text):
-        for token in tokenize(text).tokens:
+        for token in tokenize(text):
             assert token
             assert token == token.lower()
             assert token.isascii() and token.isalpha()
 
     @given(st.text(max_size=200))
     def test_retokenizing_joined_output_is_stable(self, text):
-        tokens = tokenize(text).tokens
-        assert tokenize(" ".join(tokens)).tokens == tokens
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
 
 
 class TestReadCorpus:
     def test_reads_single_file(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("Alpha beta. Gamma!", encoding="utf-8")
-        assert read_corpus(path).tokens == ("alpha", "beta", "gamma")
+        assert read_corpus(path) == ("alpha", "beta", "gamma")
 
     def test_directory_files_in_sorted_order(self, tmp_path):
         (tmp_path / "b.txt").write_text("second", encoding="utf-8")
         (tmp_path / "a.txt").write_text("first", encoding="utf-8")
-        assert read_corpus(tmp_path).tokens == ("first", "second")
+        assert read_corpus(tmp_path) == ("first", "second")
 
     def test_directory_boundary_breaks_bigrams(self, tmp_path):
         # The newline joint means the last token of one file and the first of
@@ -102,9 +100,9 @@ class TestBigramCounts:
 
     @given(st.text(max_size=300))
     def test_totals_match_token_count(self, text):
-        stream = tokenize(text)
-        counts = build_bigram_counts(stream)
-        assert sum(counts.counts.tolist()) == max(0, len(stream) - 1)
+        tokens = tokenize(text)
+        counts = build_bigram_counts(tokens)
+        assert sum(counts.counts.tolist()) == max(0, len(tokens) - 1)
 
     def test_codes_follow_lexical_order(self):
         counts = build_bigram_counts(tokenize("b a b a c a c a z z"))
@@ -114,7 +112,7 @@ class TestBigramCounts:
         assert counts.codes.tolist() == sorted(set(counts.codes.tolist()))
 
 
-# Token streams over a small alphabet, so pairs repeat; "q" never occurs in
+# Token sequences over a small alphabet, so pairs repeat; "q" never occurs in
 # them and stands in for an out-of-vocabulary token.
 _STREAM_TOKENS = ("a", "b", "c", "d", "e")
 _TOKEN_LISTS = st.one_of(
@@ -131,7 +129,7 @@ class TestBigramCountsProperties:
     def test_matches_counter_reference(self, tokens):
         """len, count() of every pair and 0 off the stream equal Counter(zip(...))."""
         reference = Counter(zip(tokens, tokens[1:]))
-        counts = build_bigram_counts(TokenStream(tuple(tokens)))
+        counts = build_bigram_counts(tokens)
         assert len(counts) == len(reference)
         assert counts.vocabulary == tuple(sorted(set(tokens)))
         for left in (*_STREAM_TOKENS, "q"):
@@ -250,7 +248,7 @@ class TestTopCooccurringPairsProperties:
         """Equal to the full sort by (-count, left, right), ties and exclusions
         included, for n drawn, 0 and all that remain; short by k raises."""
         counts = Counter(zip(tokens, tokens[1:]))
-        bigrams = build_bigram_counts(TokenStream(tuple(tokens)))
+        bigrams = build_bigram_counts(tokens)
         excluded = [LexemePair(*key) for key in exclusions] if as_lexeme_pairs else exclusions
         remaining = [
             (left, right, count)

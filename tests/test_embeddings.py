@@ -133,8 +133,10 @@ class TestWord2vecHeader:
         np.testing.assert_array_equal(table.lookup("2"), [3.0])
 
     def test_wrong_entry_count_names_the_header(self, data_dir):
-        with pytest.raises(EmbeddingFormatError, match="^line 1: header declares 4 entries, found 3$"):
-            load_embeddings(data_dir / "word2vec_wrong_count.txt")
+        path = data_dir / "word2vec_wrong_count.txt"
+        expected = f"^{re.escape(str(path))}: line 1: header declares 4 entries, found 3$"
+        with pytest.raises(EmbeddingFormatError, match=expected):
+            load_embeddings(path)
 
     def test_single_line_file_is_an_entry(self):
         assert list(load_embeddings(["2 3"]).entries) == ["2"]
@@ -262,7 +264,10 @@ class TestBlockParseProperties:
             for source in sources:
                 with pytest.raises(EmbeddingFormatError) as caught:
                     load_embeddings(source)
-                assert re.match(f"line {first}: {re.escape(problems[first])}", str(caught.value))
+                # A path source is named in front of the line.
+                name = "" if isinstance(source, list) else f"{source}: "
+                expected = f"{name}line {first}: {problems[first]}"
+                assert re.match(re.escape(expected), str(caught.value))
 
 
 class TestCosine:

@@ -1,8 +1,10 @@
-"""A byte that is not UTF-8 fails each loader with its own typed error."""
+"""Loader errors are typed and name the file: undecodable bytes and format errors."""
 
 from __future__ import annotations
 
+import io
 import re
+import shutil
 
 import pytest
 
@@ -81,3 +83,71 @@ def test_run_exits_one_naming_the_config_line(tmp_path, capsys):
     config.write_bytes(b"# settings\nsample_seed = 1\ncorpus = caf\xe9.txt\n")
     assert main(["run", str(config)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {config}: line 3: not UTF-8")
+
+
+# The loaders that also read a pre-opened stream.
+STREAM_LOADERS = ["embeddings", "definitions", "stopwords", "compounds"]
+
+
+@pytest.mark.parametrize("name", STREAM_LOADERS)
+@pytest.mark.parametrize("bad_line", [2, 3000])
+def test_open_file_names_its_path_and_line(tmp_path, name, bad_line):
+    loader, error, line_of = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    _write_bad_file(path, line_of, bad_line)
+    expected = f"^{re.escape(str(path))}: line {bad_line}: not UTF-8 .*byte 0xe9"
+    with open(path, encoding="utf-8") as handle, pytest.raises(error, match=expected):
+        loader(handle)
+
+
+@pytest.mark.parametrize("name", STREAM_LOADERS)
+def test_unnamed_stream_raises_typed_error(name):
+    loader, error, line_of = LOADERS[name]
+    data = f"{line_of(1)}\n{line_of(2)}\n".replace("w", "caf\xe9", 1).encode("latin-1")
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with pytest.raises(error, match=r"^line unknown: not UTF-8 \(.*byte 0xe9\)$"):
+        loader(stream)
+
+
+def test_format_error_in_open_file_names_its_path(tmp_path):
+    path = tmp_path / "definitions.tsv"
+    path.write_text("jet\ta jet\nno tab here\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as handle, pytest.raises(LexiconFormatError) as caught:
+        load_definitions(handle)
+    assert str(caught.value) == f"{path}: line 2: expected `lexeme<TAB>definition`"
+
+
+def _score_argv(d):
+    return ["score", "jet", "lag", "--method", "definition-content",
+            "--embeddings", f"{d}/toy_embeddings.txt", "--definitions", f"{d}/toy_definitions.tsv",
+            "--stopwords", f"{d}/stopwords.txt"]
+
+
+# A file of tests/data, the text that breaks it, the command that reads it,
+# and the message after the file's path.
+FORMAT_ERRORS = {
+    "embeddings": ("toy_embeddings.txt", "jet 1 0 0 0\nlag 1 x 0 0\n", _score_argv,
+                   "line 2: non-numeric value"),
+    "definitions": ("toy_definitions.tsv", "jet\ta jet\nno tab here\n", _score_argv,
+                    "line 2: expected `lexeme<TAB>definition`"),
+    "stopwords": ("stopwords.txt", "the\ntwo words\n", _score_argv,
+                  "line 2: stop word contains whitespace: 'two words'"),
+    "compounds": ("compounds.csv", "c1,c2\njet,lag\nhome,\n",
+                  lambda d: ["run", f"{d}/experiment.conf", "--output-dir", f"{d}/out"],
+                  "compound CSV row 3: empty constituent"),
+    "config": ("experiment.conf", "# settings\nseed = 1\n",
+               lambda d: ["run", f"{d}/experiment.conf", "--output-dir", f"{d}/out"],
+               "config line 2: unknown key 'seed'"),
+}
+
+
+@pytest.mark.parametrize("name", FORMAT_ERRORS)
+def test_cli_format_error_names_the_file(tmp_path, data_dir, capsys, name):
+    file, text, argv, message = FORMAT_ERRORS[name]
+    for source in data_dir.iterdir():
+        shutil.copy(source, tmp_path)
+    (tmp_path / file).write_text(text, encoding="utf-8")
+    assert main(argv(tmp_path.resolve())) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path.resolve() / file}: {message}")
+    assert err.count(file) == 1

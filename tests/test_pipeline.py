@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mwedetect import ScanHit, scan_corpus
-from mwedetect.corpus import TokenStream, tokenize
+from mwedetect.corpus import tokenize
 from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
@@ -87,6 +87,19 @@ class TestLoadCompounds:
     def test_extra_columns_ignored(self):
         pairs = load_compounds(["c1,c2,rating", "hot,dog,0.91"])
         assert pairs == [LexemePair("hot", "dog")]
+
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_oversized_field_names_line(self, tmp_path, line):
+        # The csv module refuses a field over 131072 characters.
+        lines = ["c1,c2\n", "a,b\n", "c,d\n"]
+        lines[line - 1] = "x" * 140_000 + ",y\n"
+        expected = f"compound CSV line {line}: field larger than field limit"
+        with pytest.raises(DatasetError, match=f"^{expected}"):
+            load_compounds(lines)
+        path = tmp_path / "compounds.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: {expected}"):
+            load_compounds(path)
 
 
 class TestSplitDataset:
@@ -278,8 +291,8 @@ class TestCalibrateThreshold:
         report = evaluate(scored, threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
         assert report.tp == sum(1 for v in positives if v < threshold)
         assert report.fp == sum(1 for v in negatives if v < threshold)
-        assert report.tp + report.fn == report.positives_evaluated == len(positives)
-        assert report.fp + report.tn == report.negatives_evaluated == len(negatives)
+        assert report.tp + report.fn + report.unscorable_pos == len(positives)
+        assert report.fp + report.tn + report.unscorable_neg == len(negatives)
         assert report.unscorable_pos == report.unscorable_neg == 0
         best = max(f1 for _, f1 in self._candidate_f1s(positives, negatives))
         assert report.f1 == float(best)
@@ -312,8 +325,8 @@ class TestEvaluate:
         )
         assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 2, 3)
         assert (report.unscorable_pos, report.unscorable_neg) == (1, 1)
-        assert report.positives_evaluated == 5
-        assert report.negatives_evaluated == 5
+        assert report.tp + report.fn + report.unscorable_pos == 5
+        assert report.fp + report.tn + report.unscorable_neg == 5
 
     def test_metrics_match_exact_rationals(self):
         report = evaluate(
@@ -443,24 +456,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="threshold_mode"):
             load_config(self._write(tmp_path, self.REQUIRED + "threshold_mode = magic\n"))
 
+    def test_nul_byte_in_path_rejected(self, tmp_path):
+        path = self._write(tmp_path, self.REQUIRED.replace("emb.txt", "emb\0.txt"))
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"{path}: config key 'embeddings': not a path: 'emb\\x00.txt'"
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.conf")
 
     @pytest.mark.parametrize("key", ["Embeddings", "output-dir", "seed", "threshold"])
     def test_each_unknown_key_named(self, tmp_path, key):
+        path = self._write(tmp_path, self.REQUIRED + f"{key} = 1\n")
         with pytest.raises(ConfigError) as error:
-            load_config(self._write(tmp_path, self.REQUIRED + f"{key} = 1\n"))
-        assert str(error.value) == f"config line 6: unknown key {key!r}"
+            load_config(path)
+        assert str(error.value) == f"{path}: config line 6: unknown key {key!r}"
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(missing=st.sets(st.sampled_from(_REQUIRED_KEYS), min_size=1))
     def test_each_missing_required_key_named(self, tmp_path, missing):
         text = "".join(f"{key} = {key}.txt\n" for key in _REQUIRED_KEYS if key not in missing)
+        path = self._write(tmp_path, text)
         with pytest.raises(ConfigError) as error:
-            load_config(self._write(tmp_path, text))
+            load_config(path)
         named = ", ".join(key for key in _REQUIRED_KEYS if key in missing)
-        assert str(error.value) == f"config missing required key(s): {named}"
+        assert str(error.value) == f"{path}: config missing required key(s): {named}"
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -653,7 +674,7 @@ class TestScanCorpus:
             if count >= min_count and outcome.is_scorable and outcome.value < threshold:
                 expected.append((outcome.value, left, right, count))
         hits = scan_corpus(
-            TokenStream(tuple(tokens)),
+            tuple(tokens),
             toy_table,
             method,
             threshold,

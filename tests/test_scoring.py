@@ -47,9 +47,6 @@ class TestLexemePair:
     def test_str_joins_with_space(self):
         assert str(LexemePair("hot", "dog")) == "hot dog"
 
-    def test_reversed_swaps_sides(self):
-        assert LexemePair("a", "b").reversed() == LexemePair("b", "a")
-
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             LexemePair("", "x")
@@ -180,7 +177,7 @@ class TestScorerSymmetry:
         vocab = sorted(toy_table.entries)
         for left, right in itertools.combinations(vocab, 2):
             pair = LexemePair(left, right)
-            flipped = pair.reversed()
+            flipped = LexemePair(right, left)
             for method in ALL_METHODS:
                 one = score_pair(method, toy_table, toy_lexicon, toy_stopwords, pair)
                 other = score_pair(method, toy_table, toy_lexicon, toy_stopwords, flipped)
@@ -257,7 +254,7 @@ class TestScorePairProperties:
                     assert outcome.is_scorable
                     if method is WORD:
                         assert outcome.value == cosine(table.entries[left], table.entries[right])
-                flipped = score_pair(method, table, lexicon, stopwords, pair.reversed())
+                flipped = score_pair(method, table, lexicon, stopwords, LexemePair(right, left))
                 assert flipped.value == outcome.value
                 assert flipped.is_scorable == outcome.is_scorable
 
