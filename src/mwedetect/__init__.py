@@ -24,6 +24,7 @@ from .definitions import (
     NO_DEFINITION,
     DefinitionLexicon,
     definition_embedding,
+    definition_embeddings,
     load_definitions,
     load_stopwords,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "load_definitions",
     "load_stopwords",
     "definition_embedding",
+    "definition_embeddings",
     "NO_DEFINITION",
     "ALL_OOV",
     "ALL_STOPWORDS",

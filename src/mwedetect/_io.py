@@ -21,13 +21,14 @@ def text_lines(
 ) -> Iterator[Iterable[str]]:
     """Yield an iterable of lines from a path or a pre-opened line source.
 
-    Strings and PathLikes are treated as file system paths and opened UTF-8.
-    Anything else is assumed to already iterate over lines and is not closed.
+    Strings and PathLikes are treated as file system paths and opened UTF-8;
+    a leading byte-order mark is dropped. Anything else is assumed to
+    already iterate over lines and is not closed.
     An ``error`` raised in the block is prefixed with the source's name, and
     a byte that is not UTF-8 raises ``error`` naming the line.
     """
     if isinstance(source, (str, os.PathLike)):
-        with naming(source, error), open(source, encoding="utf-8") as handle:
+        with naming(source, error), open(source, encoding="utf-8-sig") as handle:
             yield handle
     else:
         with naming(source, error):
@@ -35,9 +36,12 @@ def text_lines(
 
 
 def read_text(path: str | os.PathLike, error: type[MweDetectError]) -> str:
-    """The whole of a UTF-8 file; a byte that is not UTF-8 raises ``error``."""
+    """The whole of a UTF-8 file, without a leading byte-order mark.
+
+    A byte that is not UTF-8 raises ``error``.
+    """
     with naming(path, error):
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
 
 
 @contextlib.contextmanager

@@ -79,6 +79,11 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_TOKEN_RE.findall(text.lower()))
 
 
+def has_token(text: str) -> bool:
+    """Whether ``tokenize(text)`` is non-empty, without building its tokens."""
+    return _TOKEN_RE.search(text.lower()) is not None
+
+
 def read_corpus(path: str | Path) -> tuple[str, ...]:
     """Tokenize a UTF-8 text file, or every file under a directory.
 
@@ -203,6 +208,7 @@ def top_cooccurring_pairs(
 __all__ = [
     "BigramCounts",
     "tokenize",
+    "has_token",
     "read_corpus",
     "build_bigram_counts",
     "sample_random_pairs",

@@ -7,15 +7,16 @@ words filtered out first.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import text_lines
-from .corpus import tokenize
+from .corpus import has_token, tokenize
 from .embeddings import EmbeddingTable
 from .errors import LexiconFormatError
 
@@ -26,31 +27,41 @@ NO_DEFINITION = "no-definition"
 ALL_OOV = "all-oov"
 ALL_STOPWORDS = "all-stopwords"
 
+# Definition sums are taken, and pairs scored, this many rows at a time,
+# which bounds the memory of the gathered rows on scans of many bigrams.
+BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class DefinitionLexicon:
-    """Lexeme -> tokens of its first definition, all lowercase."""
+    """Lexeme (lowercase) -> the text of its first definition.
 
-    entries: dict[str, tuple[str, ...]]
+    The text is tokenized only when a lexeme's tokens are asked for, so a
+    run pays for the definitions it scores, not for the whole lexicon.
+    """
+
+    definitions: dict[str, str]
 
     def get(self, lexeme: str) -> tuple[str, ...] | None:
-        return self.entries.get(lexeme.lower())
+        """The lowercase alphabetic tokens of ``lexeme``'s definition, or None."""
+        definition = self.definitions.get(lexeme.lower())
+        return None if definition is None else tokenize(definition)
 
     def __contains__(self, lexeme: str) -> bool:
-        return lexeme.lower() in self.entries
+        return lexeme.lower() in self.definitions
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.definitions)
 
 
 def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLexicon:
     """Parse a `lexeme<TAB>definition` stream into a DefinitionLexicon.
 
     When a lexeme repeats, only its first line is kept: the lexicon stores
-    first definitions only. Definition text is run through the corpus
-    tokenizer, so entries hold lowercase alphabetic tokens.
+    first definitions only. A definition must hold at least one token of
+    the corpus tokenizer, which ``DefinitionLexicon.get`` applies to it.
     """
-    entries: dict[str, tuple[str, ...]] = {}
+    definitions: dict[str, str] = {}
     with text_lines(source, LexiconFormatError) as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.rstrip("\r\n")
@@ -64,13 +75,12 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
                 raise LexiconFormatError(f"line {lineno}: empty lexeme")
             if lexeme.split() != [lexeme]:
                 raise LexiconFormatError(f"line {lineno}: lexeme contains whitespace: {lexeme!r}")
-            if lexeme in entries:
+            if lexeme in definitions:
                 continue
-            tokens = tokenize(definition)
-            if not tokens:
+            if not has_token(definition):
                 raise LexiconFormatError(f"line {lineno}: definition has no usable tokens")
-            entries[lexeme] = tokens
-    return DefinitionLexicon(entries=entries)
+            definitions[lexeme] = definition
+    return DefinitionLexicon(definitions=definitions)
 
 
 def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
@@ -87,48 +97,91 @@ def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
     return frozenset(words)
 
 
+def definition_embeddings(
+    lexicon: DefinitionLexicon,
+    table: EmbeddingTable,
+    lexemes: Sequence[str],
+    stopwords: frozenset[str] | set[str] | None,
+) -> tuple[np.ndarray, list[int | str]]:
+    """Sum the embeddings of each lexeme's definition tokens, as rows of one matrix.
+
+    Stop words (when a set is given) are filtered first, then tokens absent
+    from the embedding table are dropped; what remains is summed in
+    definition order. Returns ``(matrix, where)``: ``where[i]`` is the row
+    of ``matrix`` holding the sum for ``lexemes[i]``, or the reason it has
+    none, one of ``no-definition``, ``all-stopwords`` or ``all-oov`` in that
+    order of precedence. Dropped out-of-vocabulary tokens are counted at
+    debug level only; they never fail the whole definition.
+
+    Each sum adds its tokens' rows to a copy of the first, left to right,
+    so it is bit-deterministic for a given definition. The sums are taken
+    ``BLOCK_ROWS`` lexemes at a time: the j-th token rows of a block are
+    added at once, to the lexemes whose definitions have a j-th token.
+    """
+    where: list[int | str] = []
+    token_rows: list[list[int]] = []
+    for lexeme in lexemes:
+        tokens = lexicon.get(lexeme)
+        if tokens is None:
+            where.append(NO_DEFINITION)
+            continue
+        if stopwords is not None:
+            tokens = [t for t in tokens if t not in stopwords]
+            if not tokens:
+                where.append(ALL_STOPWORDS)
+                continue
+        # Tokens are lowercase, as the table's are, so no lookup lowercases.
+        rows = [row for row in map(table.index.get, tokens) if row is not None]
+        if not rows:
+            where.append(ALL_OOV)
+            continue
+        dropped = len(tokens) - len(rows)
+        if dropped:
+            logger.debug("definition of %r: %d token(s) out of vocabulary", lexeme, dropped)
+        where.append(len(token_rows))
+        token_rows.append(rows)
+
+    # Longest definitions first, so in each block the lexemes that have a
+    # j-th token are a prefix of the block.
+    lengths = np.fromiter(map(len, token_rows), dtype=np.intp, count=len(token_rows))
+    order = np.argsort(-lengths, kind="stable")
+    flat = np.fromiter(
+        itertools.chain.from_iterable(token_rows), dtype=np.intp, count=int(lengths.sum())
+    )
+    firsts = np.cumsum(lengths) - lengths  # where each definition's rows start in ``flat``
+    sums = np.empty((len(token_rows), table.dimension))
+    for start in range(0, len(order), BLOCK_ROWS):
+        block = order[start : start + BLOCK_ROWS]
+        block_firsts, block_lengths = firsts[block], lengths[block]
+        block_sums = table.matrix[flat[block_firsts]]
+        for j in range(1, int(block_lengths[0])):
+            have = np.count_nonzero(block_lengths > j)
+            block_sums[:have] += table.matrix[flat[block_firsts[:have] + j]]
+        sums[block] = block_sums
+    return sums, where
+
+
 def definition_embedding(
     lexicon: DefinitionLexicon,
     table: EmbeddingTable,
     lexeme: str,
     stopwords: frozenset[str] | set[str] | None = None,
 ) -> tuple[np.ndarray | None, str | None]:
-    """Sum the embeddings of a lexeme's definition tokens.
+    """``definition_embeddings`` of one lexeme.
 
-    Stop words (when a set is given) are filtered first, then tokens absent
-    from the embedding table are dropped; what remains is summed in
-    definition order. Returns ``(vector, None)`` on success and
-    ``(None, reason)`` otherwise, with reason one of ``no-definition``,
-    ``all-stopwords``, or ``all-oov``. Dropped out-of-vocabulary tokens are
-    counted at debug level only; they never fail the whole definition.
+    Returns ``(vector, None)`` on success and ``(None, reason)`` otherwise.
     """
-    tokens = lexicon.get(lexeme)
-    if tokens is None:
-        return None, NO_DEFINITION
-    if stopwords is not None:
-        kept = [t for t in tokens if t not in stopwords]
-        if not kept:
-            return None, ALL_STOPWORDS
-    else:
-        kept = list(tokens)
-    vectors = [vec for vec in map(table.lookup, kept) if vec is not None]
-    if not vectors:
-        return None, ALL_OOV
-    dropped = len(kept) - len(vectors)
-    if dropped:
-        logger.debug("definition of %r: %d token(s) out of vocabulary", lexeme, dropped)
-    # Added left to right into a copy of the first row, so the sum is
-    # bit-deterministic for a given definition.
-    total = np.array(vectors[0], dtype=np.float64)
-    for vec in vectors[1:]:
-        total += vec
-    return total, None
+    sums, (where,) = definition_embeddings(lexicon, table, (lexeme,), stopwords)
+    if isinstance(where, str):
+        return None, where
+    return sums[where], None
 
 
 __all__ = [
     "DefinitionLexicon",
     "load_definitions",
     "load_stopwords",
+    "definition_embeddings",
     "definition_embedding",
     "NO_DEFINITION",
     "ALL_OOV",

@@ -12,7 +12,7 @@ import logging
 import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +31,35 @@ _LOADTXT_OPTIONS = dict(dtype=np.float64, delimiter=" ", comments=None, quotecha
 _AT_ROW = re.compile(r" at row \d+,")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
     """Immutable token -> vector map with a single fixed dimension.
 
-    Tokens are stored lowercase; lookups lowercase their argument, so case
-    never causes a spurious out-of-vocabulary miss. Vectors are read-only
-    float64 arrays of length ``dimension``.
+    ``index`` maps each token to its row of ``matrix``, one (V, d) float64
+    array that the loader makes read-only. Tokens are stored lowercase;
+    lookups lowercase their argument, so case never causes a spurious
+    out-of-vocabulary miss.
     """
 
-    dimension: int
-    entries: dict[str, np.ndarray]
+    index: dict[str, int]
+    matrix: np.ndarray
     source_label: str = ""
-    duplicate_tokens: tuple[str, ...] = field(default=(), compare=False)
+    duplicate_tokens: tuple[str, ...] = ()
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def lookup(self, token: str) -> np.ndarray | None:
-        """Return the vector for ``token`` (case-insensitive), or None."""
-        return self.entries.get(token.lower())
+        """Return the row of ``token`` (case-insensitive) as a view, or None."""
+        row = self.index.get(token.lower())
+        return None if row is None else self.matrix[row]
 
     def __contains__(self, token: str) -> bool:
-        return token.lower() in self.entries
+        return token.lower() in self.index
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
 
 
 def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable:
@@ -68,12 +74,18 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     numpy's text reader parses them. The table's ``source_label`` is the
     path, or empty for a stream of lines.
 
+    Each block of ``BLOCK_LINES`` entry lines is parsed and copied into the
+    table's matrix. A regular file's matrix is allocated once, with one row
+    per line of the file, and shrunk to the entries at the end; any other
+    source's matrix grows by doubling.
+
     Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream; for a path or an open file the
     message starts with its name.
     """
     source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
-    entries: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}
+    matrix = np.empty((0, 0))
     duplicates: list[str] = []
     dimension: int | None = None
     # The pending block: the lowercase token, the value text and the line
@@ -83,13 +95,27 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     linenos: list[int] = []
 
     def parse_pending() -> None:
+        nonlocal matrix
         if not rests:
             return
-        for token, row in zip(tokens, _parse_rows(rests, linenos)):
-            if token in entries:
+        block = _parse_rows(rests, linenos)
+        start = len(index)
+        kept = []
+        for position, token in enumerate(tokens):
+            if token in index:
                 duplicates.append(token)
             else:
-                entries[token] = row
+                index[token] = start + len(kept)
+                kept.append(position)
+        stop = len(index)
+        if stop > len(matrix):
+            # A regular file's matrix has a row per newline: only a stream, a
+            # pipe, lone carriage-return line ends (text mode splits lines on
+            # them too) or a file that grew since the count gets here.
+            grown = np.empty((max(stop, 2 * len(matrix)), dimension))
+            grown[:start] = matrix[:start]
+            matrix = grown
+        matrix[start:stop] = block if len(kept) == len(block) else block[kept]
         tokens.clear()
         rests.clear()
         linenos.clear()
@@ -104,6 +130,7 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
             found = rest.count(" ") + 1
             if dimension is None and sep:
                 dimension = found
+                matrix = np.empty((_reserved_rows(source_label), dimension))
             if token.split() != [token]:
                 problem = "empty or whitespace token"
             elif not sep:
@@ -124,9 +151,9 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
             parse_pending()
             raise EmbeddingFormatError(f"line {lineno}: {problem}")
         parse_pending()
-        if not entries:
+        if not index:
             raise EmbeddingFormatError("embedding source contains no entries")
-        entry_lines = len(entries) + len(duplicates)
+        entry_lines = len(index) + len(duplicates)
         if declared is not None and declared != entry_lines:
             raise EmbeddingFormatError(
                 f"line 1: header declares {declared} entries, found {entry_lines}"
@@ -139,13 +166,32 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
             len(duplicates),
             duplicates[0],
         )
-    assert dimension is not None
+    if len(matrix) > len(index):
+        # Shrinks in place; the rows past the entries were never written.
+        # No view of the matrix exists yet, so the reference check is moot.
+        matrix.resize((len(index), dimension), refcheck=False)
+    matrix.flags.writeable = False
     return EmbeddingTable(
-        dimension=dimension,
-        entries=entries,
+        index=index,
+        matrix=matrix,
         source_label=source_label,
         duplicate_tokens=tuple(duplicates),
     )
+
+
+def _reserved_rows(path: str) -> int:
+    """Rows to reserve for the entries of ``path``: its line count.
+
+    Each entry takes a line, so a regular file with newline line ends holds
+    at most its newlines plus one (a last line without one) entries.
+    Counting them reads the file once more, in chunks. Anything else (no
+    path, or a pipe that cannot be read twice) reserves nothing.
+    """
+    if not path or not os.path.isfile(path):
+        return 0
+    with open(path, "rb") as handle:
+        chunks = iter(lambda: handle.read(1 << 20), b"")
+        return sum(chunk.count(b"\n") for chunk in chunks) + 1
 
 
 def _skip_header(lines: Iterator[str]) -> tuple[int | None, Iterator[tuple[int, str]]]:
@@ -173,7 +219,7 @@ def _skip_header(lines: Iterator[str]) -> tuple[int | None, Iterator[tuple[int, 
 
 
 def _parse_rows(rests: list[str], linenos: list[int]) -> np.ndarray:
-    """Parse the value text of a block of entry lines into a read-only matrix.
+    """Parse the value text of a block of entry lines into a matrix.
 
     Raises EmbeddingFormatError naming the first line in file order whose
     values are non-numeric or non-finite.
@@ -191,7 +237,6 @@ def _parse_rows(rests: list[str], linenos: list[int]) -> np.ndarray:
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
         raise EmbeddingFormatError(f"line {linenos[int(finite.argmin())]}: non-finite value")
-    block.flags.writeable = False
     return block
 
 

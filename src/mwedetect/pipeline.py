@@ -518,14 +518,15 @@ def scan_corpus(
     and only the rest become LexemePairs to score. Pairs the method cannot
     score are dropped silently. Hits come back sorted by ascending score
     (most non-compositional first), then alphabetically, truncated to
-    ``top_n``.
+    ``top_n``. A threshold outside [-1, 1], a ``min_count`` or a ``top_n``
+    below 1 raises ConfigError.
     """
     if not -1.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [-1, 1], got {threshold}")
+        raise ConfigError(f"threshold must be in [-1, 1], got {threshold}")
     if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     if top_n is not None and top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
+        raise ConfigError(f"top_n must be >= 1, got {top_n}")
     if not tokens:
         raise CorpusError("corpus contains no tokens")
     counts = build_bigram_counts(tokens)

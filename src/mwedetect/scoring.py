@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .definitions import ALL_OOV, ALL_STOPWORDS, NO_DEFINITION, DefinitionLexicon, definition_embedding
+from .definitions import (
+    ALL_OOV,
+    ALL_STOPWORDS,
+    BLOCK_ROWS,
+    NO_DEFINITION,
+    DefinitionLexicon,
+    definition_embeddings,
+)
+from .definitions import definition_embedding  # noqa: F401  bound here for perfbench's hook
 from .embeddings import EmbeddingTable, row_cosines
 from .embeddings import cosine  # noqa: F401  bound here for perfbench's scoring.cosine hook
 from .pairs import LexemePair
@@ -38,10 +46,6 @@ NON_FINITE = "non-finite"
 UNSCORABLE_REASONS = frozenset(
     {LEFT_OOV, RIGHT_OOV, NO_DEFINITION, ALL_OOV, ALL_STOPWORDS, ZERO_NORM, NON_FINITE}
 )
-
-# Pairs are scored this many at a time, which bounds the memory of the
-# gathered rows on scans of many bigrams.
-BLOCK_ROWS = 4096
 
 
 class ScoreMethod(enum.Enum):
@@ -93,7 +97,8 @@ def score_pairs(
 ) -> list[ScoreOutcome]:
     """Cosine of the two lexemes' vectors under ``method``, for each pair.
 
-    Each distinct lexeme gets its vector once, as a row of one matrix; the
+    Each distinct lexeme's vector is a row of one matrix: the table's own
+    for word similarity, the sums of ``definition_embeddings`` otherwise. The
     pairs are then scored in blocks of ``BLOCK_ROWS`` gathered rows by
     ``row_cosines``, so every score is bit-identical to ``cosine`` of the
     two vectors. A side without a vector makes the pair unscorable with that
@@ -108,36 +113,27 @@ def score_pairs(
     if method is not ScoreMethod.DEFINITION_CONTENT_SIMILARITY:
         stopwords = None
 
-    lexemes = dict.fromkeys(lexeme for pair in pairs for lexeme in (pair.left, pair.right))
-    matrix = np.empty((len(lexemes), table.dimension))
-    # Lexeme -> its row of ``matrix``, or its (as left, as right) unscorable reasons.
-    index: dict[str, int | tuple[str, str]] = {}
-    rows = 0
-    # A definition sum that overflows is reported below as non-finite, so
-    # numpy's overflow warning is noise. The context is entered once per
-    # call: entering it per vector doubled the time of the definition sums.
-    with np.errstate(over="ignore"):
-        for lexeme in lexemes:
-            if method is ScoreMethod.WORD_SIMILARITY:
-                vector, reasons = table.lookup(lexeme), (LEFT_OOV, RIGHT_OOV)
-            else:
-                vector, reason = definition_embedding(lexicon, table, lexeme, stopwords)
-                reasons = (reason, reason)
-            if vector is None:
-                index[lexeme] = reasons
-            else:
-                matrix[rows] = vector
-                index[lexeme] = rows
-                rows += 1
+    lexemes = list(dict.fromkeys(lexeme for pair in pairs for lexeme in (pair.left, pair.right)))
+    # Each lexeme's row of ``matrix``, or why it has none: a reason, or None
+    # for a word missing from the table, whose reason depends on its side.
+    if method is ScoreMethod.WORD_SIMILARITY:
+        matrix = table.matrix
+        where = [table.index.get(lexeme.lower()) for lexeme in lexemes]
+    else:
+        # A definition sum that overflows is reported below as non-finite,
+        # so numpy's overflow warning is noise.
+        with np.errstate(over="ignore"):
+            matrix, where = definition_embeddings(lexicon, table, lexemes, stopwords)
+    index = dict(zip(lexemes, where))
 
     outcomes: list[ScoreOutcome | None] = []
     scorable, left_rows, right_rows = [], [], []
     for position, pair in enumerate(pairs):
         left, right = index[pair.left], index[pair.right]
-        if isinstance(left, tuple):
-            outcomes.append(ScoreOutcome.unscorable(left[0]))
-        elif isinstance(right, tuple):
-            outcomes.append(ScoreOutcome.unscorable(right[1]))
+        if not isinstance(left, int):
+            outcomes.append(ScoreOutcome.unscorable(left or LEFT_OOV))
+        elif not isinstance(right, int):
+            outcomes.append(ScoreOutcome.unscorable(right or RIGHT_OOV))
         else:
             outcomes.append(None)
             scorable.append(position)

@@ -175,7 +175,7 @@ def _bits(outcome: ScoreOutcome) -> tuple:
 def test_criterion_4_empty_stopword_filter_is_identity(announce, toy_table, toy_lexicon):
     """definition-content with empty stop words is bit-identical to definition."""
     with announce("4 (empty stop-word list degenerates to identity)"):
-        vocab = sorted(toy_table.entries) + ["unlisted"]
+        vocab = sorted(toy_table.index) + ["unlisted"]
         compared = 0
         for left in vocab:
             for right in vocab:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mwedetect import cli
 from mwedetect.cli import main
+from mwedetect.errors import MweDetectError
 
 _DATA = Path(__file__).parent / "data"
 EMB = str(_DATA / "toy_embeddings.txt")
@@ -365,7 +366,8 @@ _COMMANDS = {
 
 
 class TestMutatedInputs:
-    """On damaged input files, main exits 0, 1 or 2 and raises nothing."""
+    """On damaged input files, main exits 0, 1 or 2 and raises nothing; exit 1
+    comes only from a typed error, never from an OSError on a readable file."""
 
     @pytest.mark.parametrize("command", _COMMANDS)
     @settings(max_examples=120, deadline=None)
@@ -374,8 +376,22 @@ class TestMutatedInputs:
         names, argv = _COMMANDS[command]
         name = data.draw(st.sampled_from(names), label="file")
         damaged = data.draw(_mutated((_DATA / name).read_bytes()), label="bytes")
-        with tempfile.TemporaryDirectory() as tmp:
+        handler = getattr(cli, f"cmd_{command}")
+        raised = []
+
+        def recording(args):
+            try:
+                return handler(args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             for source in _DATA.iterdir():
                 shutil.copy(source, tmp)
             Path(tmp, name).write_bytes(damaged)
-            assert main(argv(tmp, method)) in (0, 1, 2)
+            patch.setattr(cli, f"cmd_{command}", recording)
+            code = main(argv(tmp, method))
+        assert code in (0, 1, 2)
+        # main catches only typed errors and OSErrors; an OSError here is a bug.
+        assert [exc for exc in raised if not isinstance(exc, MweDetectError)] == []

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from mwedetect.corpus import (
     build_bigram_counts,
+    has_token,
     read_corpus,
     sample_random_pairs,
     tokenize,
@@ -42,6 +43,12 @@ class TestTokenize:
     def test_retokenizing_joined_output_is_stable(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    @given(st.text(max_size=200))
+    @example("\u0130")  # lowercases to "i" and a combining dot
+    @example("3.14 ... !!")
+    def test_has_token_is_whether_tokenize_finds_one(self, text):
+        assert has_token(text) == bool(tokenize(text))
 
 
 class TestReadCorpus:

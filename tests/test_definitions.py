@@ -7,19 +7,23 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from mwedetect import definitions
 from mwedetect.definitions import (
     ALL_OOV,
     ALL_STOPWORDS,
     NO_DEFINITION,
     DefinitionLexicon,
     definition_embedding,
+    definition_embeddings,
     load_definitions,
     load_stopwords,
 )
-from mwedetect.embeddings import EmbeddingTable, load_embeddings
+from mwedetect.embeddings import load_embeddings
 from mwedetect.errors import LexiconFormatError
+
+from conftest import alphabetic_token, make_table
 
 
 class TestLoadDefinitions:
@@ -84,8 +88,8 @@ _LEXICON_LINES = st.lists(
 
 
 def _reference_definitions(lines):
-    """The per-line rules, written out: entries, or the first error message."""
-    entries = {}
+    """The per-line rules, written out: each lexeme's definition, or the first error message."""
+    definitions = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -98,13 +102,16 @@ def _reference_definitions(lines):
             return f"line {lineno}: empty lexeme"
         if any(ch.isspace() for ch in lexeme):
             return f"line {lineno}: lexeme contains whitespace: {lexeme!r}"
-        if lexeme in entries:
+        if lexeme in definitions:
             continue
-        tokens = tuple(re.findall("[a-z]+", definition.lower()))
-        if not tokens:
+        if not _reference_tokens(definition):
             return f"line {lineno}: definition has no usable tokens"
-        entries[lexeme] = tokens
-    return entries
+        definitions[lexeme] = definition
+    return definitions
+
+
+def _reference_tokens(definition):
+    return tuple(re.findall("[a-z]+", definition.lower()))
 
 
 def _reference_stopwords(lines):
@@ -127,7 +134,10 @@ class TestLoaderRulesProperties:
                 load_definitions(lines)
             assert str(caught.value) == expected
         else:
-            assert load_definitions(lines).entries == expected
+            lexicon = load_definitions(lines)
+            assert lexicon.definitions == expected
+            for lexeme, definition in expected.items():
+                assert lexicon.get(lexeme) == _reference_tokens(definition)
 
     @given(_LEXICON_LINES)
     def test_stopwords_match_per_line_rules(self, lines):
@@ -142,9 +152,10 @@ class TestLoaderRulesProperties:
 
 def _summed(rows):
     """``definition_embedding`` of a lexeme whose definition has exactly ``rows`` as vectors."""
-    tokens = tuple(f"t{i}" for i in range(len(rows)))
-    table = EmbeddingTable(dimension=len(rows[0]), entries=dict(zip(tokens, rows)))
-    vector, reason = definition_embedding(DefinitionLexicon(entries={"x": tokens}), table, "x")
+    tokens = tuple(alphabetic_token("t", i) for i in range(len(rows)))
+    table = make_table(dict(zip(tokens, rows)), dimension=len(rows[0]))
+    lexicon = DefinitionLexicon(definitions={"x": " ".join(tokens)})
+    vector, reason = definition_embedding(lexicon, table, "x")
     assert reason is None
     return vector
 
@@ -167,12 +178,15 @@ class TestDefinitionEmbedding:
     def test_does_not_mutate_inputs(self):
         first = np.array([1.0, 2.0])
         second = np.array([3.0, 4.0])
-        _summed([first, second])
+        table = make_table({"ta": first, "tb": second}, dimension=2)
+        lexicon = DefinitionLexicon(definitions={"x": "ta tb", "y": "ta"})
+        definition_embedding(lexicon, table, "x")
         np.testing.assert_array_equal(first, [1.0, 2.0])
         np.testing.assert_array_equal(second, [3.0, 4.0])
-        single = _summed([first])
+        single, _ = definition_embedding(lexicon, table, "y")
         single += 1.0
         np.testing.assert_array_equal(first, [1.0, 2.0])
+        np.testing.assert_array_equal(table.matrix, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_sums_definition_vectors_in_order(self, toy_table, toy_lexicon):
         # jet is defined as "a jet": the sum of those two vectors, exactly.
@@ -197,13 +211,13 @@ class TestDefinitionEmbedding:
         assert reason == NO_DEFINITION
 
     def test_all_oov_reason(self, toy_table):
-        lexicon = DefinitionLexicon(entries={"x": ("qqq", "rrr")})
+        lexicon = DefinitionLexicon(definitions={"x": "qqq rrr"})
         vector, reason = definition_embedding(lexicon, toy_table, "x")
         assert vector is None
         assert reason == ALL_OOV
 
     def test_all_stopwords_reason(self, toy_table):
-        lexicon = DefinitionLexicon(entries={"x": ("the", "a")})
+        lexicon = DefinitionLexicon(definitions={"x": "the a"})
         vector, reason = definition_embedding(lexicon, toy_table, "x", frozenset({"the", "a"}))
         assert vector is None
         assert reason == ALL_STOPWORDS
@@ -211,12 +225,12 @@ class TestDefinitionEmbedding:
     def test_stopword_filter_runs_before_oov_check(self, toy_table):
         # "the" is in the embedding table, so the all-stopwords verdict must
         # come from filtering, not from vocabulary lookup.
-        lexicon = DefinitionLexicon(entries={"x": ("the",)})
+        lexicon = DefinitionLexicon(definitions={"x": "the"})
         _, reason = definition_embedding(lexicon, toy_table, "x", frozenset({"the"}))
         assert reason == ALL_STOPWORDS
 
     def test_empty_stopword_set_equals_no_stopword_set(self, toy_table, toy_lexicon):
-        for lexeme in toy_lexicon.entries:
+        for lexeme in toy_lexicon.definitions:
             unfiltered, _ = definition_embedding(toy_lexicon, toy_table, lexeme)
             empty_filtered, _ = definition_embedding(
                 toy_lexicon, toy_table, lexeme, frozenset()
@@ -225,6 +239,93 @@ class TestDefinitionEmbedding:
 
     def test_oov_only_definition_with_empty_filter(self):
         table = load_embeddings(["w 1 0"])
-        lexicon = DefinitionLexicon(entries={"x": ("unknown",)})
+        lexicon = DefinitionLexicon(definitions={"x": "unknown"})
         _, reason = definition_embedding(lexicon, table, "x", frozenset())
         assert reason == ALL_OOV
+
+
+# Definition tokens: some in the table, some not, any of them a stop word.
+_WORDS = tuple(alphabetic_token("t", i) for i in range(8))
+_LEXEMES = ("la", "lb", "lc", "ld", "le", "lf")
+# Small values, a negative zero that a sum may not turn positive, or values
+# whose sum overflows float64 (to inf, or to NaN when an inf meets a -inf).
+_COMPONENTS = st.one_of(
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+    st.sampled_from([-0.0, 1e308, -1e308, 8.9e307]),
+)
+
+
+@st.composite
+def _bulk_inputs(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    vectors = draw(
+        st.dictionaries(
+            st.sampled_from(_WORDS), st.lists(_COMPONENTS, min_size=dim, max_size=dim), min_size=1
+        )
+    )
+    definitions = draw(
+        st.dictionaries(
+            st.sampled_from(_LEXEMES),
+            st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12).map(" ".join),
+        )
+    )
+    # Repeats and lexemes without a definition included.
+    lexemes = draw(st.lists(st.sampled_from(_LEXEMES + ("LA", "absent")), max_size=10))
+    stopwords = draw(st.none() | st.frozensets(st.sampled_from(_WORDS)))
+    block_rows = draw(st.integers(min_value=1, max_value=5))
+    lexicon = DefinitionLexicon(definitions=definitions)
+    return make_table(vectors, dim), lexicon, lexemes, stopwords, block_rows
+
+
+def _reference_sum(table, lexicon, lexeme, stopwords):
+    """One lexeme's (vector, reason), with its rows added left to right."""
+    definition = lexicon.definitions.get(lexeme.lower())
+    if definition is None:
+        return None, NO_DEFINITION
+    tokens = definition.split(" ")
+    if stopwords is not None:
+        tokens = [t for t in tokens if t not in stopwords]
+        if not tokens:
+            return None, ALL_STOPWORDS
+    rows = [table.lookup(t) for t in tokens if t in table]
+    if not rows:
+        return None, ALL_OOV
+    with np.errstate(over="ignore", invalid="ignore"):
+        return functools.reduce(np.add, rows), None
+
+
+def _bits(vector, reason):
+    return reason, None if vector is None else vector.tobytes()
+
+
+class TestDefinitionEmbeddingsProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_bulk_inputs())
+    def test_bit_identical_to_per_lexeme_reference(self, inputs):
+        """Each sum equals the left-to-right sum of its rows bit for bit, in
+        blocks smaller than the batch, and definition_embedding is its
+        one-lexeme case."""
+        table, lexicon, lexemes, stopwords, block_rows = inputs
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(definitions, "BLOCK_ROWS", block_rows)
+            sums, where = definition_embeddings(lexicon, table, lexemes, stopwords)
+            single = [definition_embedding(lexicon, table, lexeme, stopwords) for lexeme in lexemes]
+        assert len(where) == len(lexemes)
+        assert sorted(w for w in where if isinstance(w, int)) == list(range(len(sums)))
+        assert sums.shape[1:] == (table.dimension,)
+        for lexeme, found, one in zip(lexemes, where, single):
+            got = (None, found) if isinstance(found, str) else (sums[found], None)
+            expected = _reference_sum(table, lexicon, lexeme, stopwords)
+            assert _bits(*got) == _bits(*expected)
+            assert _bits(*one) == _bits(*expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_bulk_inputs())
+    def test_empty_stopword_set_is_the_identity(self, inputs):
+        table, lexicon, lexemes, _, block_rows = inputs
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            patch.setattr(definitions, "BLOCK_ROWS", block_rows)
+            plain = definition_embeddings(lexicon, table, lexemes, None)
+            empty = definition_embeddings(lexicon, table, lexemes, frozenset())
+        assert plain[1] == empty[1]
+        assert plain[0].tobytes() == empty[0].tobytes()

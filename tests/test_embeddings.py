@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ class TestLoadEmbeddings:
 
     def test_tokens_stored_lowercase(self):
         table = load_embeddings(["Felis 1 0", "CANIS 0 1"])
-        assert sorted(table.entries) == ["canis", "felis"]
+        assert sorted(table.index) == ["canis", "felis"]
 
     def test_missing_token_returns_none(self, toy_table):
         assert toy_table.lookup("zzz") is None
@@ -118,18 +120,66 @@ class TestLoadEmbeddings:
             load_embeddings(["a 1 2", "b 1 x", " 1 2"])
 
 
+class TestMatrixReservation:
+    def test_reserves_one_row_per_line_at_glove_widths(self, tmp_path):
+        # GloVe prints about nine bytes a value; the reservation must follow
+        # the lines, not the bytes.
+        rng = np.random.default_rng(5)
+        entries = [
+            f"w{i} " + " ".join(f"{v:.6f}" for v in rng.uniform(-1, 1, 50)) for i in range(300)
+        ]
+        path = tmp_path / "glove.txt"
+        path.write_text("300 50\n\n" + "\n".join(entries) + "\n", encoding="utf-8")
+        assert embeddings._reserved_rows(str(path)) == len(entries) + 3
+        table = load_embeddings(path)
+        assert table.matrix.shape == (len(entries), 50)
+
+    def test_last_line_without_newline_has_a_row(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("a 1\nb 2", encoding="utf-8")
+        assert embeddings._reserved_rows(str(path)) == 2
+        assert len(load_embeddings(path)) == 2
+
+    def test_lone_carriage_returns_outgrow_the_reservation(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"a 1\rb 2\rc 3\r")
+        assert embeddings._reserved_rows(str(path)) == 1
+        table = load_embeddings(path)
+        assert list(table.index) == ["a", "b", "c"]
+        assert table.matrix.tobytes() == np.array([[1.0], [2.0], [3.0]]).tobytes()
+
+    def test_no_path_reserves_nothing(self):
+        assert embeddings._reserved_rows("") == 0
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_path_grows_like_a_stream(self, tmp_path):
+        lines = [f"w{i} {i} {-i}\n" for i in range(1, 12)]
+        pipe = tmp_path / "embeddings.pipe"
+        os.mkfifo(pipe)
+        assert embeddings._reserved_rows(str(pipe)) == 0
+        writer = threading.Thread(target=pipe.write_text, args=("".join(lines),), daemon=True)
+        writer.start()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 2)
+            table = load_embeddings(pipe)
+        writer.join(timeout=10)
+        expected = load_embeddings(lines)
+        assert list(table.index) == list(expected.index)
+        assert table.matrix.tobytes() == expected.matrix.tobytes()
+
+
 class TestWord2vecHeader:
     def test_header_is_not_an_entry(self, data_dir):
         table = load_embeddings(data_dir / "word2vec_header.txt")
         assert table.dimension == 2
-        assert list(table.entries) == ["alpha", "beta", "gamma"]
+        assert list(table.index) == ["alpha", "beta", "gamma"]
         np.testing.assert_array_equal(table.lookup("gamma"), [0.5, -0.5])
 
     def test_one_dimensional_entry_that_looks_like_a_header(self, data_dir):
         # "2 3" is followed by lines of one value, not three: it is the entry "2".
         table = load_embeddings(data_dir / "glove_1d_header_like.txt")
         assert table.dimension == 1
-        assert list(table.entries) == ["2", "alpha", "beta"]
+        assert list(table.index) == ["2", "alpha", "beta"]
         np.testing.assert_array_equal(table.lookup("2"), [3.0])
 
     def test_wrong_entry_count_names_the_header(self, data_dir):
@@ -139,11 +189,11 @@ class TestWord2vecHeader:
             load_embeddings(path)
 
     def test_single_line_file_is_an_entry(self):
-        assert list(load_embeddings(["2 3"]).entries) == ["2"]
+        assert list(load_embeddings(["2 3"]).index) == ["2"]
 
     def test_blank_lines_and_crlf_after_header(self):
         table = load_embeddings(["2 2\r\n", "\r\n", "a 1 0\r\n", "", "b 0 1\r\n"])
-        assert list(table.entries) == ["a", "b"]
+        assert list(table.index) == ["a", "b"]
 
     def test_header_must_be_line_one(self):
         with pytest.raises(EmbeddingFormatError, match="line 3: expected 1 values, found 2"):
@@ -218,10 +268,11 @@ class TestBlockParseProperties:
         for table in tables:
             assert table.dimension == len(entries[0].split(" ")) - 1
             assert table.duplicate_tokens == duplicates
-            assert list(table.entries) == list(expected)
+            assert list(table.index) == list(expected)
+            assert table.matrix.shape == (len(expected), table.dimension)
             for token, vector in expected.items():
-                assert table.entries[token].tobytes() == vector.tobytes()
-                assert not table.entries[token].flags.writeable
+                assert table.lookup(token).tobytes() == vector.tobytes()
+                assert not table.lookup(token).flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 import re
 import shutil
@@ -50,6 +51,51 @@ def test_loader_names_path_and_line(tmp_path, name, bad_line):
     expected = f"^{re.escape(str(path))}: line {bad_line}: not UTF-8 .*byte 0xe9"
     with pytest.raises(error, match=expected):
         loader(path)
+
+
+# Each loader's valid text, and the part of its result that a test compares.
+BOM_CASES = {
+    "corpus": ("jet lag\n", lambda tokens: tokens),
+    "embeddings": ("jet 1 0\nlag 0 1\n", lambda table: (table.index, table.matrix.tobytes())),
+    "definitions": ("jet\ta jet\n", lambda lexicon: lexicon.definitions),
+    "stopwords": ("the\n", lambda words: words),
+    "compounds": ("c1,c2\njet,lag\n", lambda pairs: pairs),
+    "config": (
+        "".join(
+            f"{key} = {key}.txt\n"
+            for key in ("embeddings", "compounds", "corpus", "definitions", "stopwords")
+        ),
+        lambda config: config,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_leading_byte_order_mark_is_not_text(tmp_path, name):
+    loader = LOADERS[name][0]
+    text, view = BOM_CASES[name]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(codecs.BOM_UTF8)
+    assert view(loader(marked)) == view(loader(plain))
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_byte_order_mark_leaves_decode_error_line(tmp_path, name):
+    loader, error, line_of = LOADERS[name]
+    path = tmp_path / f"{name}.txt"
+    _write_bad_file(path, line_of, 3)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: line 3: not UTF-8 .*byte 0xe9"):
+        loader(path)
+
+
+def test_score_reads_embeddings_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.txt"
+    path.write_bytes(codecs.BOM_UTF8 + b"jet 1 0 0 0\nlag 1 1 0 0\n")
+    assert main(["score", "jet", "lag", "--method", "word", "--embeddings", str(path)]) == 0
+    assert capsys.readouterr().out == "0.707107\n"
 
 
 def test_bad_file_in_corpus_directory_is_named(tmp_path):

@@ -6,6 +6,7 @@ import dataclasses
 import math
 import re
 import string
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -32,6 +33,8 @@ from mwedetect.pipeline import (
     split_dataset,
 )
 from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
+
+from conftest import alphabetic_token
 
 
 def _positive(left: str, right: str) -> LabeledPair:
@@ -592,6 +595,73 @@ class TestRunExperiment:
         assert all(isinstance(r, EvalReport) for r in result.reports)
 
 
+@st.composite
+def _scorable_experiments(draw):
+    """Input file texts of a run in which every pair is scorable.
+
+    Each word is defined by itself, so all three methods score alike. The
+    shapes: every compound's constituents share a vector and every other
+    word has its own, so positives score 1.0 and negatives 0.0; every
+    word has the same vector, so every score ties at 1.0; or two compounds
+    with random vectors, so each side of the split holds one scorable
+    pair per source.
+    """
+    shape = draw(st.sampled_from(["positives-higher", "all-tied", "one-per-side"]))
+    compounds = 2 if shape == "one-per-side" else draw(st.integers(min_value=2, max_value=4))
+    pairs = [(alphabetic_token("l", i), alphabetic_token("r", i)) for i in range(compounds)]
+    # A chain of fillers gives more co-occurring bigrams than compounds.
+    fillers = [alphabetic_token("f", i) for i in range(compounds + 2)]
+    corpus = draw(st.permutations([" ".join(pair) for pair in pairs] + [" ".join(fillers)]))
+    # Each word's unit vector: a compound's two constituents share one.
+    basis = {w: i for i, pair in enumerate(pairs) for w in pair}
+    basis.update({w: compounds + i for i, w in enumerate(fillers)})
+    words, dim = list(basis), len(set(basis.values()))
+    if shape == "positives-higher":
+        vectors = {w: [float(j == basis[w]) for j in range(dim)] for w in words}
+    elif shape == "all-tied":
+        vectors = {w: [1.0] + [0.0] * (dim - 1) for w in words}
+    else:
+        component = st.integers(min_value=1, max_value=9).map(float)
+        vectors = {w: draw(st.lists(component, min_size=dim, max_size=dim)) for w in words}
+    return {
+        "embeddings.txt": "".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in vectors.items()),
+        "compounds.csv": "c1,c2\n" + "".join(f"{left},{right}\n" for left, right in pairs),
+        "corpus.txt": "\n".join(corpus) + "\n",
+        "definitions.tsv": "".join(f"{w}\t{w}\n" for w in words),
+        "stopwords.txt": "zzz\n",
+    }
+
+
+class TestRunExperimentProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        files=_scorable_experiments(),
+        mode=st.sampled_from(THRESHOLD_MODES),
+        fraction=st.sampled_from([0.3, 0.5, 0.7]),
+        seeds=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    )
+    def test_six_reports_whose_counts_add_up(self, files, mode, fraction, seeds):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                Path(tmp, name).write_text(text, encoding="utf-8")
+            config = ExperimentConfig(
+                **{name.split(".")[0]: Path(tmp, name) for name in files},
+                sample_seed=seeds[0],
+                split_seed=seeds[1],
+                fraction=fraction,
+                threshold_mode=mode,
+            )
+            result = run_experiment(config)
+        assert len(result.reports) == 6
+        heldout = result.dataset.heldout
+        positives = sum(lp.is_positive for lp in heldout)
+        for report in result.reports:
+            negatives = sum(lp.source is report.negative_source for lp in heldout)
+            assert report.tp + report.fn + report.unscorable_pos == positives
+            assert report.fp + report.tn + report.unscorable_neg == negatives
+            assert report.unscorable_pos == report.unscorable_neg == 0
+
+
 class TestScanHit:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="count"):
@@ -649,8 +719,14 @@ class TestScanCorpus:
             scan_corpus(tokenize("123 !!"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5)
 
     def test_out_of_range_threshold_rejected(self, toy_table):
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(ConfigError, match="threshold"):
             scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 1.5)
+
+    def test_min_count_below_one_rejected(self, toy_table):
+        with pytest.raises(ConfigError, match="min_count"):
+            scan_corpus(
+                tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=0
+            )
 
     @given(
         # "xyzzy" has no vector and no definition.
@@ -689,5 +765,5 @@ class TestScanCorpus:
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
         assert len(scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.9)) == 20
         for top_n in (-1, 0):
-            with pytest.raises(ValueError, match="top_n"):
+            with pytest.raises(ConfigError, match="top_n"):
                 scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.9, top_n=top_n)

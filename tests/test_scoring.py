@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mwedetect import scoring
+from mwedetect import definitions, scoring
 
 from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon
-from mwedetect.embeddings import EmbeddingTable, cosine, load_embeddings
+from mwedetect.embeddings import cosine, load_embeddings
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate
 from mwedetect.scoring import (
@@ -32,6 +32,8 @@ from mwedetect.scoring import (
     score_pair,
     score_pairs,
 )
+
+from conftest import make_table
 
 ALL_METHODS = list(ScoreMethod)
 WORD = ScoreMethod.WORD_SIMILARITY
@@ -135,14 +137,14 @@ class TestDefinitionSimilarity:
         assert outcome.value == 1.0
 
     def test_missing_definition_unscorable(self, toy_table):
-        lexicon = DefinitionLexicon(entries={"jet": ("a", "jet")})
+        lexicon = DefinitionLexicon(definitions={"jet": "a jet"})
         outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.unscorable_reason == NO_DEFINITION
 
     def test_uses_definition_vectors_not_word_vectors(self, toy_table):
         # Orthogonal word vectors, identical definitions: the definition
         # method must ignore the word-level disagreement entirely.
-        lexicon = DefinitionLexicon(entries={"jet": ("home",), "lag": ("home",)})
+        lexicon = DefinitionLexicon(definitions={"jet": "home", "lag": "home"})
         outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.value == 1.0
         word = score_pair(WORD, toy_table, None, None, LexemePair("jet", "lag"))
@@ -154,12 +156,12 @@ class TestDefinitionContentSimilarity:
         # With the stop word removed both definitions reduce to the same
         # token, so the score is exactly 1 despite different raw sums.
         table = load_embeddings(["the 9 9", "x 1 0"])
-        lexicon = DefinitionLexicon(entries={"a": ("the", "x"), "b": ("x",)})
+        lexicon = DefinitionLexicon(definitions={"a": "the x", "b": "x"})
         outcome = score_pair(CONTENT, table, lexicon, frozenset({"the"}), LexemePair("a", "b"))
         assert outcome.value == 1.0
 
     def test_empty_stopword_set_is_the_identity(self, toy_table, toy_lexicon):
-        vocab = list(toy_lexicon.entries)
+        vocab = list(toy_lexicon.definitions)
         for left, right in itertools.product(vocab, repeat=2):
             pair = LexemePair(left, right)
             filtered = score_pair(CONTENT, toy_table, toy_lexicon, frozenset(), pair)
@@ -167,14 +169,14 @@ class TestDefinitionContentSimilarity:
             assert filtered == unfiltered
 
     def test_all_stopword_definition_unscorable(self, toy_table, toy_stopwords):
-        lexicon = DefinitionLexicon(entries={"x": ("the", "a"), "y": ("jet",)})
+        lexicon = DefinitionLexicon(definitions={"x": "the a", "y": "jet"})
         outcome = score_pair(CONTENT, toy_table, lexicon, toy_stopwords, LexemePair("x", "y"))
         assert outcome.unscorable_reason == "all-stopwords"
 
 
 class TestScorerSymmetry:
     def test_all_methods_symmetric_on_full_fixture(self, toy_table, toy_lexicon, toy_stopwords):
-        vocab = sorted(toy_table.entries)
+        vocab = sorted(toy_table.index)
         for left, right in itertools.combinations(vocab, 2):
             pair = LexemePair(left, right)
             flipped = LexemePair(right, left)
@@ -199,32 +201,31 @@ _VECTORS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 @st.composite
 def _scoring_inputs(draw):
     rows = draw(st.dictionaries(st.sampled_from(_TOKENS), _VECTORS))
-    table = EmbeddingTable(
-        dimension=2, entries={token: np.array(row, dtype=np.float64) for token, row in rows.items()}
-    )
+    table = make_table(rows, dimension=2)
     definitions = draw(
         st.dictionaries(
             st.sampled_from(_LEXEMES),
-            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(tuple),
+            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(" ".join),
         )
     )
     stopwords = draw(st.frozensets(st.sampled_from(_TOKENS)))
-    return table, DefinitionLexicon(entries=definitions), stopwords
+    return table, DefinitionLexicon(definitions=definitions), stopwords
 
 
 def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
     """Reference (vector, reason) for one lexeme, built without mwedetect."""
     if method is WORD:
-        vector = table.entries.get(lexeme)
+        vector = table.lookup(lexeme)
         return (None, oov_reason) if vector is None else (vector, None)
-    tokens = lexicon.entries.get(lexeme)
-    if tokens is None:
+    definition = lexicon.definitions.get(lexeme)
+    if definition is None:
         return None, NO_DEFINITION
+    tokens = definition.split(" ")
     if method is CONTENT:
         tokens = [t for t in tokens if t not in stopwords]
         if not tokens:
             return None, ALL_STOPWORDS
-    rows = [table.entries[t] for t in tokens if t in table.entries]
+    rows = [table.lookup(t) for t in tokens if t in table]
     if not rows:
         return None, ALL_OOV
     with np.errstate(over="ignore"):
@@ -253,7 +254,7 @@ class TestScorePairProperties:
                 else:
                     assert outcome.is_scorable
                     if method is WORD:
-                        assert outcome.value == cosine(table.entries[left], table.entries[right])
+                        assert outcome.value == cosine(table.lookup(left), table.lookup(right))
                 flipped = score_pair(method, table, lexicon, stopwords, LexemePair(right, left))
                 assert flipped.value == outcome.value
                 assert flipped.is_scorable == outcome.is_scorable
@@ -266,7 +267,7 @@ class TestNonFiniteScores:
         # is reported as non-finite, so numpy's overflow warning must not
         # escape as well.
         table = load_embeddings(["a 1e308 1", "b 1 -1"])
-        lexicon = DefinitionLexicon(entries={"x": ("a", "a"), "y": ("b",)})
+        lexicon = DefinitionLexicon(definitions={"x": "a a", "y": "b"})
         assert NON_FINITE in UNSCORABLE_REASONS
         for method in (DEFINITION, CONTENT):
             for pair in (LexemePair("x", "y"), LexemePair("y", "x")):
@@ -291,14 +292,11 @@ def _batch_inputs(draw):
     rows = draw(
         st.dictionaries(st.sampled_from(_TOKENS), st.integers(0, len(pool) - 1), min_size=3)
     )
-    table = EmbeddingTable(
-        dimension=dim,
-        entries={token: np.array(pool[i], dtype=np.float64) for token, i in rows.items()},
-    )
+    table = make_table({token: pool[i] for token, i in rows.items()}, dimension=dim)
     definitions = draw(
         st.dictionaries(
             st.sampled_from(_LEXEMES),
-            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(tuple),
+            st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=3).map(" ".join),
             min_size=2,
         )
     )
@@ -306,7 +304,7 @@ def _batch_inputs(draw):
     lexeme = st.sampled_from(_LEXEMES)
     pairs = draw(st.lists(st.builds(LexemePair, lexeme, lexeme), max_size=12))
     block_rows = draw(st.integers(min_value=1, max_value=5))
-    return table, DefinitionLexicon(entries=definitions), stopwords, pairs, block_rows
+    return table, DefinitionLexicon(definitions=definitions), stopwords, pairs, block_rows
 
 
 def _reference_outcome(method, table, lexicon, stopwords, pair):
@@ -344,6 +342,7 @@ class TestScorePairsProperties:
         for method in ALL_METHODS:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(scoring, "BLOCK_ROWS", block_rows)
+                patch.setattr(definitions, "BLOCK_ROWS", block_rows)
                 outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
             assert len(outcomes) == len(pairs)
             for pair, outcome in zip(pairs, outcomes):
