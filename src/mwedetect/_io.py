@@ -7,6 +7,7 @@ A loader's own error raised while it reads a source names that source once:
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import os
 from collections.abc import Iterable, Iterator
@@ -64,12 +65,9 @@ def naming(source: object, error: type[MweDetectError]) -> Iterator[None]:
     except UnicodeDecodeError as exc:
         where = "line unknown"  # no file to read again, or it no longer fails to decode
         if name is not None and os.path.isfile(name):
-            data = Path(name).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as first:
-                exc = first
-                lineno = data.count(b"\n", 0, first.start) + 1
+            found = _first_bad_byte(name)
+            if found is not None:
+                exc, lineno = found
                 where = f"line {lineno}"
         bad = exc.object[exc.start : exc.start + 1].hex()
         raise error(f"{prefix}{where}: not UTF-8 ({exc.reason}, byte 0x{bad})") from None
@@ -77,3 +75,28 @@ def naming(source: object, error: type[MweDetectError]) -> Iterator[None]:
         if name is None:
             raise
         raise error(f"{prefix}{exc}") from None
+
+
+def _first_bad_byte(path: str) -> tuple[UnicodeDecodeError, int] | None:
+    """The decode error at the first byte of ``path`` that is not UTF-8, and its line.
+
+    The file is decoded in 1 MiB chunks, so memory stays flat however large
+    it is; a character split between two chunks decodes as a whole. Lines
+    are counted at ``\n``. None when the whole file decodes.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    newlines = 0
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            try:
+                decoder.decode(chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the undecoded tail of the last chunk, which
+                # holds no newline, followed by this chunk.
+                return exc, newlines + exc.object.count(b"\n", 0, exc.start) + 1
+            newlines += chunk.count(b"\n")
+        try:
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as exc:  # the file ends inside a character
+            return exc, newlines + 1
+    return None

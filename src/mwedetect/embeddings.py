@@ -7,12 +7,18 @@ ASCII spaces. A word2vec ``V D`` header line is also accepted.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import logging
+import mmap
 import os
+import pickle
 import re
+import signal
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -76,81 +82,40 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
 
     Each block of ``BLOCK_LINES`` entry lines is parsed and copied into the
     table's matrix. A regular file's matrix is allocated once, with one row
-    per line of the file, and shrunk to the entries at the end; any other
-    source's matrix grows by doubling.
+    per line of the file; any other source's matrix grows by doubling.
+
+    On Linux a regular file of at least ``2 * BLOCK_LINES`` lines is split
+    into one byte range per CPU the process may run on (at most one per
+    ``BLOCK_LINES`` lines). This process parses the first range; a forked
+    child parses each other range into the same shared matrix and sends
+    back only its tokens or its exception. The table and the errors are
+    those of a one-range parse, with one exception: a range's text is
+    decoded up to 8 KiB ahead of the line being checked, so a byte that is
+    not UTF-8 may be reported in place of an earlier format fault, and how
+    far ahead differs with where the range starts. On Python 3.12 and later
+    ``os.fork`` issues a DeprecationWarning when the process runs other
+    threads, as numpy's BLAS pool does; the children only parse text and
+    leave through ``os._exit``.
 
     Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream; for a path or an open file the
-    message starts with its name.
+    message starts with its name. Raises ChildProcessError, naming the file,
+    when a child ends without a result (it was killed, for instance).
     """
     source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
-    index: dict[str, int] = {}
-    matrix = np.empty((0, 0))
-    duplicates: list[str] = []
-    dimension: int | None = None
-    # The pending block: the lowercase token, the value text and the line
-    # number of each entry line not yet parsed.
-    tokens: list[str] = []
-    rests: list[str] = []
-    linenos: list[int] = []
-
-    def parse_pending() -> None:
-        nonlocal matrix
-        if not rests:
-            return
-        block = _parse_rows(rests, linenos)
-        start = len(index)
-        kept = []
-        for position, token in enumerate(tokens):
-            if token in index:
-                duplicates.append(token)
-            else:
-                index[token] = start + len(kept)
-                kept.append(position)
-        stop = len(index)
-        if stop > len(matrix):
-            # A regular file's matrix has a row per newline: only a stream, a
-            # pipe, lone carriage-return line ends (text mode splits lines on
-            # them too) or a file that grew since the count gets here.
-            grown = np.empty((max(stop, 2 * len(matrix)), dimension))
-            grown[:start] = matrix[:start]
-            matrix = grown
-        matrix[start:stop] = block if len(kept) == len(block) else block[kept]
-        tokens.clear()
-        rests.clear()
-        linenos.clear()
-
     with text_lines(source, EmbeddingFormatError) as lines:
-        declared, numbered = _skip_header(iter(lines))
-        for lineno, raw in numbered:
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            token, sep, rest = line.partition(" ")
-            found = rest.count(" ") + 1
-            if dimension is None and sep:
-                dimension = found
-                matrix = np.empty((_reserved_rows(source_label), dimension))
-            if token.split() != [token]:
-                problem = "empty or whitespace token"
-            elif not sep:
-                problem = "token without values"
-            elif found != dimension:
-                problem = f"expected {dimension} values, found {found}"
-            elif not rest:
-                # loadtxt would skip an empty row instead of rejecting it.
-                problem = "non-numeric value (empty field)"
-            else:
-                tokens.append(token.lower())
-                rests.append(rest)
-                linenos.append(lineno)
-                if len(rests) == BLOCK_LINES:
-                    parse_pending()
-                continue
-            # A bad value on an earlier line of the pending block comes first.
-            parse_pending()
-            raise EmbeddingFormatError(f"line {lineno}: {problem}")
-        parse_pending()
+        declared, dimension, numbered = _read_head(iter(lines))
+        ranges = _line_ranges(source_label) if dimension else []
+        rows = sum(count for _, count in ranges)
+        if len(ranges) < 2:
+            matrix = np.empty((rows, dimension or 0))
+            tokens, matrix = _read_entries(numbered, dimension, matrix, 0)
+            parts = [(0, tokens)]
+        else:
+            # Anonymous and shared, so the children's writes land here.
+            matrix = np.frombuffer(mmap.mmap(-1, rows * dimension * 8)).reshape(rows, dimension)
+            parts = _read_split(source_label, ranges, dimension, numbered, matrix)
+        index, duplicates, kept = _first_wins(parts, len(matrix))
         if not index:
             raise EmbeddingFormatError("embedding source contains no entries")
         entry_lines = len(index) + len(duplicates)
@@ -166,10 +131,13 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
             len(duplicates),
             duplicates[0],
         )
-    if len(matrix) > len(index):
-        # Shrinks in place; the rows past the entries were never written.
+    _close_gaps(matrix, kept)
+    if matrix.base is None:
+        # Shrinks in place; the rows past the entries hold nothing needed.
         # No view of the matrix exists yet, so the reference check is moot.
         matrix.resize((len(index), dimension), refcheck=False)
+    else:
+        matrix = matrix[: len(index)]
     matrix.flags.writeable = False
     return EmbeddingTable(
         index=index,
@@ -179,43 +147,266 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     )
 
 
-def _reserved_rows(path: str) -> int:
-    """Rows to reserve for the entries of ``path``: its line count.
+def _read_entries(
+    numbered: Iterable[tuple[int, str]], dimension: int | None, matrix: np.ndarray, row: int
+) -> tuple[list[str], np.ndarray]:
+    """Check numbered lines and parse their entries into ``matrix`` from ``row`` on.
 
-    Each entry takes a line, so a regular file with newline line ends holds
-    at most its newlines plus one (a last line without one) entries.
-    Counting them reads the file once more, in chunks. Anything else (no
-    path, or a pipe that cannot be read twice) reserves nothing.
+    Each entry line takes the next row, duplicates included. Returns the
+    entry tokens, lowercase and in line order, and the matrix: a larger copy
+    if the entries outgrew it. Raises EmbeddingFormatError naming the first
+    bad line.
+    """
+    tokens: list[str] = []
+    # The pending block: the value text and the line number of each entry
+    # line not yet parsed.
+    rests: list[str] = []
+    linenos: list[int] = []
+
+    def parse_pending() -> None:
+        nonlocal matrix
+        if not rests:
+            return
+        stop = row + len(tokens)
+        start = stop - len(rests)
+        if stop > len(matrix):
+            # Only a stream, a pipe or a file that grew since its lines were
+            # counted gets here.
+            grown = np.empty((max(stop, 2 * len(matrix)), dimension))
+            grown[:start] = matrix[:start]
+            matrix = grown
+        matrix[start:stop] = _parse_rows(rests, linenos)
+        rests.clear()
+        linenos.clear()
+
+    for lineno, raw in numbered:
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        token, sep, rest = line.partition(" ")
+        found = rest.count(" ") + 1
+        if token.split() != [token]:
+            problem = "empty or whitespace token"
+        elif not sep:
+            problem = "token without values"
+        elif found != dimension:
+            problem = f"expected {dimension} values, found {found}"
+        elif not rest:
+            # loadtxt would skip an empty row instead of rejecting it.
+            problem = "non-numeric value (empty field)"
+        else:
+            tokens.append(token.lower())
+            rests.append(rest)
+            linenos.append(lineno)
+            if len(rests) == BLOCK_LINES:
+                parse_pending()
+            continue
+        # A bad value on an earlier line of the pending block comes first.
+        parse_pending()
+        raise EmbeddingFormatError(f"line {lineno}: {problem}")
+    parse_pending()
+    return tokens, matrix
+
+
+def _read_split(
+    path: str,
+    ranges: list[tuple[int, int]],
+    dimension: int,
+    numbered: Iterator[tuple[int, str]],
+    matrix: np.ndarray,
+) -> list[tuple[int, list[str]]]:
+    """Parse the first range from ``numbered`` here and each later one in a child.
+
+    ``ranges`` holds each range's first byte and line count, and ``matrix``
+    is shared: a range's entries take rows from the number of lines before
+    it on. Returns each range's first row and entry tokens. Raises the error
+    of the earliest range that failed. Every child is reaped before this
+    returns or raises; one still running then is killed first.
+    """
+    pipes: dict[int, tuple[int, io.BufferedReader]] = {}
+    try:
+        first_lines = ranges[0][1]
+        row = first_lines
+        for start, count in ranges[1:]:
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(reader)
+                _child(writer, path, start, count, dimension, matrix, row)
+            os.close(writer)
+            pipes[pid] = (row, open(reader, "rb"))
+            row += count
+        head = itertools.takewhile(lambda numbered_line: numbered_line[0] <= first_lines, numbered)
+        parts = [(0, _read_entries(head, dimension, matrix, 0)[0])]
+        for pid, (row, pipe) in list(pipes.items()):
+            with pipe:
+                result = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            if os.waitstatus_to_exitcode(status) != 0 or not result:
+                raise ChildProcessError(
+                    f"{path}: the child parsing from line {row + 1} ended without a result"
+                )
+            tokens, error = pickle.loads(result)
+            if error is not None:
+                raise error
+            parts.append((row, tokens))
+        return parts
+    finally:
+        for pid, (_, pipe) in pipes.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(
+    writer: int, path: str, start: int, count: int, dimension: int, matrix: np.ndarray, row: int
+) -> NoReturn:
+    """The whole life of a forked child: parse ``count`` lines of ``path`` from
+    byte ``start`` into ``matrix`` from ``row`` on, and pickle the tokens or
+    the exception to ``writer``. It leaves only through ``os._exit``, with
+    status 0 once the result is sent."""
+    status = 1
+    try:
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(start)
+                lines = itertools.islice(io.TextIOWrapper(handle, encoding="utf-8"), count)
+                numbered = enumerate(lines, start=row + 1)
+                result = (_read_entries(numbered, dimension, matrix, row)[0], None)
+        except BaseException as exc:  # the parent raises it again
+            result = (None, exc)
+        with open(writer, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _first_wins(
+    parts: list[tuple[int, list[str]]], rows: int
+) -> tuple[dict[str, int], list[str], np.ndarray]:
+    """Index the entry tokens of ``parts`` in file order, first occurrence kept.
+
+    ``parts`` holds each range's first row and its tokens, a row each, out
+    of ``rows`` rows. Returns the token -> row index, the duplicate tokens
+    and, in order, the rows that hold a kept entry.
+    """
+    index: dict[str, int] = {}
+    duplicates: list[str] = []
+    kept = np.zeros(rows, dtype=bool)
+    for row, tokens in parts:
+        kept[row : row + len(tokens)] = True
+        for position, token in enumerate(tokens, start=row):
+            if token in index:
+                duplicates.append(token)
+                kept[position] = False
+            else:
+                index[token] = len(index)
+    return index, duplicates, np.flatnonzero(kept)
+
+
+def _close_gaps(matrix: np.ndarray, rows: np.ndarray) -> None:
+    """Move row ``rows[i]`` of ``matrix`` to row ``i``, in place.
+
+    ``rows`` rises strictly, so every row moves down or stays. Blocks move
+    front to back, and no row is overwritten before it has moved.
+    """
+    for start in range(0, len(rows), BLOCK_LINES):
+        block = rows[start : start + BLOCK_LINES]
+        if block[-1] != start + len(block) - 1:
+            matrix[start : start + len(block)] = matrix[block]
+
+
+def _line_ranges(path: str) -> list[tuple[int, int]]:
+    """Split the file at ``path`` into byte ranges to parse side by side.
+
+    There are ``min(CPUs available, lines // BLOCK_LINES)`` ranges, at least
+    one, and range k starts after the first ``\\n`` at or after byte
+    ``size * k / ranges`` (ranges that come out empty are dropped). Returns
+    each range's first byte and line count; the counts sum to the file's
+    lines, which end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` as in text mode.
+    Anything but a regular file (no path, or a pipe that cannot be read
+    twice) has no ranges.
     """
     if not path or not os.path.isfile(path):
-        return 0
+        return []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     with open(path, "rb") as handle:
-        chunks = iter(lambda: handle.read(1 << 20), b"")
-        return sum(chunk.count(b"\n") for chunk in chunks) + 1
+        size = os.fstat(handle.fileno()).st_size
+        ranges = _count_ranges(handle, size, cpus)
+        parts = min(cpus, sum(count for _, count in ranges) // BLOCK_LINES)
+        if parts < cpus:
+            ranges = _count_ranges(handle, size, max(parts, 1))
+    return ranges
 
 
-def _skip_header(lines: Iterator[str]) -> tuple[int | None, Iterator[tuple[int, str]]]:
-    """Take a word2vec ``V D`` header off the front of ``lines``.
+def _count_ranges(handle: io.BufferedReader, size: int, parts: int) -> list[tuple[int, int]]:
+    """The first byte and line count of each of ``parts`` ranges of ``handle``."""
+    starts = [0]
+    for k in range(1, parts):
+        handle.seek(size * k // parts)
+        while (piece := handle.readline(1 << 16)) and not piece.endswith(b"\n"):
+            pass
+        position = handle.tell()
+        if starts[-1] < position < size:
+            starts.append(position)
+    counts = [_count_lines(handle, start, stop) for start, stop in zip(starts, starts[1:] + [size])]
+    handle.seek(max(size - 1, 0))
+    if handle.read(1) not in (b"", b"\n", b"\r"):
+        counts[-1] += 1  # a last line without a line end
+    return list(zip(starts, counts))
+
+
+def _count_lines(handle: io.BufferedReader, start: int, stop: int) -> int:
+    """The line ends in bytes ``start`` to ``stop`` of ``handle``, read in 1 MiB chunks."""
+    handle.seek(start)
+    count = 0
+    previous = b""
+    while start < stop:
+        chunk = handle.read(min(1 << 20, stop - start))
+        if not chunk:
+            break
+        start += len(chunk)
+        count += chunk.count(b"\n")
+        if b"\r" in chunk:
+            # A lone carriage return ends a line too; \r\n ends one line.
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if previous.endswith(b"\r") and chunk.startswith(b"\n"):
+            count -= 1  # a \r\n split between two chunks
+        previous = chunk
+    return count
+
+
+def _read_head(lines: Iterator[str]) -> tuple[int | None, int | None, Iterator[tuple[int, str]]]:
+    """Take a word2vec ``V D`` header off the front of ``lines`` and fix the dimension.
 
     Line 1 is a header when it holds exactly two ASCII integers >= 1 and the
     next non-blank line carries ``D`` values; a 1-d GloVe entry such as
-    ``2 3`` is not. Returns ``V`` (None without a header) and the numbered
-    lines left to parse.
+    ``2 3`` is not. Returns ``V`` (None without a header), the number of
+    values on the first entry line (None when there is no non-blank line,
+    or the first has no values) and the numbered lines left to parse.
     """
-    first = next(lines, None)
-    if first is None:
-        return None, iter(())
-    fields = first.rstrip("\r\n").split(" ")
-    ahead = [first]
-    if len(fields) == 2 and all(f.isascii() and f.isdigit() and int(f) >= 1 for f in fields):
+    ahead: list[str] = []
+
+    def next_filled() -> str | None:
         for raw in lines:
             ahead.append(raw)
             line = raw.rstrip("\r\n")
             if line:
-                if line.count(" ") == int(fields[1]):
-                    return int(fields[0]), enumerate(itertools.chain(ahead[1:], lines), start=2)
-                break
-    return None, enumerate(itertools.chain(ahead, lines), start=1)
+                return line
+        return None
+
+    first = next_filled()
+    fields = first.split(" ") if first is not None and len(ahead) == 1 else []
+    if len(fields) == 2 and all(f.isascii() and f.isdigit() and int(f) >= 1 for f in fields):
+        following = next_filled()
+        if following is not None and following.count(" ") == int(fields[1]):
+            numbered = enumerate(itertools.chain(ahead[1:], lines), start=2)
+            return int(fields[0]), int(fields[1]), numbered
+    dimension = None if first is None else first.count(" ") or None
+    return None, dimension, enumerate(itertools.chain(ahead, lines), start=1)
 
 
 def _parse_rows(rests: list[str], linenos: list[int]) -> np.ndarray:
@@ -254,18 +445,28 @@ def row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine of each row of the (n, d) matrix ``u`` with the same row of ``v``.
 
     Returns ``(values, zero_norm)``. ``zero_norm`` flags the rows where
-    either vector has norm 0. ``values`` is NaN on those rows and on rows
+    either vector is all zeros. ``values`` is NaN on those rows and on rows
     whose formula overflows float64 (an inf component, or a squared norm or
     product of norms past the float64 range). Every other value lies in
-    [-1, 1] and is bit-identical to ``np.dot(a, b) / (norm(a) * norm(b))``
+    [-1, 1]. Where both vectors have a component of magnitude 2**-500 or
+    more, it is bit-identical to ``np.dot(a, b) / (norm(a) * norm(b))``
     with ``np.linalg.norm``, clamped; the clamp guards against round-off,
     without which a score of 1.0000000000000002 could leak past a threshold
-    of 1.0.
+    of 1.0. A smaller vector's squared norm could underflow to 0 or lose
+    bits, so on such a row both vectors are first scaled up by powers of
+    two, which is exact.
     """
+    values = _row_cosines(u, v)
+    redo = np.minimum(np.abs(u).max(axis=1), np.abs(v).max(axis=1)) < 2.0**-500
+    if redo.any():
+        values[redo] = _row_cosines(_scaled_up(u[redo]), _scaled_up(v[redo]))
+    return values, ~u.any(axis=1) | ~v.any(axis=1)
+
+
+def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The values of ``row_cosines``, by the formula alone."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm_u = np.sqrt(row_dots(u, u))
-        norm_v = np.sqrt(row_dots(v, v))
-        denominator = norm_u * norm_v
+        denominator = np.sqrt(row_dots(u, u)) * np.sqrt(row_dots(v, v))
         values = row_dots(u, v) / denominator
     finite = np.isfinite(values) & np.isfinite(denominator)
     values = np.clip(values, -1.0, 1.0)
@@ -274,13 +475,20 @@ def row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # the general formula cannot guarantee.
     values[(u == v).all(axis=1)] = 1.0
     values[~finite] = np.nan
-    return values, (norm_u == 0.0) | (norm_v == 0.0)
+    return values
+
+
+def _scaled_up(rows: np.ndarray) -> np.ndarray:
+    """``rows``, each row whose largest |component| is below 0.5 scaled up by
+    the power of two that brings it into [0.5, 1); scaling up is exact."""
+    exponents = np.minimum(np.frexp(np.abs(rows).max(axis=1))[1], 0)
+    return np.ldexp(rows, -exponents[:, None])
 
 
 def cosine(a: np.ndarray | Sequence[float], b: np.ndarray | Sequence[float]) -> float:
     """Cosine similarity of two equal-length vectors: the one-row ``row_cosines``.
 
-    Raises ZeroNormError when either vector has norm 0, and NonFiniteError
+    Raises ZeroNormError when either vector is all zeros, and NonFiniteError
     when the formula overflows float64.
     """
     a = np.asarray(a, dtype=np.float64)

@@ -331,7 +331,9 @@ def _parse_config(content: str, base: Path) -> ExperimentConfig:
     fields = {field.name: field for field in dataclasses.fields(ExperimentConfig)}
     types = typing.get_type_hints(ExperimentConfig)
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    # read_text has made every line end a "\n"; splitlines would also break
+    # at form feeds and other characters a value or a path may hold.
+    for lineno, line in enumerate(content.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

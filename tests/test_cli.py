@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwedetect import cli
+from mwedetect import cli, embeddings
 from mwedetect.cli import main
 from mwedetect.errors import MweDetectError
 
@@ -367,7 +368,9 @@ _COMMANDS = {
 
 class TestMutatedInputs:
     """On damaged input files, main exits 0, 1 or 2 and raises nothing; exit 1
-    comes only from a typed error, never from an OSError on a readable file."""
+    comes only from a typed error, never from an OSError on a readable file.
+    Damaged embeddings are read in blocks of one to four lines by up to three
+    processes, so that the loader splits even the small fixture."""
 
     @pytest.mark.parametrize("command", _COMMANDS)
     @settings(max_examples=120, deadline=None)
@@ -391,6 +394,10 @@ class TestMutatedInputs:
                 shutil.copy(source, tmp)
             Path(tmp, name).write_bytes(damaged)
             patch.setattr(cli, f"cmd_{command}", recording)
+            if name == "toy_embeddings.txt":
+                block_lines = data.draw(st.integers(1, 4), label="block lines")
+                patch.setattr(embeddings, "BLOCK_LINES", block_lines)
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
             code = main(argv(tmp, method))
         assert code in (0, 1, 2)
         # main catches only typed errors and OSErrors; an OSError here is a bug.

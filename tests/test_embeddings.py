@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import os
 import re
+import signal
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwedetect import embeddings
+from mwedetect.cli import main
 from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
@@ -82,6 +86,11 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="no entries"):
             load_embeddings([])
 
+    @pytest.mark.parametrize("lines", [[""], ["\r\n"], ["\n", ""]])
+    def test_blank_lines_only(self, lines):
+        with pytest.raises(EmbeddingFormatError, match="^embedding source contains no entries$"):
+            load_embeddings(lines)
+
     def test_zero_vector_loads(self):
         # A zero-norm entry is a parse-level success; it only fails at cosine time.
         table = load_embeddings(["zero 0 0", "one 1 0"])
@@ -130,33 +139,34 @@ class TestMatrixReservation:
         ]
         path = tmp_path / "glove.txt"
         path.write_text("300 50\n\n" + "\n".join(entries) + "\n", encoding="utf-8")
-        assert embeddings._reserved_rows(str(path)) == len(entries) + 3
+        # The header, the blank line and the entries; no row for a line after the last newline.
+        assert sum(count for _, count in embeddings._line_ranges(str(path))) == len(entries) + 2
         table = load_embeddings(path)
         assert table.matrix.shape == (len(entries), 50)
 
     def test_last_line_without_newline_has_a_row(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("a 1\nb 2", encoding="utf-8")
-        assert embeddings._reserved_rows(str(path)) == 2
+        assert embeddings._line_ranges(str(path)) == [(0, 2)]
         assert len(load_embeddings(path)) == 2
 
-    def test_lone_carriage_returns_outgrow_the_reservation(self, tmp_path):
+    def test_lone_carriage_returns_are_counted(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_bytes(b"a 1\rb 2\rc 3\r")
-        assert embeddings._reserved_rows(str(path)) == 1
+        assert embeddings._line_ranges(str(path)) == [(0, 3)]
         table = load_embeddings(path)
         assert list(table.index) == ["a", "b", "c"]
         assert table.matrix.tobytes() == np.array([[1.0], [2.0], [3.0]]).tobytes()
 
     def test_no_path_reserves_nothing(self):
-        assert embeddings._reserved_rows("") == 0
+        assert embeddings._line_ranges("") == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_path_grows_like_a_stream(self, tmp_path):
         lines = [f"w{i} {i} {-i}\n" for i in range(1, 12)]
         pipe = tmp_path / "embeddings.pipe"
         os.mkfifo(pipe)
-        assert embeddings._reserved_rows(str(pipe)) == 0
+        assert embeddings._line_ranges(str(pipe)) == []
         writer = threading.Thread(target=pipe.write_text, args=("".join(lines),), daemon=True)
         writer.start()
         with pytest.MonkeyPatch.context() as patch:
@@ -321,6 +331,212 @@ class TestBlockParseProperties:
                 assert re.match(re.escape(expected), str(caught.value))
 
 
+def _see_cpus(patch, count):
+    """Make the loader see ``count`` CPUs, so that it splits into up to that many ranges."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _outcome(path):
+    """What a load of ``path`` gives: its tokens, row bytes and duplicates, or its error."""
+    try:
+        table = load_embeddings(path)
+    except EmbeddingFormatError as exc:
+        return str(exc)
+    return list(table.index), table.matrix.shape, table.matrix.tobytes(), table.duplicate_tokens
+
+
+def _text_lines(data):
+    """The lines text mode reads from ``data``: it ends them at \\n, \\r\\n and a lone \\r."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").readlines()
+
+
+_FAULTS = st.sampled_from(["token", "count", "non-numeric", "inf", "decode"])
+
+
+@st.composite
+def split_files(draw):
+    """An embedding file's bytes: maybe a header, blank lines, every line end,
+    duplicate tokens, and maybe format and decode faults."""
+    lines, _ = draw(embedding_lines())
+    contents = [line.rstrip("\r\n") for line in lines]
+    for position, kind in draw(st.lists(st.tuples(st.integers(min_value=0), _FAULTS), max_size=2)):
+        lineno = position % len(contents)
+        token, _, rest = contents[lineno].partition(" ")
+        if kind == "token":
+            token = f"{token}\t{token}"
+        elif kind == "count":
+            rest += " 1"
+        elif kind == "non-numeric":
+            rest = "x" + rest
+        elif kind == "inf":
+            rest = "-inf " + rest.partition(" ")[2] if " " in rest else "-inf"
+        contents[lineno] = " ".join(filter(None, [token, rest]))
+    data = [content.encode() for content in contents]
+    for lineno in draw(st.lists(st.integers(min_value=0), max_size=1)):
+        line = data[lineno % len(data)]
+        cut = draw(st.integers(min_value=0, max_value=len(line)))
+        bad = draw(st.sampled_from([b"\xff", b"\xe9", b"\xe2\x82"]))
+        data[lineno % len(data)] = line[:cut] + bad + line[cut:]
+    endings = [draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in data]
+    if draw(st.booleans()):
+        endings[-1] = b""
+    return b"".join(line + ending for line, ending in zip(data, endings))
+
+
+class TestSplitLoadProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        split_files(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)
+    )
+    def test_split_load_equals_one_range_load(self, data, cpus, block_lines):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            path = Path(tmp) / "embeddings.txt"
+            path.write_bytes(data)
+            patch.setattr(embeddings, "BLOCK_LINES", block_lines)
+            _see_cpus(patch, 1)
+            assert embeddings._line_ranges(str(path)) == [(0, len(_text_lines(data)))]
+            one_range = _outcome(path)
+            _see_cpus(patch, cpus)
+            ranges = embeddings._line_ranges(str(path))
+            split = _outcome(path)
+        assert split == one_range
+        assert len(ranges) <= max(min(cpus, len(_text_lines(data)) // block_lines), 1)
+        stops = [start for start, _ in ranges[1:]] + [len(data)]
+        for (start, count), stop in zip(ranges, stops):
+            # Each range starts after a newline and counts its lines as text mode does.
+            assert start == 0 or data[start - 1 : start] == b"\n"
+            assert count == len(_text_lines(data[start:stop]))
+
+    def test_decode_fault_after_format_fault(self, tmp_path):
+        # The one case where a split load may differ from a one-range load:
+        # text is decoded ahead of the line being checked, and where a range
+        # starts moves how far ahead. A file under 8 KiB is decoded whole at
+        # the first read, so both loads name the bad byte on line 4 rather
+        # than the line without values, line 2.
+        path = tmp_path / "embeddings.txt"
+        path.write_bytes(b"a 1\nb\nc 1\nd\xff 1\n")
+        expected = f"{path}: line 4: not UTF-8 (invalid start byte, byte 0xff)"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 1)
+            for cpus in (1, 2):
+                _see_cpus(patch, cpus)
+                assert len(embeddings._line_ranges(str(path))) == cpus
+                assert _outcome(path) == expected
+
+
+class TestLineRanges:
+    def test_range_starts_after_the_first_newline_at_or_after_its_share(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"".join(b"w%d %d\n" % (i, i) for i in range(8)))  # 5 bytes a line
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 1)
+            _see_cpus(patch, 2)
+            # Byte 20 starts line 5; the newline at byte 24 ends it.
+            assert embeddings._line_ranges(str(path)) == [(0, 5), (25, 3)]
+            _see_cpus(patch, 3)
+            assert embeddings._line_ranges(str(path)) == [(0, 3), (15, 3), (30, 2)]
+
+    def test_few_lines_take_one_range(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"a 1\n" * 7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 4)
+            _see_cpus(patch, 4)
+            assert embeddings._line_ranges(str(path)) == [(0, 7)]
+
+    def test_crlf_split_between_chunks_is_one_line_end(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"a" * ((1 << 20) - 1) + b"\r\nb\rc")
+        with pytest.MonkeyPatch.context() as patch:
+            _see_cpus(patch, 1)
+            assert embeddings._line_ranges(str(path)) == [(0, 3)]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
+)
+class TestWorkerLifecycle:
+    """Every forked child is reaped, whatever way the load ends."""
+
+    @pytest.fixture
+    def split_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        _see_cpus(monkeypatch, 3)
+        path = tmp_path / "embeddings.txt"
+        path.write_text("".join(f"w{i} {i} 1\n" for i in range(12)), encoding="utf-8")
+        assert len(embeddings._line_ranges(str(path))) == 3
+        return path
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_success(self, split_path):
+        table = load_embeddings(split_path)
+        assert list(table.index) == [f"w{i}" for i in range(12)]
+        assert table.matrix.tobytes() == np.array([[i, 1.0] for i in range(12)]).tobytes()
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("part", [0, 1, 2])
+    def test_failure_in_each_range(self, split_path, part):
+        ranges = embeddings._line_ranges(str(split_path))
+        lineno = sum(count for _, count in ranges[:part]) + 1
+        lines = split_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1].replace(" 1\n", " x\n")  # same length, same ranges
+        split_path.write_text("".join(lines), encoding="utf-8")
+        expected = f"^{re.escape(str(split_path))}: line {lineno}: non-numeric"
+        with pytest.raises(EmbeddingFormatError, match=expected):
+            load_embeddings(split_path)
+        self.assert_no_child_left()
+
+    def test_exception_in_the_merge(self, split_path, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("merge failed")
+
+        monkeypatch.setattr(embeddings, "_first_wins", broken)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            load_embeddings(split_path)
+        self.assert_no_child_left()
+
+    def test_interrupt_while_children_run(self, split_path, monkeypatch):
+        parent = os.getpid()
+        read_entries = embeddings._read_entries
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_entries(*args)
+
+        monkeypatch.setattr(embeddings, "_read_entries", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            load_embeddings(split_path)
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+    def test_killed_child_is_a_child_process_error_naming_the_file(
+        self, split_path, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+        parse_rows = embeddings._parse_rows
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse_rows(*args)
+
+        monkeypatch.setattr(embeddings, "_parse_rows", killed)
+        with pytest.raises(ChildProcessError, match=f"^{re.escape(str(split_path))}: "):
+            load_embeddings(split_path)
+        self.assert_no_child_left()
+        # As an OSError it ends the command line with exit 1.
+        assert main(["score", "w1", "w2", "--method", "word", "--embeddings", str(split_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {split_path}: ")
+        self.assert_no_child_left()
+
+
 class TestCosine:
     def test_known_value(self):
         # (1,2,2)·(2,1,2) = 8, both norms 3, so cosine is exactly 8/9.
@@ -343,6 +559,11 @@ class TestCosine:
             cosine([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ZeroNormError):
             cosine([1.0, 0.0], [0.0, 0.0])
+
+    def test_tiny_vectors_are_not_zero_norm(self):
+        assert cosine([1e-170, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine(0.03125 * np.array([2.6074556e-158, 0.0]), [1.0, 0.0]) == 1.0
+        assert cosine([5e-324, 0.0], [0.0, 5e-324]) == 0.0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -390,7 +611,7 @@ def vector_pairs(draw):
 
 
 def _nonzero(v: np.ndarray) -> bool:
-    return float(np.linalg.norm(v)) > 0.0
+    return bool(np.any(v))
 
 
 class TestCosineProperties:
@@ -401,6 +622,8 @@ class TestCosineProperties:
             return
         assert cosine(a, b) == cosine(b, a)
 
+    # Its squared norm underflows to 0; the vector is not zero.
+    @example(pair=(np.array([1e-170, 0.0]), np.array([1.0, 0.0])))
     @given(vector_pairs())
     def test_range(self, pair):
         a, b = pair
@@ -408,6 +631,8 @@ class TestCosineProperties:
             return
         assert -1.0 <= cosine(a, b) <= 1.0
 
+    # The squared norm of the scaled vector is subnormal and loses bits.
+    @example(pair=(np.array([2.6074556e-158, 0.0]), np.array([1.0, 0.0])), scale=0.03125)
     @given(vector_pairs(), st.floats(min_value=1e-3, max_value=1e3))
     def test_positive_scale_invariance(self, pair, scale):
         a, b = pair

@@ -113,6 +113,30 @@ def test_truncated_character_at_end_of_file(tmp_path):
         load_stopwords(path)
 
 
+def test_bad_byte_past_the_first_mebibyte(tmp_path):
+    # The line of the bad byte is found by decoding the file in 1 MiB chunks.
+    lines = [b"w%07d" % i for i in range(200_000)]
+    lines[150_000] = b"caf\xe9"
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert path.stat().st_size > 1 << 20
+    expected = r": line 150001: not UTF-8 \(invalid continuation byte, byte 0xe9\)$"
+    with pytest.raises(LexiconFormatError, match=expected):
+        load_stopwords(path)
+
+
+def test_character_split_between_chunks_decodes(tmp_path):
+    # "€" is three bytes; the first two end the first 1 MiB chunk.
+    head = b"a\n" * ((1 << 20) // 2 - 1) + b"\xe2"
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes(head + b"\x82\xac\nok\nnot\xff\n")
+    assert len(head) == (1 << 20) - 1
+    lineno = head.count(b"\n") + 3
+    expected = rf": line {lineno}: not UTF-8 \(invalid start byte, byte 0xff\)$"
+    with pytest.raises(LexiconFormatError, match=expected):
+        load_stopwords(path)
+
+
 def test_scan_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(b"jet lag\ncaf\xe9 jet lag\n")

@@ -476,6 +476,17 @@ class TestLoadConfig:
             load_config(path)
         assert str(error.value) == f"{path}: config line 6: unknown key {key!r}"
 
+    def test_form_feed_in_a_path_is_not_a_line_end(self, tmp_path):
+        # "a\x0cb.txt" is a legal Linux file name.
+        path = self._write(tmp_path, self.REQUIRED.replace("emb.txt", "a\x0cb.txt"))
+        assert load_config(path).embeddings == tmp_path / "a\x0cb.txt"
+
+    def test_form_feed_ending_a_line_keeps_the_count(self, tmp_path):
+        path = self._write(tmp_path, self.REQUIRED + "split_seed = 3\x0c\nseed = 1\n")
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"{path}: config line 7: unknown key 'seed'"
+
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(missing=st.sets(st.sampled_from(_REQUIRED_KEYS), min_size=1))
     def test_each_missing_required_key_named(self, tmp_path, missing):

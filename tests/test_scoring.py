@@ -315,10 +315,14 @@ def _reference_outcome(method, table, lexicon, stopwords, pair):
         return ScoreOutcome.unscorable(left_reason)
     if right is None:
         return ScoreOutcome.unscorable(right_reason)
+    if not (left.any() and right.any()):
+        return ScoreOutcome.unscorable(ZERO_NORM)
+    if min(np.abs(left).max(), np.abs(right).max()) < 2.0**-500:
+        # A squared norm could underflow: each vector below 0.5 is first
+        # scaled up by the power of two that brings it into [0.5, 1).
+        left, right = (np.ldexp(x, -min(math.frexp(np.abs(x).max())[1], 0)) for x in (left, right))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         norm_left, norm_right = np.linalg.norm(left), np.linalg.norm(right)
-        if norm_left == 0.0 or norm_right == 0.0:
-            return ScoreOutcome.unscorable(ZERO_NORM)
         denominator = norm_left * norm_right
         value = np.dot(left, right) / denominator
     if not (np.isfinite(value) and np.isfinite(denominator)):
