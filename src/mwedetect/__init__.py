@@ -24,7 +24,6 @@ from .definitions import (
     NO_DEFINITION,
     DefinitionLexicon,
     definition_embedding,
-    definition_embeddings,
     load_definitions,
     load_stopwords,
 )
@@ -67,6 +66,8 @@ from .scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
+    is_compound,
+    score_ids,
     score_pair,
     score_pairs,
 )
@@ -93,7 +94,6 @@ __all__ = [
     "load_definitions",
     "load_stopwords",
     "definition_embedding",
-    "definition_embeddings",
     "NO_DEFINITION",
     "ALL_OOV",
     "ALL_STOPWORDS",
@@ -101,8 +101,10 @@ __all__ = [
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",
+    "score_ids",
     "score_pairs",
     "score_pair",
+    "is_compound",
     "classify",
     "LEFT_OOV",
     "RIGHT_OOV",

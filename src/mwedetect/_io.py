@@ -52,7 +52,7 @@ def naming(source: object, error: type[MweDetectError]) -> Iterator[None]:
     A UnicodeDecodeError becomes ``error`` too. Text is decoded in chunks, so
     neither the error's offset nor a loader's line counter locates the bad
     byte. Only on this path, a named regular file's bytes are read again and
-    the newlines before the first bad byte are counted.
+    the line ends before the first bad byte are counted.
     """
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)
@@ -82,21 +82,32 @@ def _first_bad_byte(path: str) -> tuple[UnicodeDecodeError, int] | None:
 
     The file is decoded in 1 MiB chunks, so memory stays flat however large
     it is; a character split between two chunks decodes as a whole. Lines
-    are counted at ``\n``. None when the whole file decodes.
+    end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; a ``\r\n``
+    split between two chunks ends one line. None when the whole file
+    decodes.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    newlines = 0
+    line_ends = 0
+    previous = b""
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
+            if previous.endswith(b"\r") and chunk.startswith(b"\n"):
+                line_ends -= 1  # counted once at the \r, and once more at this \n
+            previous = chunk
             try:
                 decoder.decode(chunk)
             except UnicodeDecodeError as exc:
                 # exc.object is the undecoded tail of the last chunk, which
-                # holds no newline, followed by this chunk.
-                return exc, newlines + exc.object.count(b"\n", 0, exc.start) + 1
-            newlines += chunk.count(b"\n")
+                # holds no line end, followed by this chunk.
+                return exc, line_ends + _line_ends(exc.object, exc.start) + 1
+            line_ends += _line_ends(chunk, len(chunk))
         try:
             decoder.decode(b"", final=True)
         except UnicodeDecodeError as exc:  # the file ends inside a character
-            return exc, newlines + 1
+            return exc, line_ends + 1
     return None
+
+
+def _line_ends(data: bytes, stop: int) -> int:
+    """The line ends in ``data[:stop]``: each ``\n``, ``\r\n`` and lone ``\r``."""
+    return data.count(b"\n", 0, stop) + data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop)

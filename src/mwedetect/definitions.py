@@ -2,7 +2,9 @@
 
 A definition embedding is the elementwise sum of the embedding vectors of
 the tokens in a lexeme's first dictionary definition, optionally with stop
-words filtered out first.
+words filtered out first. ``resolve_definitions`` tokenizes the definitions
+a run needs once, into flat table rows and a stop-word mask, and
+``definition_sums`` sums them for either definition method.
 """
 
 from __future__ import annotations
@@ -97,59 +99,86 @@ def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
     return frozenset(words)
 
 
-def definition_embeddings(
+@dataclass(frozen=True, eq=False)
+class DefinitionRows:
+    """The definitions of a list of lexemes, each tokenized and looked up once.
+
+    ``rows`` holds the table row of every definition token, lexeme after
+    lexeme, -1 where the table lacks the token; ``stop`` flags its stop
+    words, or is None without a stop-word set. ``lengths[i]`` is the token
+    count of the i-th lexeme's definition, -1 when it has none.
+    """
+
+    rows: np.ndarray
+    stop: np.ndarray | None
+    lengths: np.ndarray
+
+
+def resolve_definitions(
     lexicon: DefinitionLexicon,
     table: EmbeddingTable,
     lexemes: Sequence[str],
     stopwords: frozenset[str] | set[str] | None,
-) -> tuple[np.ndarray, list[int | str]]:
+) -> DefinitionRows:
+    """Tokenize each lexeme's definition; look its tokens up in ``table`` and ``stopwords``."""
+    definitions = [lexicon.get(lexeme) for lexeme in lexemes]
+    lengths = np.fromiter((-1 if d is None else len(d) for d in definitions), np.intp, len(lexemes))
+    tokens = list(itertools.chain.from_iterable(d for d in definitions if d is not None))
+    # Tokens are lowercase, as the table's are, so no lookup lowercases.
+    rows = np.fromiter(map(table.index.get, tokens, itertools.repeat(-1)), np.intp, len(tokens))
+    stop = None
+    if stopwords is not None:
+        stop = np.fromiter(map(stopwords.__contains__, tokens), bool, len(tokens))
+    return DefinitionRows(rows=rows, stop=stop, lengths=lengths)
+
+
+def definition_sums(
+    resolved: DefinitionRows, table: EmbeddingTable, content: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Sum the embeddings of each lexeme's definition tokens, as rows of one matrix.
 
-    Stop words (when a set is given) are filtered first, then tokens absent
-    from the embedding table are dropped; what remains is summed in
-    definition order. Returns ``(matrix, where)``: ``where[i]`` is the row
-    of ``matrix`` holding the sum for ``lexemes[i]``, or the reason it has
-    none, one of ``no-definition``, ``all-stopwords`` or ``all-oov`` in that
-    order of precedence. Dropped out-of-vocabulary tokens are counted at
-    debug level only; they never fail the whole definition.
+    With ``content`` and a stop-word set, stop words are filtered first;
+    then tokens absent from the table are dropped, and what remains is
+    summed in definition order. Returns ``(matrix, where)``: ``where[i]`` is
+    the row of ``matrix`` holding the i-th lexeme's sum, or minus the code
+    of the reason it has none: 1 for ``no-definition``, 2 for
+    ``all-stopwords``, 3 for ``all-oov``, in that order of precedence.
+    Dropped out-of-vocabulary tokens are counted at debug level only.
 
     Each sum adds its tokens' rows to a copy of the first, left to right,
     so it is bit-deterministic for a given definition. The sums are taken
     ``BLOCK_ROWS`` lexemes at a time: the j-th token rows of a block are
     added at once, to the lexemes whose definitions have a j-th token.
     """
-    where: list[int | str] = []
-    token_rows: list[list[int]] = []
-    for lexeme in lexemes:
-        tokens = lexicon.get(lexeme)
-        if tokens is None:
-            where.append(NO_DEFINITION)
-            continue
-        if stopwords is not None:
-            tokens = [t for t in tokens if t not in stopwords]
-            if not tokens:
-                where.append(ALL_STOPWORDS)
-                continue
-        # Tokens are lowercase, as the table's are, so no lookup lowercases.
-        rows = [row for row in map(table.index.get, tokens) if row is not None]
-        if not rows:
-            where.append(ALL_OOV)
-            continue
-        dropped = len(tokens) - len(rows)
-        if dropped:
-            logger.debug("definition of %r: %d token(s) out of vocabulary", lexeme, dropped)
-        where.append(len(token_rows))
-        token_rows.append(rows)
+    sizes = np.maximum(resolved.lengths, 0)
+    ends = np.cumsum(sizes)
+
+    def per_lexeme(flags: np.ndarray) -> np.ndarray:
+        running = np.concatenate(([0], np.cumsum(flags)))
+        return running[ends] - running[ends - sizes]
+
+    filtered = content and resolved.stop is not None
+    keep = resolved.rows >= 0
+    if filtered:
+        keep &= ~resolved.stop
+    lengths = per_lexeme(keep)
+    where = np.where(resolved.lengths < 0, -1, -3)
+    if filtered:
+        where[(resolved.lengths >= 0) & (per_lexeme(~resolved.stop) == 0)] = -2
+    summed = np.flatnonzero(lengths)
+    where[summed] = np.arange(len(summed))
+    if logger.isEnabledFor(logging.DEBUG):
+        considered = per_lexeme(~resolved.stop) if filtered else sizes
+        dropped = int((considered - lengths)[summed].sum())
+        logger.debug("definition sums: %d token(s) out of vocabulary dropped", dropped)
 
     # Longest definitions first, so in each block the lexemes that have a
     # j-th token are a prefix of the block.
-    lengths = np.fromiter(map(len, token_rows), dtype=np.intp, count=len(token_rows))
+    flat = resolved.rows[keep]
+    lengths = lengths[summed]
     order = np.argsort(-lengths, kind="stable")
-    flat = np.fromiter(
-        itertools.chain.from_iterable(token_rows), dtype=np.intp, count=int(lengths.sum())
-    )
     firsts = np.cumsum(lengths) - lengths  # where each definition's rows start in ``flat``
-    sums = np.empty((len(token_rows), table.dimension))
+    sums = np.empty((len(summed), table.dimension))
     for start in range(0, len(order), BLOCK_ROWS):
         block = order[start : start + BLOCK_ROWS]
         block_firsts, block_lengths = firsts[block], lengths[block]
@@ -167,21 +196,24 @@ def definition_embedding(
     lexeme: str,
     stopwords: frozenset[str] | set[str] | None = None,
 ) -> tuple[np.ndarray | None, str | None]:
-    """``definition_embeddings`` of one lexeme.
+    """``definition_sums`` of one lexeme, stop words filtered when a set is given.
 
     Returns ``(vector, None)`` on success and ``(None, reason)`` otherwise.
     """
-    sums, (where,) = definition_embeddings(lexicon, table, (lexeme,), stopwords)
-    if isinstance(where, str):
-        return None, where
+    resolved = resolve_definitions(lexicon, table, (lexeme,), stopwords)
+    sums, (where,) = definition_sums(resolved, table, content=True)
+    if where < 0:
+        return None, (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)[-where - 1]
     return sums[where], None
 
 
 __all__ = [
     "DefinitionLexicon",
+    "DefinitionRows",
+    "resolve_definitions",
+    "definition_sums",
     "load_definitions",
     "load_stopwords",
-    "definition_embeddings",
     "definition_embedding",
     "NO_DEFINITION",
     "ALL_OOV",

@@ -6,11 +6,15 @@ corpus's most frequent bigrams as two separate negative populations.
 Thresholds are calibrated on a seen split and applied to the held-out
 split, producing one report per (method, negative source). A scan applies
 one threshold to every bigram of raw text.
+
+Both score their pairs through ``scoring.score_ids`` as arrays: lexeme ids
+in, one value array per method out, NaN where a pair is unscorable.
+Calibration, evaluation and the scan's hit selection work on those arrays
+with masks; no per-pair outcome objects are built.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import dataclasses
 import enum
@@ -18,18 +22,20 @@ import logging
 import os
 import random
 import typing
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
-from .definitions import DefinitionLexicon, load_definitions, load_stopwords
+from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
-from .scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pairs
-from .scoring import score_pair  # noqa: F401  bound here for perfbench's pipeline.score_pair hook
+from .scoring import ScoreMethod, is_compound, lexeme_ids, score_ids
+# Bound here for perfbench's pipeline.classify and pipeline.score_pair hooks.
+from .scoring import classify, score_pair  # noqa: F401
 from ._io import naming, read_text, text_lines
 
 logger = logging.getLogger(__name__)
@@ -208,54 +214,55 @@ def calibrate_threshold(
     minimum and one above the maximum. Where two values are adjacent floats
     their midpoint rounds onto the smaller, so the larger is the candidate.
     Classification is strictly-below, and ties in F1 break toward the
-    smallest threshold. Unscorable outcomes must already be removed from
-    both lists.
+    smallest threshold. All candidates are counted at once, by
+    ``np.searchsorted`` over the sorted scores. The scores may be sequences
+    of floats or float arrays; unscorable pairs must already be removed.
     """
-    if not positive_scores or not negative_scores:
+    pos = np.sort(np.asarray(positive_scores, dtype=np.float64))
+    neg = np.sort(np.asarray(negative_scores, dtype=np.float64))
+    if not len(pos) or not len(neg):
         raise DatasetError("calibration needs at least one positive and one negative score")
-    pos = sorted(positive_scores)
-    neg = sorted(negative_scores)
-    values = sorted(set(pos) | set(neg))
-    candidates = [values[0] - 1.0]
-    for a, b in zip(values, values[1:]):
-        midpoint = (a + b) / 2.0
-        candidates.append(b if midpoint == a else midpoint)
-    candidates.append(values[-1] + 1.0)
-
-    total_pos = len(pos)
-    best_threshold = candidates[0]
-    best_f1 = -1.0
-    for threshold in candidates:
-        tp = bisect.bisect_left(pos, threshold)
-        fp = bisect.bisect_left(neg, threshold)
-        fn = total_pos - tp
-        denominator = 2 * tp + fp + fn
-        f1 = (2.0 * tp / denominator) if denominator else 0.0
-        if f1 > best_f1:
-            best_f1 = f1
-            best_threshold = threshold
-    return best_threshold
+    values = np.unique(np.concatenate((pos, neg)))
+    lower, upper = values[:-1], values[1:]
+    midpoints = (lower + upper) / 2.0
+    candidates = np.concatenate(
+        ([values[0] - 1.0], np.where(midpoints == lower, upper, midpoints), [values[-1] + 1.0])
+    )
+    # Strictly below a candidate: the scores left of it in sorted order.
+    tp = np.searchsorted(pos, candidates, side="left")
+    fp = np.searchsorted(neg, candidates, side="left")
+    fn = len(pos) - tp
+    # The denominator is at least len(pos) >= 1; argmax takes the first,
+    # smallest, of the thresholds that tie for the best F1.
+    f1 = 2.0 * tp / (2 * tp + fp + fn)
+    return float(candidates[np.argmax(f1)])
 
 
 def evaluate(
-    scored_heldout: Sequence[tuple[LabeledPair, ScoreOutcome]],
+    values: np.ndarray,
+    positive: np.ndarray,
     threshold: float,
     method: ScoreMethod,
     negative_source: PairSource,
 ) -> EvalReport:
-    """Judge every outcome with ``classify`` and tally the confusion counts.
+    """Judge every held-out score with ``is_compound`` and tally the confusion counts.
 
-    A compound judgement on a positive is a true positive; unscorable
-    outcomes are counted per label but excluded from the four metric
-    counts and from all denominators.
+    ``values`` holds one score per pair, NaN where the pair is unscorable,
+    and ``positive`` flags the positives. A compound judgement on a
+    positive is a true positive; unscorable pairs are counted per label but
+    excluded from the four metric counts and from all denominators.
     """
-    tally = Counter(
-        (labeled.is_positive, classify(outcome, threshold)) for labeled, outcome in scored_heldout
-    )
-    tp, fp = tally[True, Judgement.COMPOUND], tally[False, Judgement.COMPOUND]
-    fn, tn = tally[True, Judgement.NOT_COMPOUND], tally[False, Judgement.NOT_COMPOUND]
-    unscorable_pos = tally[True, Judgement.UNSCORABLE]
-    unscorable_neg = tally[False, Judgement.UNSCORABLE]
+    values = np.asarray(values, dtype=np.float64)
+    positive = np.asarray(positive, dtype=bool)
+    compound = is_compound(values, threshold)
+    judged = ~np.isnan(values)
+
+    def count(mask: np.ndarray) -> int:
+        return int(np.count_nonzero(mask))
+
+    tp, fp = count(compound & positive), count(compound & ~positive)
+    fn, tn = count(judged & ~compound & positive), count(judged & ~compound & ~positive)
+    unscorable_pos, unscorable_neg = count(~judged & positive), count(~judged & ~positive)
 
     precision = tp / (tp + fp) if tp + fp else None
     recall = tp / (tp + fn) if tp + fn else None
@@ -430,31 +437,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     dataset = split_dataset(labeled, config.fraction, config.split_seed)
 
-    unique_pairs = list(dict.fromkeys(lp.pair for lp in dataset.calibration + dataset.heldout))
+    # Every labeled pair as ids into one lexeme list, with its source and split.
+    pairs = dataset.calibration + dataset.heldout
+    lexemes, left, right = lexeme_ids(lp.pair for lp in pairs)
+    sources = list(PairSource)
+    pair_source = np.array([sources.index(lp.source) for lp in pairs], np.intp)
+    positive = pair_source == sources.index(PairSource.LADEC)
+    calibration = np.arange(len(pairs)) < len(dataset.calibration)
+
+    # Both definition methods sum from the same resolved definitions.
+    resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
     scores = {
-        method: dict(zip(unique_pairs, score_pairs(method, table, lexicon, stopwords, unique_pairs)))
+        method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)[0]
         for method in METHODS
     }
 
-    def arm_scores(split: tuple[LabeledPair, ...], method: ScoreMethod, source: PairSource):
-        return [
-            (lp, scores[method][lp.pair])
-            for lp in split
-            if lp.source is PairSource.LADEC or lp.source is source
-        ]
-
     def calibrate(method: ScoreMethod, source: PairSource) -> float:
-        pos = [
-            scores[method][lp.pair].value
-            for lp in dataset.calibration
-            if lp.is_positive and scores[method][lp.pair].is_scorable
-        ]
-        neg = [
-            scores[method][lp.pair].value
-            for lp in dataset.calibration
-            if lp.source is source and scores[method][lp.pair].is_scorable
-        ]
-        if not pos or not neg:
+        values = scores[method]
+        scorable = calibration & ~np.isnan(values)
+        pos = values[scorable & positive]
+        neg = values[scorable & (pair_source == sources.index(source))]
+        if not len(pos) or not len(neg):
             raise DatasetError(
                 f"calibration impossible for {method.value} vs {source.value}: "
                 "no scorable pairs on one side"
@@ -471,9 +474,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for source in NEGATIVE_SOURCES:
                 thresholds[(method, source)] = calibrate(method, source)
 
+    heldout_arms = {
+        source: ~calibration & (positive | (pair_source == sources.index(source)))
+        for source in NEGATIVE_SOURCES
+    }
     reports = tuple(
         evaluate(
-            arm_scores(dataset.heldout, method, source),
+            scores[method][heldout_arms[source]],
+            positive[heldout_arms[source]],
             thresholds[(method, source)],
             method,
             source,
@@ -517,11 +525,12 @@ def scan_corpus(
     """Classify every adjacent bigram of the corpus; keep compound hits.
 
     Bigrams below ``min_count`` are masked out of the integer-coded counts,
-    and only the rest become LexemePairs to score. Pairs the method cannot
-    score are dropped silently. Hits come back sorted by ascending score
-    (most non-compositional first), then alphabetically, truncated to
-    ``top_n``. A threshold outside [-1, 1], a ``min_count`` or a ``top_n``
-    below 1 raises ConfigError.
+    and the rest are scored as pairs of vocabulary ranks by ``score_ids``.
+    Pairs the method cannot score are dropped silently. Hits come back
+    sorted by ascending score (most non-compositional first), then
+    alphabetically, truncated to ``top_n``; only those become ScanHits. A
+    threshold outside [-1, 1], a ``min_count`` or a ``top_n`` below 1
+    raises ConfigError.
     """
     if not -1.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [-1, 1], got {threshold}")
@@ -533,15 +542,28 @@ def scan_corpus(
         raise CorpusError("corpus contains no tokens")
     counts = build_bigram_counts(tokens)
     frequent = counts.counts >= min_count
-    pairs = counts.pairs(counts.codes[frequent])
-    outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
-    hits = [
-        ScanHit(pair=pair, count=count, score=outcome.value)
-        for pair, count, outcome in zip(pairs, counts.counts[frequent].tolist(), outcomes)
-        if classify(outcome, threshold) is Judgement.COMPOUND
+    tallies = counts.counts[frequent]
+    left_ranks, right_ranks = np.divmod(counts.codes[frequent], len(counts.vocabulary))
+    # Only the lexemes of a frequent bigram are scored.
+    needed, ids = np.unique(np.concatenate((left_ranks, right_ranks)), return_inverse=True)
+    lexemes = [counts.vocabulary[rank] for rank in needed.tolist()]
+    values, _ = score_ids(
+        method, table, lexicon, stopwords, lexemes, ids[: len(tallies)], ids[len(tallies) :]
+    )
+    hits = np.flatnonzero(is_compound(values, threshold))
+    # By score, then by (left, right): the vocabulary is sorted, so rank
+    # order is string order.
+    hits = hits[np.lexsort((right_ranks[hits], left_ranks[hits], values[hits]))][:top_n]
+    vocabulary = counts.vocabulary
+    return [
+        ScanHit(pair=LexemePair(vocabulary[left], vocabulary[right]), count=count, score=score)
+        for left, right, count, score in zip(
+            left_ranks[hits].tolist(),
+            right_ranks[hits].tolist(),
+            tallies[hits].tolist(),
+            values[hits].tolist(),
+        )
     ]
-    hits.sort(key=lambda hit: (hit.score, hit.pair.left, hit.pair.right))
-    return hits[:top_n]
 
 
 __all__ = [

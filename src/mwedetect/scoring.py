@@ -1,4 +1,4 @@
-"""The per-pair similarity score and the threshold judgement.
+"""The similarity score of word pairs and the threshold judgement.
 
 Every method scores a candidate pair the same way: the cosine between the
 vectors that represent its two lexemes. The methods differ only in which
@@ -9,18 +9,18 @@ vector a lexeme gets:
 * definition content similarity: the same definition sum after stop-word
   filtering.
 
-``score_pairs`` gets each distinct lexeme's vector once and scores a batch
-of pairs by row-wise cosine; ``score_pair`` is its one-pair case.
-
-Low similarity signals non-compositionality, so a score strictly below the
-threshold is judged a compound.
+``score_ids`` is the one scorer: lexeme ids in, a value array and a reason
+array out. ``is_compound`` is the one decision rule: a score strictly below
+the threshold, the mark of non-compositionality, is a compound.
+``score_pairs``, ``score_pair``, ``ScoreOutcome`` and ``classify`` wrap the
+two for callers that hold ``LexemePair`` objects.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +31,14 @@ from .definitions import (
     BLOCK_ROWS,
     NO_DEFINITION,
     DefinitionLexicon,
-    definition_embeddings,
+    DefinitionRows,
+    definition_sums,
+    resolve_definitions,
 )
 from .definitions import definition_embedding  # noqa: F401  bound here for perfbench's hook
 from .embeddings import EmbeddingTable, row_cosines
 from .embeddings import cosine  # noqa: F401  bound here for perfbench's scoring.cosine hook
+from .errors import ConfigError
 from .pairs import LexemePair
 
 LEFT_OOV = "left-oov"
@@ -43,8 +46,11 @@ RIGHT_OOV = "right-oov"
 ZERO_NORM = "zero-norm"
 NON_FINITE = "non-finite"
 
-UNSCORABLE_REASONS = frozenset(
-    {LEFT_OOV, RIGHT_OOV, NO_DEFINITION, ALL_OOV, ALL_STOPWORDS, ZERO_NORM, NON_FINITE}
+# The reasons a pair may be unscorable. In a reason array, 0 means scored
+# and k names UNSCORABLE_REASONS[k - 1]. The definition reasons come first,
+# in the order of the codes that ``definition_sums`` returns.
+UNSCORABLE_REASONS = (
+    NO_DEFINITION, ALL_STOPWORDS, ALL_OOV, LEFT_OOV, RIGHT_OOV, ZERO_NORM, NON_FINITE
 )
 
 
@@ -88,6 +94,73 @@ class ScoreOutcome:
         return self.value is not None
 
 
+def lexeme_ids(pairs: Iterable[LexemePair]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct lexemes of ``pairs``, first seen first, and each pair's two ids."""
+    ids: dict[str, int] = {}
+    sides = [(ids.setdefault(p.left, len(ids)), ids.setdefault(p.right, len(ids))) for p in pairs]
+    left, right = np.array(sides, np.intp).reshape(-1, 2).T
+    return list(ids), left, right
+
+
+def score_ids(
+    method: ScoreMethod,
+    table: EmbeddingTable,
+    lexicon: DefinitionLexicon | None,
+    stopwords: frozenset[str] | set[str] | None,
+    lexemes: Sequence[str],
+    left: np.ndarray,
+    right: np.ndarray,
+    resolved: DefinitionRows | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of the two lexemes' vectors under ``method``, for each pair of ids.
+
+    Pair i is ``(lexemes[left[i]], lexemes[right[i]])``. Returns float64
+    values in [-1, 1], NaN where the pair is unscorable, and int8 reason
+    codes into ``UNSCORABLE_REASONS``, 0 where it is scored. Each lexeme's
+    vector is a row of one matrix: the table's own for word similarity,
+    ``definition_sums`` otherwise, from ``resolved`` when given. Pairs are
+    scored in blocks of ``BLOCK_ROWS`` rows by ``row_cosines``, bit-identical
+    to ``cosine``. A side without a vector gives that side's reason, the
+    left side's first; then come ``zero-norm`` and ``non-finite``.
+    ``stopwords`` is used only for definition content similarity; without a
+    set it is identical to definition similarity.
+    """
+    if method is not ScoreMethod.WORD_SIMILARITY and lexicon is None:
+        raise ConfigError(f"method {method.value!r} needs a definition lexicon")
+    code = {reason: k for k, reason in enumerate(UNSCORABLE_REASONS, start=1)}
+    # Each lexeme's row of ``matrix``, or minus the code of why it has none.
+    if method is ScoreMethod.WORD_SIMILARITY:
+        matrix = table.matrix
+        rows = np.fromiter(
+            (table.index.get(lexeme.lower(), -code[LEFT_OOV]) for lexeme in lexemes),
+            np.intp,
+            len(lexemes),
+        )
+    else:
+        content = method is ScoreMethod.DEFINITION_CONTENT_SIMILARITY
+        if resolved is None:
+            resolved = resolve_definitions(lexicon, table, lexemes, stopwords if content else None)
+        # A definition sum that overflows is reported below as non-finite,
+        # so numpy's overflow warning is noise.
+        with np.errstate(over="ignore"):
+            matrix, rows = definition_sums(resolved, table, content)
+
+    left_rows, right_rows = rows[left], rows[right]
+    right_reasons = np.where(right_rows < 0, -right_rows, 0)
+    right_reasons[right_reasons == code[LEFT_OOV]] = code[RIGHT_OOV]
+    reasons = np.where(left_rows < 0, -left_rows, right_reasons).astype(np.int8)
+    values = np.full(len(reasons), np.nan)
+    scorable = np.flatnonzero(reasons == 0)
+    for start in range(0, len(scorable), BLOCK_ROWS):
+        block = scorable[start : start + BLOCK_ROWS]
+        values[block], zero_norm = row_cosines(
+            matrix[left_rows[block]], matrix[right_rows[block]]
+        )
+        reasons[block[np.isnan(values[block])]] = code[NON_FINITE]
+        reasons[block[zero_norm]] = code[ZERO_NORM]
+    return values, reasons
+
+
 def score_pairs(
     method: ScoreMethod,
     table: EmbeddingTable,
@@ -95,62 +168,14 @@ def score_pairs(
     stopwords: frozenset[str] | set[str] | None,
     pairs: Sequence[LexemePair],
 ) -> list[ScoreOutcome]:
-    """Cosine of the two lexemes' vectors under ``method``, for each pair.
-
-    Each distinct lexeme's vector is a row of one matrix: the table's own
-    for word similarity, the sums of ``definition_embeddings`` otherwise. The
-    pairs are then scored in blocks of ``BLOCK_ROWS`` gathered rows by
-    ``row_cosines``, so every score is bit-identical to ``cosine`` of the
-    two vectors. A side without a vector makes the pair unscorable with that
-    side's reason, the left side's first; then come ``zero-norm`` and
-    ``non-finite``. ``lexicon`` is required for the definition-based
-    methods. ``stopwords`` is used only for definition content similarity; a
-    missing set filters nothing, which makes it identical to definition
-    similarity.
-    """
-    if method is not ScoreMethod.WORD_SIMILARITY and lexicon is None:
-        raise ValueError(f"method {method.value!r} needs a definition lexicon")
-    if method is not ScoreMethod.DEFINITION_CONTENT_SIMILARITY:
-        stopwords = None
-
-    lexemes = list(dict.fromkeys(lexeme for pair in pairs for lexeme in (pair.left, pair.right)))
-    # Each lexeme's row of ``matrix``, or why it has none: a reason, or None
-    # for a word missing from the table, whose reason depends on its side.
-    if method is ScoreMethod.WORD_SIMILARITY:
-        matrix = table.matrix
-        where = [table.index.get(lexeme.lower()) for lexeme in lexemes]
-    else:
-        # A definition sum that overflows is reported below as non-finite,
-        # so numpy's overflow warning is noise.
-        with np.errstate(over="ignore"):
-            matrix, where = definition_embeddings(lexicon, table, lexemes, stopwords)
-    index = dict(zip(lexemes, where))
-
-    outcomes: list[ScoreOutcome | None] = []
-    scorable, left_rows, right_rows = [], [], []
-    for position, pair in enumerate(pairs):
-        left, right = index[pair.left], index[pair.right]
-        if not isinstance(left, int):
-            outcomes.append(ScoreOutcome.unscorable(left or LEFT_OOV))
-        elif not isinstance(right, int):
-            outcomes.append(ScoreOutcome.unscorable(right or RIGHT_OOV))
-        else:
-            outcomes.append(None)
-            scorable.append(position)
-            left_rows.append(left)
-            right_rows.append(right)
-
-    for start in range(0, len(scorable), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        values, zero_norm = row_cosines(matrix[left_rows[block]], matrix[right_rows[block]])
-        for position, value, zero in zip(scorable[block], values.tolist(), zero_norm.tolist()):
-            if zero:
-                outcomes[position] = ScoreOutcome.unscorable(ZERO_NORM)
-            elif math.isnan(value):
-                outcomes[position] = ScoreOutcome.unscorable(NON_FINITE)
-            else:
-                outcomes[position] = ScoreOutcome.scored(value)
-    return outcomes
+    """``score_ids`` of ``pairs``, one ScoreOutcome per pair."""
+    values, reasons = score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))
+    return [
+        ScoreOutcome.unscorable(UNSCORABLE_REASONS[reason - 1])
+        if reason
+        else ScoreOutcome.scored(value)
+        for value, reason in zip(values.tolist(), reasons.tolist())
+    ]
 
 
 def score_pair(
@@ -164,27 +189,36 @@ def score_pair(
     return score_pairs(method, table, lexicon, stopwords, (pair,))[0]
 
 
-def classify(outcome: ScoreOutcome, threshold: float) -> Judgement:
-    """Strictly-below-threshold rule: value < threshold means compound.
+def is_compound(values: np.ndarray, threshold: float) -> np.ndarray:
+    """Strictly-below-threshold rule: True where value < threshold.
 
-    The boundary value itself is NOT_COMPOUND; an absent value is
-    UNSCORABLE. Any finite threshold is accepted, including one outside
-    [-1, 1] from a degenerate calibration, which judges every scored pair
-    alike.
+    The boundary value itself is not a compound, and neither is NaN, the
+    value of an unscorable pair. Any finite threshold is accepted, including
+    one outside [-1, 1] from a degenerate calibration, which judges every
+    scored pair alike.
     """
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+    return np.asarray(values, dtype=np.float64) < threshold
+
+
+def classify(outcome: ScoreOutcome, threshold: float) -> Judgement:
+    """``is_compound`` of one outcome; an absent value is UNSCORABLE."""
+    compound = is_compound(np.nan if outcome.value is None else outcome.value, threshold)
     if outcome.value is None:
         return Judgement.UNSCORABLE
-    return Judgement.COMPOUND if outcome.value < threshold else Judgement.NOT_COMPOUND
+    return Judgement.COMPOUND if compound else Judgement.NOT_COMPOUND
 
 
 __all__ = [
     "ScoreMethod",
     "Judgement",
     "ScoreOutcome",
+    "lexeme_ids",
+    "score_ids",
     "score_pairs",
     "score_pair",
+    "is_compound",
     "classify",
     "LEFT_OOV",
     "RIGHT_OOV",

@@ -16,6 +16,14 @@ def alphabetic_token(prefix: str, i: int) -> str:
     return prefix + "".join(chr(ord("a") + int(digit)) for digit in str(i))
 
 
+def score_arrays(scored) -> tuple[np.ndarray, np.ndarray]:
+    """The value and positive-flag arrays that ``evaluate`` takes, from
+    (LabeledPair, ScoreOutcome) pairs: an unscorable outcome's value is NaN."""
+    values = np.array([np.nan if o.value is None else o.value for _, o in scored], dtype=np.float64)
+    positive = np.array([labeled.is_positive for labeled, _ in scored], dtype=bool)
+    return values, positive
+
+
 def make_table(vectors: dict, dimension: int) -> EmbeddingTable:
     """An EmbeddingTable of ``vectors``, a token -> components dict."""
     return EmbeddingTable(

@@ -36,6 +36,8 @@ from mwedetect.pipeline import (
 )
 from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
 
+from conftest import score_arrays
+
 
 @pytest.fixture
 def announce(capfd):
@@ -159,7 +161,9 @@ def test_criterion_3_metric_arithmetic_is_exact(announce):
             )
             for labeled, v in zip(positives + negatives, outcomes)
         ]
-        report = evaluate(scored, 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        report = evaluate(
+            *score_arrays(scored), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
         assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 2, 3)
         assert (report.unscorable_pos, report.unscorable_neg) == (1, 1)
         assert report.precision == float(Fraction(2, 3))

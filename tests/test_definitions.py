@@ -16,9 +16,10 @@ from mwedetect.definitions import (
     NO_DEFINITION,
     DefinitionLexicon,
     definition_embedding,
-    definition_embeddings,
+    definition_sums,
     load_definitions,
     load_stopwords,
+    resolve_definitions,
 )
 from mwedetect.embeddings import load_embeddings
 from mwedetect.errors import LexiconFormatError
@@ -237,6 +238,14 @@ class TestDefinitionEmbedding:
             )
             assert unfiltered.tobytes() == empty_filtered.tobytes()
 
+    def test_tokenless_definition(self, toy_table):
+        # The loader rejects such a definition, but a lexicon built directly
+        # may hold one: filtering leaves no token, and without a filter no
+        # token has a vector.
+        lexicon = DefinitionLexicon(definitions={"x": "123"})
+        assert definition_embedding(lexicon, toy_table, "x", frozenset()) == (None, ALL_STOPWORDS)
+        assert definition_embedding(lexicon, toy_table, "x") == (None, ALL_OOV)
+
     def test_oov_only_definition_with_empty_filter(self):
         table = load_embeddings(["w 1 0"])
         lexicon = DefinitionLexicon(definitions={"x": "unknown"})
@@ -303,21 +312,25 @@ class TestDefinitionEmbeddingsProperties:
     @given(_bulk_inputs())
     def test_bit_identical_to_per_lexeme_reference(self, inputs):
         """Each sum equals the left-to-right sum of its rows bit for bit, in
-        blocks smaller than the batch, and definition_embedding is its
-        one-lexeme case."""
+        blocks smaller than the batch, for both methods from one resolution,
+        and definition_embedding is its one-lexeme case."""
         table, lexicon, lexemes, stopwords, block_rows = inputs
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
             patch.setattr(definitions, "BLOCK_ROWS", block_rows)
-            sums, where = definition_embeddings(lexicon, table, lexemes, stopwords)
+            resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+            by_method = {flag: definition_sums(resolved, table, flag) for flag in (True, False)}
             single = [definition_embedding(lexicon, table, lexeme, stopwords) for lexeme in lexemes]
-        assert len(where) == len(lexemes)
-        assert sorted(w for w in where if isinstance(w, int)) == list(range(len(sums)))
-        assert sums.shape[1:] == (table.dimension,)
-        for lexeme, found, one in zip(lexemes, where, single):
-            got = (None, found) if isinstance(found, str) else (sums[found], None)
-            expected = _reference_sum(table, lexicon, lexeme, stopwords)
-            assert _bits(*got) == _bits(*expected)
-            assert _bits(*one) == _bits(*expected)
+        reasons = (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)
+        for content, (sums, where) in by_method.items():
+            assert where.shape == (len(lexemes),)
+            assert sorted(w for w in where.tolist() if w >= 0) == list(range(len(sums)))
+            assert sums.shape[1:] == (table.dimension,)
+            for lexeme, found in zip(lexemes, where.tolist()):
+                got = (None, reasons[-found - 1]) if found < 0 else (sums[found], None)
+                expected = _reference_sum(table, lexicon, lexeme, stopwords if content else None)
+                assert _bits(*got) == _bits(*expected)
+        for lexeme, one in zip(lexemes, single):
+            assert _bits(*one) == _bits(*_reference_sum(table, lexicon, lexeme, stopwords))
 
     @settings(max_examples=50, deadline=None)
     @given(_bulk_inputs())
@@ -325,7 +338,9 @@ class TestDefinitionEmbeddingsProperties:
         table, lexicon, lexemes, _, block_rows = inputs
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
             patch.setattr(definitions, "BLOCK_ROWS", block_rows)
-            plain = definition_embeddings(lexicon, table, lexemes, None)
-            empty = definition_embeddings(lexicon, table, lexemes, frozenset())
-        assert plain[1] == empty[1]
+            plain = definition_sums(resolve_definitions(lexicon, table, lexemes, None), table, True)
+            empty = definition_sums(
+                resolve_definitions(lexicon, table, lexemes, frozenset()), table, True
+            )
+        assert plain[1].tolist() == empty[1].tolist()
         assert plain[0].tobytes() == empty[0].tobytes()

@@ -137,6 +137,32 @@ def test_character_split_between_chunks_decodes(tmp_path):
         load_stopwords(path)
 
 
+def test_lone_carriage_returns_end_lines(tmp_path):
+    # Text mode ends a line at a lone \r, so the decode error and a format
+    # error on the same line name the same line.
+    path = tmp_path / "embeddings.txt"
+    path.write_bytes(b"a 1\rb 2\rc\xff 3\r")
+    with pytest.raises(EmbeddingFormatError, match=r": line 3: not UTF-8 .*byte 0xff\)$"):
+        load_embeddings(path)
+    path.write_bytes(b"a 1\rb 2\rc 3 4\r")
+    with pytest.raises(EmbeddingFormatError, match=r": line 3: expected 1 values, found 2$"):
+        load_embeddings(path)
+
+
+def test_crlf_split_between_chunks_ends_one_line(tmp_path):
+    # The \r of one \r\n ends the first 1 MiB chunk and its \n starts the next.
+    head = b"a" + b"ab\r\n" * ((1 << 20) // 4 - 1) + b"ab\r"
+    assert len(head) == 1 << 20
+    path = tmp_path / "stopwords.txt"
+    path.write_bytes(head + b"\nok\rnot\xff\r\n")
+    with open(path, encoding="latin-1") as handle:
+        lineno = next(i for i, line in enumerate(handle, start=1) if "\xff" in line)
+    assert lineno == head.count(b"\r") + 2
+    expected = rf": line {lineno}: not UTF-8 \(invalid start byte, byte 0xff\)$"
+    with pytest.raises(LexiconFormatError, match=expected):
+        load_stopwords(path)
+
+
 def test_scan_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_bytes(b"jet lag\ncaf\xe9 jet lag\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import re
@@ -11,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -32,9 +34,9 @@ from mwedetect.pipeline import (
     run_experiment,
     split_dataset,
 )
-from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
+from mwedetect.scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pair
 
-from conftest import alphabetic_token
+from conftest import alphabetic_token, make_table, score_arrays
 
 
 def _positive(left: str, right: str) -> LabeledPair:
@@ -279,6 +281,46 @@ class TestCalibrateThreshold:
             positives, negatives
         )
 
+    @staticmethod
+    def _bisect_calibration(positive_scores, negative_scores):
+        """Reference for ``calibrate_threshold``: one candidate at a time,
+        counted with ``bisect``, the first best F1 kept."""
+        pos = sorted(positive_scores)
+        neg = sorted(negative_scores)
+        values = sorted(set(pos) | set(neg))
+        candidates = [values[0] - 1.0]
+        for a, b in zip(values, values[1:]):
+            midpoint = (a + b) / 2.0
+            candidates.append(b if midpoint == a else midpoint)
+        candidates.append(values[-1] + 1.0)
+        best_threshold, best_f1 = candidates[0], -1.0
+        for threshold in candidates:
+            tp = bisect.bisect_left(pos, threshold)
+            fp = bisect.bisect_left(neg, threshold)
+            fn = len(pos) - tp
+            denominator = 2 * tp + fp + fn
+            f1 = (2.0 * tp / denominator) if denominator else 0.0
+            if f1 > best_f1:
+                best_f1, best_threshold = f1, threshold
+        return best_threshold
+
+    @settings(max_examples=300)
+    @given(data=st.data(), base=st.floats(min_value=-1, max_value=1))
+    def test_matches_the_bisect_loop(self, data, base):
+        """Ties, neighbouring floats, both zeros and one score per side: the
+        same threshold as the per-candidate bisect loop, by float.hex."""
+        neighbours = [base]
+        for direction in (1.0, -1.0, 1.0):
+            neighbours.append(math.nextafter(neighbours[-1], direction * 2.0))
+        score = st.sampled_from(neighbours + [-0.0, 0.0]) | _SCORES
+        sizes = st.integers(min_value=1, max_value=12)
+        positives = data.draw(st.lists(score, min_size=1, max_size=data.draw(sizes)))
+        negatives = data.draw(st.lists(score, min_size=1, max_size=data.draw(sizes)))
+        threshold = calibrate_threshold(positives, negatives)
+        assert threshold.hex() == self._bisect_calibration(positives, negatives).hex()
+        as_arrays = calibrate_threshold(np.array(positives), np.array(negatives))
+        assert as_arrays.hex() == threshold.hex()
+
     @settings(max_examples=300)
     @given(
         positives=st.lists(_SCORES, min_size=1, max_size=30),
@@ -291,7 +333,9 @@ class TestCalibrateThreshold:
         scored = [
             (_positive(f"p{i}", "x"), ScoreOutcome.scored(v)) for i, v in enumerate(positives)
         ] + [(_negative(f"n{i}", "y"), ScoreOutcome.scored(v)) for i, v in enumerate(negatives)]
-        report = evaluate(scored, threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        report = evaluate(
+            *score_arrays(scored), threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
         assert report.tp == sum(1 for v in positives if v < threshold)
         assert report.fp == sum(1 for v in negatives if v < threshold)
         assert report.tp + report.fn + report.unscorable_pos == len(positives)
@@ -324,7 +368,10 @@ class TestEvaluate:
 
     def test_hand_computed_confusion_counts(self):
         report = evaluate(
-            self._ten_pair_fixture(), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+            *score_arrays(self._ten_pair_fixture()),
+            0.5,
+            ScoreMethod.WORD_SIMILARITY,
+            PairSource.RANDOM,
         )
         assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 2, 3)
         assert (report.unscorable_pos, report.unscorable_neg) == (1, 1)
@@ -333,7 +380,10 @@ class TestEvaluate:
 
     def test_metrics_match_exact_rationals(self):
         report = evaluate(
-            self._ten_pair_fixture(), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+            *score_arrays(self._ten_pair_fixture()),
+            0.5,
+            ScoreMethod.WORD_SIMILARITY,
+            PairSource.RANDOM,
         )
         assert report.precision == float(Fraction(2, 3))
         assert report.recall == float(Fraction(1, 2))
@@ -345,7 +395,9 @@ class TestEvaluate:
         scored = self._score(positives, [0.1, 0.2]) + self._score(
             negatives, [0.3, 0.7, 0.8, 0.9]
         )
-        report = evaluate(scored, 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        report = evaluate(
+            *score_arrays(scored), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
         assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 0, 3)
         assert report.precision == float(Fraction(2, 3))
         assert report.recall == 1.0
@@ -353,7 +405,9 @@ class TestEvaluate:
 
     def test_all_unscorable_leaves_metrics_absent(self):
         scored = self._score([_positive("a", "x"), _negative("b", "y")], [None, None])
-        report = evaluate(scored, 0.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        report = evaluate(
+            *score_arrays(scored), 0.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
         assert report.recall is None
         assert report.precision is None
         assert report.f1 is None
@@ -364,10 +418,38 @@ class TestEvaluate:
         scored = self._score(
             [_positive("a", "x"), _negative("b", "y")], [0.9, 0.8]
         )
-        report = evaluate(scored, -1.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM)
+        report = evaluate(
+            *score_arrays(scored), -1.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
         assert report.precision is None
         assert report.recall == 0.0
         assert report.f1 is None
+
+    @given(
+        rows=st.lists(st.tuples(st.booleans(), st.none() | st.just(-0.0) | _SCORES), max_size=30),
+        threshold=st.sampled_from([-0.0, 0.0]) | st.floats(min_value=-2, max_value=2),
+    )
+    def test_counts_equal_a_counter_over_classify(self, rows, threshold):
+        """The mask counts equal judging every outcome with ``classify``."""
+        scored = self._score(
+            [_positive(f"p{i}", "x") if is_positive else _negative(f"n{i}", "y")
+             for i, (is_positive, _) in enumerate(rows)],
+            [value for _, value in rows],
+        )
+        tally = Counter((lp.is_positive, classify(outcome, threshold)) for lp, outcome in scored)
+        report = evaluate(
+            *score_arrays(scored), threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
+        )
+        assert (report.tp, report.fn, report.unscorable_pos) == (
+            tally[True, Judgement.COMPOUND],
+            tally[True, Judgement.NOT_COMPOUND],
+            tally[True, Judgement.UNSCORABLE],
+        )
+        assert (report.fp, report.tn, report.unscorable_neg) == (
+            tally[False, Judgement.COMPOUND],
+            tally[False, Judgement.NOT_COMPOUND],
+            tally[False, Judgement.UNSCORABLE],
+        )
 
 
 _REPO = Path(__file__).resolve().parent.parent
@@ -770,6 +852,33 @@ class TestScanCorpus:
             stopwords=toy_stopwords,
         )
         assert [(h.score, h.pair.left, h.pair.right, h.count) for h in hits] == sorted(expected)
+
+    @given(
+        tokens=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=40),
+        vectors=st.lists(
+            st.sampled_from([(1.0, 0.0), (-1.0, -0.0), (0.0, 1.0), (-0.0, -1.0), (1.0, 1.0)]),
+            min_size=6,
+            max_size=6,
+        ),
+        threshold=st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+        top_n=st.none() | st.integers(min_value=1, max_value=5),
+    )
+    def test_tied_scores_keep_python_sort_order(self, tokens, vectors, threshold, top_n):
+        """Tokens share a few vectors, some with -0.0 components, so many
+        bigrams tie on score; the hits come in Python's (score, left, right)
+        order."""
+        table = make_table(dict(zip("abcdef", vectors)), dimension=2)
+        hits = scan_corpus(tokens, table, ScoreMethod.WORD_SIMILARITY, threshold, top_n=top_n)
+        expected = []
+        for (left, right), count in Counter(zip(tokens, tokens[1:])).items():
+            pair = LexemePair(left, right)
+            outcome = score_pair(ScoreMethod.WORD_SIMILARITY, table, None, None, pair)
+            if outcome.value < threshold:
+                expected.append((outcome.value, left, right, count))
+        expected.sort(key=lambda hit: (hit[0], hit[1], hit[2]))
+        assert [(h.score.hex(), h.pair.left, h.pair.right, h.count) for h in hits] == [
+            (score.hex(), left, right, count) for score, left, right, count in expected[:top_n]
+        ]
 
     def test_top_n_below_one_rejected(self, toy_table, data_dir):
         # A negative top_n would slice hits off the end instead of failing.

@@ -10,14 +10,16 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mwedetect import definitions, scoring
 
-from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon
+from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon, resolve_definitions
+from mwedetect.corpus import tokenize
 from mwedetect.embeddings import cosine, load_embeddings
+from mwedetect.errors import ConfigError
 from mwedetect.pairs import LexemePair
-from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate
+from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate, scan_corpus
 from mwedetect.scoring import (
     LEFT_OOV,
     NO_DEFINITION,
@@ -29,11 +31,12 @@ from mwedetect.scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
+    score_ids,
     score_pair,
     score_pairs,
 )
 
-from conftest import make_table
+from conftest import make_table, score_arrays
 
 ALL_METHODS = list(ScoreMethod)
 WORD = ScoreMethod.WORD_SIMILARITY
@@ -280,9 +283,11 @@ class TestNonFiniteScores:
 @st.composite
 def _batch_inputs(draw):
     dim = draw(st.integers(min_value=1, max_value=8))
-    plain = st.lists(
-        st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=dim, max_size=dim
+    # Negative zeros and components small enough to take the scaled-up path.
+    component = st.one_of(
+        st.floats(min_value=-10, max_value=10, allow_nan=False), st.sampled_from([-0.0, 1e-300])
     )
+    plain = st.lists(component, min_size=dim, max_size=dim)
     # Tokens draw from a small pool that always holds a zero vector, so
     # equal vectors under different tokens are common. Some pools also hold
     # a vector with a component whose square or definition sum overflows.
@@ -355,6 +360,48 @@ class TestScorePairsProperties:
                 assert _bits(score_pair(method, table, lexicon, stopwords, pair)) == _bits(outcome)
 
 
+@st.composite
+def _id_inputs(draw):
+    """``_batch_inputs`` as a lexeme list and drawn id pairs, self-pairs included."""
+    table, lexicon, stopwords, _, block_rows = draw(_batch_inputs())
+    lexemes = draw(st.lists(st.sampled_from(_LEXEMES), min_size=1, unique=True))
+    ids = st.integers(min_value=0, max_value=len(lexemes) - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    return table, lexicon, stopwords, lexemes, pairs, block_rows
+
+
+class TestScoreIdsProperties:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(deadline=None)
+    @given(_id_inputs())
+    def test_arrays_equal_per_pair_reference(self, inputs):
+        """Each value equals the per-pair np.dot / np.linalg.norm formula by
+        float.hex, and each reason the reference's, in blocks smaller than
+        the batch, with the definitions resolved inside or handed in."""
+        table, lexicon, stopwords, lexemes, pairs, block_rows = inputs
+        left = np.array([i for i, _ in pairs], dtype=np.intp)
+        right = np.array([j for _, j in pairs], dtype=np.intp)
+        resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+        for method in ALL_METHODS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scoring, "BLOCK_ROWS", block_rows)
+                patch.setattr(definitions, "BLOCK_ROWS", block_rows)
+                values, reasons = score_ids(method, table, lexicon, stopwords, lexemes, left, right)
+                shared = score_ids(
+                    method, table, lexicon, stopwords, lexemes, left, right, resolved
+                )
+            assert (values.dtype, reasons.dtype) == (np.float64, np.int8)
+            assert values.tobytes() == shared[0].tobytes()
+            assert reasons.tolist() == shared[1].tolist()
+            for (i, j), value, reason in zip(pairs, values.tolist(), reasons.tolist()):
+                expected = _reference_outcome(
+                    method, table, lexicon, stopwords, LexemePair(lexemes[i], lexemes[j])
+                )
+                got = (UNSCORABLE_REASONS[reason - 1], None) if reason else (None, value.hex())
+                assert got == _bits(expected)
+                assert math.isnan(value) == bool(reason)
+
+
 class TestScorePairDispatch:
     def test_word_method_needs_no_lexicon(self, toy_table):
         outcome = score_pair(
@@ -364,8 +411,24 @@ class TestScorePairDispatch:
 
     def test_definition_methods_require_lexicon(self, toy_table):
         for method in (ScoreMethod.DEFINITION_SIMILARITY, ScoreMethod.DEFINITION_CONTENT_SIMILARITY):
-            with pytest.raises(ValueError, match="definition lexicon"):
+            with pytest.raises(
+                ConfigError, match=f"^method '{method.value}' needs a definition lexicon$"
+            ):
                 score_pair(method, toy_table, None, None, LexemePair("jet", "lag"))
+
+    def test_score_pairs_without_lexicon_is_a_config_error(self, toy_table):
+        for method in (DEFINITION, CONTENT):
+            with pytest.raises(
+                ConfigError, match=f"^method '{method.value}' needs a definition lexicon$"
+            ):
+                score_pairs(method, toy_table, None, None, [LexemePair("jet", "lag")])
+
+    def test_scan_without_lexicon_is_a_config_error(self, toy_table):
+        for method in (DEFINITION, CONTENT):
+            with pytest.raises(
+                ConfigError, match=f"^method '{method.value}' needs a definition lexicon$"
+            ):
+                scan_corpus(tokenize("jet lag jet lag"), toy_table, method, 0.5)
 
     def test_missing_stopwords_degrade_to_empty_set(self, toy_table, toy_lexicon):
         pair = LexemePair("video", "game")
@@ -434,7 +497,7 @@ class TestClassify:
             if outcome.is_scorable:
                 assert (judgement is Judgement.COMPOUND) == (outcome.value < threshold)
             judged[pair.is_positive, judgement] += 1
-        report = evaluate(labeled, threshold, WORD, PairSource.RANDOM)
+        report = evaluate(*score_arrays(labeled), threshold, WORD, PairSource.RANDOM)
         assert (report.tp, report.fn, report.unscorable_pos) == (
             judged[True, Judgement.COMPOUND],
             judged[True, Judgement.NOT_COMPOUND],
