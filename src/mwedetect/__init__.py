@@ -13,6 +13,7 @@ from __future__ import annotations
 from .corpus import (
     BigramCounts,
     build_bigram_counts,
+    count_corpus,
     read_corpus,
     sample_random_pairs,
     tokenize,
@@ -86,6 +87,7 @@ __all__ = [
     "BigramCounts",
     "tokenize",
     "read_corpus",
+    "count_corpus",
     "build_bigram_counts",
     "sample_random_pairs",
     "top_cooccurring_pairs",

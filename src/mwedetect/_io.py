@@ -1,4 +1,5 @@
-"""Small helpers for loaders that read UTF-8 text from a path or an open stream.
+"""Small helpers for loaders: UTF-8 text from a path or an open stream, and
+work done in a forked child.
 
 A loader's own error raised while it reads a source names that source once:
 ``<path>: line 3: ...``. The name is the path of a path source, or the
@@ -9,11 +10,99 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import functools
 import os
-from collections.abc import Iterable, Iterator
+import pickle
+import signal
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from typing import Any, NoReturn
 
 from .errors import MweDetectError
+
+# The read end of each running worker's pipe; a newly forked child closes them.
+_READERS: set[int] = set()
+
+
+class Worker:
+    """``fn(*args)`` run in a forked child while the ``with`` block runs.
+
+    ``result()`` waits for the child and returns the call's value, or raises
+    the exception the call raised. Leaving the block first, by an error or
+    an interrupt, kills the child; either way it is reaped. A child that
+    ends without a result, killed by a signal for instance, raises
+    ChildProcessError: ``"<what> ended without a result"``. The child holds
+    no other worker's pipe end, and it leaves only through ``os._exit``.
+    Where ``os.fork`` is missing, ``result()`` makes the call itself.
+    """
+
+    def __init__(self, what: str, fn: Callable[..., Any], *args: Any) -> None:
+        self._what = what
+        self._call: Callable[[], Any] | None = functools.partial(fn, *args)
+        self._pid: int | None = None
+        self._reader = -1
+
+    def __enter__(self) -> Worker:
+        if hasattr(os, "fork"):
+            reader, writer = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(reader)
+                os.close(writer)
+                raise
+            if pid == 0:
+                _child(reader, writer, self._call)
+            os.close(writer)
+            self._pid, self._reader, self._call = pid, reader, None
+            _READERS.add(reader)
+        return self
+
+    def result(self) -> Any:
+        if self._call is not None:  # no fork on this platform
+            call, self._call = self._call, None
+            return call()
+        reader, self._reader = self._reader, -1
+        _READERS.discard(reader)
+        with open(reader, "rb") as pipe:
+            data = pipe.read()
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = None
+        if os.waitstatus_to_exitcode(status) != 0 or not data:
+            raise ChildProcessError(f"{self._what} ended without a result")
+        value, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        return value
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._reader >= 0:
+            _READERS.discard(self._reader)
+            os.close(self._reader)
+            self._reader = -1
+        if self._pid is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+
+def _child(reader: int, writer: int, call: Callable[[], Any]) -> NoReturn:
+    """The whole life of a forked worker: make ``call`` and pickle its value
+    or its exception to ``writer``; exit with status 0 once that is sent."""
+    status = 1
+    try:
+        for fd in (reader, *_READERS):
+            os.close(fd)
+        try:
+            result = (call(), None)
+        except BaseException as exc:  # the parent raises it again
+            result = (None, exc)
+        with open(writer, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @contextlib.contextmanager

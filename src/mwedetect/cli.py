@@ -16,7 +16,9 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
+from .corpus import count_corpus, counting, sample_random_pairs, top_cooccurring_pairs
+# Bound here for perfbench's cli.read_corpus and cli.build_bigram_counts hooks.
+from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, MweDetectError
@@ -182,17 +184,18 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
     if args.top_n is not None and args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
-    table, lexicon, stopwords = _load_method_inputs(args)
-    hits = scan_corpus(
-        read_corpus(args.corpus),
-        table,
-        method,
-        args.threshold,
-        min_count=args.min_count,
-        top_n=args.top_n,
-        lexicon=lexicon,
-        stopwords=stopwords,
-    )
+    with counting(args.corpus) as corpus:
+        table, lexicon, stopwords = _load_method_inputs(args)
+        hits = scan_corpus(
+            corpus.result(),
+            table,
+            method,
+            args.threshold,
+            min_count=args.min_count,
+            top_n=args.top_n,
+            lexicon=lexicon,
+            stopwords=stopwords,
+        )
     _write_csv_rows(
         args.output,
         ["left", "right", "count", "score"],
@@ -204,18 +207,17 @@ def cmd_scan(args) -> int:
 def cmd_sample_negatives(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    tokens = read_corpus(args.corpus)
+    counts = count_corpus(args.corpus)
     exclusions: set[tuple[str, str]] = set()
     if args.exclusions:
         exclusions = both_orientations(
             load_compounds(args.exclusions, args.exclusions_left_column, args.exclusions_right_column)
         )
     if args.kind == "random":
-        sampled = sample_random_pairs(set(tokens), args.n, args.seed, exclusions)
+        sampled = sample_random_pairs(counts.vocabulary, args.n, args.seed, exclusions)
         header = ["left", "right"]
         rows = [(pair.left, pair.right) for pair in sampled]
     else:
-        counts = build_bigram_counts(tokens)
         sampled = top_cooccurring_pairs(counts, args.n, exclusions)
         header = ["left", "right", "count"]
         rows = [(pair.left, pair.right, counts.count(pair.left, pair.right)) for pair in sampled]

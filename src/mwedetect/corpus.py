@@ -2,25 +2,34 @@
 
 The tokenizer keeps only runs of ASCII letters, lowercased; numerals and
 punctuation never become tokens. Bigrams are counted as integer codes over
-the sorted vocabulary. Both samplers are deterministic given their inputs
-and seed.
+the sorted vocabulary. ``count_corpus`` counts them as it reads, a chunk at
+a time, so its memory grows with the bigram types, not with the tokens;
+``read_corpus`` and ``build_bigram_counts`` are the same count by way of
+the whole token sequence. Both samplers are deterministic given
+their inputs and seed.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-import re
-from collections.abc import Collection, Iterable, Sequence
+from collections import defaultdict
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._io import read_text
+from ._io import Worker, read_text, text_lines
 from .errors import CorpusError, SamplingError
 from .pairs import LexemePair
 
-_TOKEN_RE = re.compile(r"[a-z]+")
+# Every byte but the lowercase ASCII letters becomes a space.
+_LETTERS = bytes(byte if ord("a") <= byte <= ord("z") else ord(" ") for byte in range(256))
+
+# Characters of a corpus file that count_corpus reads at a time. Larger
+# chunks count no faster and raise the peak memory.
+_CHUNK_CHARS = 1 << 18
 
 # Above this many ordered token pairs, uniform sampling switches from full
 # enumeration to seeded rejection sampling.
@@ -74,14 +83,33 @@ class BigramCounts:
         ]
 
 
+def _letters(text: str) -> bytes:
+    """``text`` lowercased, as ASCII bytes with every non-letter a space.
+
+    A character outside ASCII becomes one ``?`` before the translation, so a
+    token is exactly a run of ``[a-z]`` in ``text.lower()``.
+    """
+    return text.lower().encode("ascii", "replace").translate(_LETTERS)
+
+
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase ``text`` and split it on every non-alphabetic character."""
-    return tuple(_TOKEN_RE.findall(text.lower()))
+    return tuple(_letters(text).decode("ascii").split())
 
 
 def has_token(text: str) -> bool:
     """Whether ``tokenize(text)`` is non-empty, without building its tokens."""
-    return _TOKEN_RE.search(text.lower()) is not None
+    return bool(_letters(text).strip())
+
+
+def _corpus_files(path: Path) -> list[Path]:
+    """The file at ``path``, or every file under the directory, in path order."""
+    if not path.is_dir():
+        return [path]
+    files = sorted(p for p in path.rglob("*") if p.is_file())
+    if not files:
+        raise CorpusError(f"corpus directory contains no files: {path}")
+    return files
 
 
 def read_corpus(path: str | Path) -> tuple[str, ...]:
@@ -90,15 +118,82 @@ def read_corpus(path: str | Path) -> tuple[str, ...]:
     Directory contents are concatenated in lexicographic path order with a
     newline between files, then tokenized as one sequence.
     """
-    path = Path(path)
-    if path.is_dir():
-        files = sorted(p for p in path.rglob("*") if p.is_file())
-        if not files:
-            raise CorpusError(f"corpus directory contains no files: {path}")
-        text = "\n".join(read_text(p, CorpusError) for p in files)
-    else:
-        text = read_text(path, CorpusError)
-    return tokenize(text)
+    return tokenize("\n".join(read_text(p, CorpusError) for p in _corpus_files(Path(path))))
+
+
+def count_corpus(path: str | Path) -> BigramCounts:
+    """``build_bigram_counts(read_corpus(path))``, without holding the tokens.
+
+    Each file is read ``_CHUNK_CHARS`` characters at a time, not a line:
+    a file may have no line ends. The letters at the end of a chunk may go
+    on in the next, so they wait for it. The chunk's tokens get ids in
+    first-seen order, the last id carries over to the next chunk and the
+    next file, and ``np.unique`` counts the chunk's ``(a << 32) | b`` codes
+    of adjacent ids. The chunk counts are merged into running totals
+    whenever they outgrow them, so memory grows with the bigram types plus
+    one chunk. At the end the ids become ranks in the sorted vocabulary.
+    Errors are read_corpus's.
+    """
+    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    totals = (np.empty(0, np.int64), np.empty(0, np.int64))
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
+    last = np.empty(0, np.int64)
+    tail = b""
+    for chunk in _chunks(_corpus_files(Path(path))):
+        # Lowercasing and the translation go character by character, so
+        # chunk by chunk they give the bytes of the whole text.
+        letters = tail + _letters(chunk)
+        cut = letters.rfind(b" ") + 1
+        letters, tail = letters[:cut], letters[cut:]
+        tokens = letters.decode("ascii").split()
+        sequence = np.concatenate(
+            (last, np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)))
+        )
+        last = sequence[-1:]
+        pending.append(np.unique((sequence[:-1] << 32) | sequence[1:], return_counts=True))
+        if sum(len(codes) for codes, _ in pending) > len(totals[0]):
+            totals, pending = _merge([totals, *pending]), []
+    codes, counts = _merge([totals, *pending])
+
+    words = list(ids)  # in id order
+    vocabulary = tuple(sorted(words))
+    index = dict(zip(vocabulary, range(len(vocabulary))))
+    ranks = np.fromiter(map(index.__getitem__, words), np.int64, len(words))
+    codes = ranks[codes >> 32] * len(vocabulary) + ranks[codes & 0xFFFFFFFF]
+    order = np.argsort(codes)
+    return BigramCounts(
+        vocabulary=vocabulary, codes=codes[order], counts=counts[order], index=index
+    )
+
+
+def counting(path: str | Path) -> Worker:
+    """``count_corpus(path)`` in a forked worker, to run beside the loaders.
+
+    Its ``result()`` returns the counts or raises count_corpus's error, so
+    errors come in the order of a count made where it is collected.
+    """
+    return Worker(f"{path}: the worker counting the corpus", count_corpus, path)
+
+
+def _chunks(files: list[Path]) -> Iterator[str]:
+    """The text of ``files`` in chunks of ``_CHUNK_CHARS`` characters, each
+    file followed by read_corpus's newline between files."""
+    for file in files:
+        with text_lines(file, CorpusError) as handle:
+            yield from iter(lambda: handle.read(_CHUNK_CHARS), "")
+        yield "\n"
+
+
+def _merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The (codes, counts) of several, each code once, ascending, its counts summed."""
+    codes = np.concatenate([codes for codes, _ in parts])
+    counts = np.concatenate([counts for _, counts in parts]).astype(np.int64, copy=False)
+    if not len(codes):
+        return codes, counts
+    order = np.argsort(codes)
+    codes, counts = codes[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(counts, starts)
 
 
 def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
@@ -188,13 +283,20 @@ def top_cooccurring_pairs(
 
     Ordered by descending count, then lexicographically by (left, right)
     so equal counts break ties deterministically. The excluded codes are
-    masked out with ``np.isin``, and one ``np.lexsort`` by (-count, code)
-    gives that order, since code order is the lexical order.
+    found in the ascending codes by ``np.searchsorted``; ``np.partition``
+    finds the n-th largest remaining count, and one ``np.lexsort`` by
+    (-count, code) orders only the bigrams at or above it, since code order
+    is the lexical order.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     excluded = (counts.code(*_pair_key(p)) for p in exclusions)
-    kept = ~np.isin(counts.codes, np.array([c for c in excluded if c is not None], np.int64))
+    excluded = np.unique(np.array([c for c in excluded if c is not None], np.int64))
+    positions = np.searchsorted(counts.codes, excluded)
+    found = positions < len(counts.codes)
+    found[found] = counts.codes[positions[found]] == excluded[found]
+    kept = np.ones(len(counts.codes), bool)
+    kept[positions[found]] = False
     codes, tallies = counts.codes[kept], counts.counts[kept]
     available = len(codes)
     if available < n:
@@ -202,7 +304,12 @@ def top_cooccurring_pairs(
             f"requested {n} co-occurring pairs but only {available} "
             f"non-excluded bigrams exist (short by {n - available})"
         )
-    return counts.pairs(codes[np.lexsort((codes, -tallies))[:n]])
+    if n == 0:
+        return []
+    # The n-th largest count: the bigrams at or above it hold the n first.
+    cut = -np.partition(-tallies, n - 1)[n - 1]
+    top = np.flatnonzero(tallies >= cut)
+    return counts.pairs(codes[top[np.lexsort((codes[top], -tallies[top]))][:n]])
 
 
 __all__ = [
@@ -210,6 +317,7 @@ __all__ = [
     "tokenize",
     "has_token",
     "read_corpus",
+    "count_corpus",
     "build_bigram_counts",
     "sample_random_pairs",
     "top_cooccurring_pairs",

@@ -13,16 +13,13 @@ import itertools
 import logging
 import mmap
 import os
-import pickle
 import re
-import signal
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
-from ._io import text_lines
+from ._io import Worker, text_lines
 from .errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 logger = logging.getLogger(__name__)
@@ -223,65 +220,30 @@ def _read_split(
     of the earliest range that failed. Every child is reaped before this
     returns or raises; one still running then is killed first.
     """
-    pipes: dict[int, tuple[int, io.BufferedReader]] = {}
-    try:
+    with contextlib.ExitStack() as stack:
         first_lines = ranges[0][1]
+        workers = []
         row = first_lines
         for start, count in ranges[1:]:
-            reader, writer = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(reader)
-                _child(writer, path, start, count, dimension, matrix, row)
-            os.close(writer)
-            pipes[pid] = (row, open(reader, "rb"))
+            what = f"{path}: the child parsing from line {row + 1}"
+            worker = Worker(what, _read_range, path, start, count, dimension, matrix, row)
+            workers.append((row, stack.enter_context(worker)))
             row += count
         head = itertools.takewhile(lambda numbered_line: numbered_line[0] <= first_lines, numbered)
         parts = [(0, _read_entries(head, dimension, matrix, 0)[0])]
-        for pid, (row, pipe) in list(pipes.items()):
-            with pipe:
-                result = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del pipes[pid]
-            if os.waitstatus_to_exitcode(status) != 0 or not result:
-                raise ChildProcessError(
-                    f"{path}: the child parsing from line {row + 1} ended without a result"
-                )
-            tokens, error = pickle.loads(result)
-            if error is not None:
-                raise error
-            parts.append((row, tokens))
+        parts += [(row, worker.result()) for row, worker in workers]
         return parts
-    finally:
-        for pid, (_, pipe) in pipes.items():
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
-def _child(
-    writer: int, path: str, start: int, count: int, dimension: int, matrix: np.ndarray, row: int
-) -> NoReturn:
-    """The whole life of a forked child: parse ``count`` lines of ``path`` from
-    byte ``start`` into ``matrix`` from ``row`` on, and pickle the tokens or
-    the exception to ``writer``. It leaves only through ``os._exit``, with
-    status 0 once the result is sent."""
-    status = 1
-    try:
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(start)
-                lines = itertools.islice(io.TextIOWrapper(handle, encoding="utf-8"), count)
-                numbered = enumerate(lines, start=row + 1)
-                result = (_read_entries(numbered, dimension, matrix, row)[0], None)
-        except BaseException as exc:  # the parent raises it again
-            result = (None, exc)
-        with open(writer, "wb") as pipe:
-            pickle.dump(result, pipe)
-        status = 0
-    finally:
-        os._exit(status)
+def _read_range(
+    path: str, start: int, count: int, dimension: int, matrix: np.ndarray, row: int
+) -> list[str]:
+    """Parse ``count`` lines of ``path`` from byte ``start`` into ``matrix``
+    from ``row`` on; return their entry tokens."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        lines = itertools.islice(io.TextIOWrapper(handle, encoding="utf-8"), count)
+        return _read_entries(enumerate(lines, start=row + 1), dimension, matrix, row)[0]
 
 
 def _first_wins(

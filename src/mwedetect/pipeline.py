@@ -28,12 +28,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import build_bigram_counts, read_corpus, sample_random_pairs, top_cooccurring_pairs
+from .corpus import BigramCounts, counting, sample_random_pairs, top_cooccurring_pairs
+# Bound here for perfbench's pipeline.read_corpus and pipeline.build_bigram_counts hooks.
+from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
 from .embeddings import EmbeddingTable, load_embeddings
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
-from .scoring import ScoreMethod, is_compound, lexeme_ids, score_ids
+from .scoring import UNSCORABLE_REASONS, ScoreMethod, is_compound, lexeme_ids, score_ids
 # Bound here for perfbench's pipeline.classify and pipeline.score_pair hooks.
 from .scoring import classify, score_pair  # noqa: F401
 from ._io import naming, read_text, text_lines
@@ -409,7 +411,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     calibration split, and evaluates the held-out split once per negative
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
-    recall identical across negative sources by construction.
+    recall identical across negative sources by construction. The corpus
+    is counted in a forked worker while the other inputs load.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -417,13 +420,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if field.default is dataclasses.MISSING and not input_path.exists():
             raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
-    table = load_embeddings(config.embeddings)
-    lexicon = load_definitions(config.definitions)
-    stopwords = load_stopwords(config.stopwords)
-    positives = load_compounds(
-        config.compounds, config.compound_left_column, config.compound_right_column
-    )
-    counts = build_bigram_counts(read_corpus(config.corpus))
+    with counting(config.corpus) as corpus:
+        table = load_embeddings(config.embeddings)
+        lexicon = load_definitions(config.definitions)
+        stopwords = load_stopwords(config.stopwords)
+        positives = load_compounds(
+            config.compounds, config.compound_left_column, config.compound_right_column
+        )
+        counts = corpus.result()
 
     exclusions = both_orientations(positives)
     n = len(positives)
@@ -513,7 +517,7 @@ class ScanHit:
 
 
 def scan_corpus(
-    tokens: Sequence[str],
+    counts: BigramCounts,
     table: EmbeddingTable,
     method: ScoreMethod,
     threshold: float,
@@ -522,15 +526,17 @@ def scan_corpus(
     lexicon: DefinitionLexicon | None = None,
     stopwords: frozenset[str] | None = None,
 ) -> list[ScanHit]:
-    """Classify every adjacent bigram of the corpus; keep compound hits.
+    """Classify every bigram of a corpus's counts; keep compound hits.
 
     Bigrams below ``min_count`` are masked out of the integer-coded counts,
     and the rest are scored as pairs of vocabulary ranks by ``score_ids``.
-    Pairs the method cannot score are dropped silently. Hits come back
-    sorted by ascending score (most non-compositional first), then
-    alphabetically, truncated to ``top_n``; only those become ScanHits. A
-    threshold outside [-1, 1], a ``min_count`` or a ``top_n`` below 1
-    raises ConfigError.
+    When the method cannot score some of them, one warning gives their
+    number per reason, e.g. ``scan: 37 of 4970 bigram(s) unscorable:
+    no-definition 30, left-oov 7``. Hits come back sorted by ascending score
+    (most non-compositional first), then alphabetically, truncated to
+    ``top_n``; only those become ScanHits. A threshold outside [-1, 1], a
+    ``min_count`` or a ``top_n`` below 1 raises ConfigError, and a corpus
+    without tokens CorpusError.
     """
     if not -1.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [-1, 1], got {threshold}")
@@ -538,18 +544,25 @@ def scan_corpus(
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
     if top_n is not None and top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    if not tokens:
+    if not counts.vocabulary:
         raise CorpusError("corpus contains no tokens")
-    counts = build_bigram_counts(tokens)
     frequent = counts.counts >= min_count
     tallies = counts.counts[frequent]
     left_ranks, right_ranks = np.divmod(counts.codes[frequent], len(counts.vocabulary))
     # Only the lexemes of a frequent bigram are scored.
     needed, ids = np.unique(np.concatenate((left_ranks, right_ranks)), return_inverse=True)
     lexemes = [counts.vocabulary[rank] for rank in needed.tolist()]
-    values, _ = score_ids(
+    values, reasons = score_ids(
         method, table, lexicon, stopwords, lexemes, ids[: len(tallies)], ids[len(tallies) :]
     )
+    unscorable = np.bincount(reasons, minlength=len(UNSCORABLE_REASONS) + 1)[1:]
+    if unscorable.any():
+        logger.warning(
+            "scan: %d of %d bigram(s) unscorable: %s",
+            unscorable.sum(),
+            len(tallies),
+            ", ".join(f"{r} {n}" for r, n in zip(UNSCORABLE_REASONS, unscorable.tolist()) if n),
+        )
     hits = np.flatnonzero(is_compound(values, threshold))
     # By score, then by (left, right): the vocabulary is sorted, so rank
     # order is string order.

@@ -23,7 +23,7 @@ import pytest
 
 from mwedetect import scan_corpus
 from mwedetect.cli import main
-from mwedetect.corpus import tokenize
+from mwedetect.corpus import build_bigram_counts, tokenize
 from mwedetect.embeddings import cosine
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
@@ -332,7 +332,11 @@ def test_criterion_8_scan_emits_exactly_the_qualifying_bigrams(announce, toy_tab
         assert expected, "fixture must produce at least one hit"
 
         hits = scan_corpus(
-            tokenize(text), toy_table, ScoreMethod.WORD_SIMILARITY, threshold, min_count
+            build_bigram_counts(tokenize(text)),
+            toy_table,
+            ScoreMethod.WORD_SIMILARITY,
+            threshold,
+            min_count,
         )
         assert [(h.pair.left, h.pair.right, h.count) for h in hits] == [
             (left, right, count) for left, right, count, _ in expected

@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import shutil
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwedetect import cli, embeddings
+from mwedetect import cli, corpus, embeddings
 from mwedetect.cli import main
-from mwedetect.errors import MweDetectError
+from mwedetect.errors import CorpusError, MweDetectError, SamplingError
+from mwedetect.pipeline import load_config, run_experiment
 
 _DATA = Path(__file__).parent / "data"
 EMB = str(_DATA / "toy_embeddings.txt")
@@ -305,6 +309,77 @@ class TestArgumentHandling:
         monkeypatch.setattr(cli, "cmd_score", broken)
         with pytest.raises(ValueError, match="bug"):
             main(["score", "jet", "lag", "--method", "word", "--embeddings", EMB])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the corpus is counted in a forked worker")
+class TestCorpusWorker:
+    """run and scan count the corpus in a forked worker beside the loaders."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        for source in _DATA.iterdir():
+            shutil.copy(source, tmp_path)
+        return tmp_path.resolve()
+
+    @staticmethod
+    def scan_argv(d):
+        return ["scan", "--corpus", f"{d}/toy_corpus.txt", "--embeddings", f"{d}/toy_embeddings.txt",
+                "--method", "word", "--threshold", "0.5"]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_empty_corpus(self, inputs, capsys):
+        (inputs / "toy_corpus.txt").write_text("123 !!\n", encoding="utf-8")
+        with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens"):
+            run_experiment(load_config(inputs / "experiment.conf"))
+        assert main(self.scan_argv(inputs)) == 1
+        assert capsys.readouterr().err == "error: corpus contains no tokens\n"
+        self.assert_no_child_left()
+
+    def test_failed_load_stops_the_counting_worker(self, inputs, monkeypatch):
+        count_corpus = corpus.count_corpus
+
+        def slow(path):
+            time.sleep(60)  # the parent must kill the worker, not wait for it
+            return count_corpus(path)
+
+        monkeypatch.setattr(corpus, "count_corpus", slow)
+        (inputs / "toy_embeddings.txt").write_text("jet 1 0\nlag x 1\n", encoding="utf-8")
+        started = time.monotonic()
+        assert main(["run", f"{inputs}/experiment.conf", "--output-dir", f"{inputs}/out"]) == 1
+        assert main(self.scan_argv(inputs)) == 1
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+    def test_killed_worker_is_a_child_process_error_naming_the_corpus(
+        self, inputs, monkeypatch, capsys
+    ):
+        def killed(path):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(corpus, "count_corpus", killed)
+        path = inputs / "toy_corpus.txt"
+        expected = f"^{re.escape(str(path))}: the worker counting the corpus ended without a result$"
+        with pytest.raises(ChildProcessError, match=expected):
+            run_experiment(load_config(inputs / "experiment.conf"))
+        self.assert_no_child_left()
+        for argv in (["run", f"{inputs}/experiment.conf"], self.scan_argv(inputs)):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {path}: the worker counting")
+        self.assert_no_child_left()
+
+    def test_corpus_error_comes_after_the_loaders_errors(self, inputs, capsys):
+        (inputs / "toy_corpus.txt").write_bytes(b"caf\xe9\n")
+        (inputs / "toy_definitions.tsv").write_text("no tab here\n", encoding="utf-8")
+        assert main(["run", f"{inputs}/experiment.conf", "--output-dir", f"{inputs}/out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {inputs}/toy_definitions.tsv: line 1")
+        (inputs / "toy_definitions.tsv").write_text("jet\ta jet\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="toy_corpus.txt: line 1: not UTF-8"):
+            run_experiment(load_config(inputs / "experiment.conf"))
+        self.assert_no_child_left()
 
 
 def _swap_columns(data: bytes) -> bytes:

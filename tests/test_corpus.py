@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import codecs
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from mwedetect import corpus
 from mwedetect.corpus import (
     build_bigram_counts,
+    count_corpus,
     has_token,
     read_corpus,
     sample_random_pairs,
@@ -17,6 +24,10 @@ from mwedetect.corpus import (
 )
 from mwedetect.errors import CorpusError, SamplingError
 from mwedetect.pairs import LexemePair
+
+
+# Characters with a Unicode case mapping that changes length or leaves ASCII.
+_CASE_MAPPED = "\u0130K\u212a\u00df\u03a3\ufb00\ud800"
 
 
 class TestTokenize:
@@ -43,6 +54,16 @@ class TestTokenize:
     def test_retokenizing_joined_output_is_stable(self, text):
         tokens = tokenize(text)
         assert tokenize(" ".join(tokens)) == tokens
+
+    # Characters whose lowercase form is longer or not ASCII, and lone
+    # surrogates, which no UTF-8 file holds but a str may.
+    @given(
+        st.text(st.characters(exclude_categories=()) | st.sampled_from(_CASE_MAPPED), max_size=60)
+    )
+    @example("\u0130stanbul \u212aelvin")  # the Kelvin sign lowercases to "k"
+    @example("a\udc80b\ud83d\ude00c")
+    def test_matches_the_regular_expression(self, text):
+        assert tokenize(text) == tuple(re.findall(r"[a-z]+", text.lower()))
 
     @given(st.text(max_size=200))
     @example("\u0130")  # lowercases to "i" and a combining dot
@@ -82,6 +103,84 @@ class TestReadCorpus:
 def _as_dict(counts):
     """Every observed bigram of ``counts`` and its ``count()``."""
     return {(p.left, p.right): counts.count(p.left, p.right) for p in counts.pairs(counts.codes)}
+
+
+def assert_same_counts(counts, expected):
+    """Field by field equal: vocabulary, the bytes of both arrays, and the index."""
+    assert counts.vocabulary == expected.vocabulary
+    assert counts.codes.dtype == counts.counts.dtype == np.int64
+    assert counts.codes.tobytes() == expected.codes.tobytes()
+    assert counts.counts.tobytes() == expected.counts.tobytes()
+    assert list(counts.index.items()) == list(expected.index.items())
+
+
+# One corpus file: its lines, the line end, whether the last line ends, and
+# whether a byte-order mark leads.
+_CORPUS_FILES = st.tuples(
+    st.lists(
+        st.text(st.sampled_from("ab c\tB.1\u00e9" + _CASE_MAPPED[:-1]), max_size=12), max_size=6
+    ),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+class TestCountCorpus:
+    @given(
+        files=st.lists(_CORPUS_FILES, min_size=1, max_size=4),
+        nested=st.booleans(),
+        chunk=st.integers(min_value=1, max_value=12),
+    )
+    @example(files=[([], "\n", False, False)], nested=False, chunk=1)
+    @example(
+        files=[(["ab"], "\n", False, True), (["c", "ab"], "\r", True, False)],
+        nested=True,
+        chunk=1,
+    )
+    def test_equals_read_then_count(self, files, nested, chunk):
+        """Over a file and a directory of files, in chunks down to one character."""
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_CHUNK_CHARS", chunk)
+            root = Path(tmp)
+            paths = []
+            for number, (lines, end, final, bom) in enumerate(files):
+                # With ``nested``, the last file lies in a subdirectory.
+                last = nested and number == len(files) - 1
+                name = f"sub/{number}.txt" if last else f"{number}.txt"
+                path = root / name
+                path.parent.mkdir(exist_ok=True)
+                text = end.join(lines) + (end if final and lines else "")
+                path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+                paths.append(path)
+            for source in (root, paths[0]):
+                assert_same_counts(count_corpus(source), build_bigram_counts(read_corpus(source)))
+
+    def test_counts_across_file_ends(self, tmp_path):
+        (tmp_path / "a.txt").write_text("the cat", encoding="utf-8")
+        (tmp_path / "b.txt").write_text("sat the cat\n", encoding="utf-8")
+        counts = count_corpus(tmp_path)
+        assert counts.count("cat", "sat") == 1
+        assert counts.count("the", "cat") == 2
+
+    def test_empty_corpus_has_no_vocabulary(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("123 !!\n", encoding="utf-8")
+        counts = count_corpus(path)
+        assert counts.vocabulary == () and len(counts) == 0
+        assert_same_counts(counts, build_bigram_counts(()))
+
+    def test_empty_directory_raises(self, tmp_path):
+        with pytest.raises(CorpusError, match="no files"):
+            count_corpus(tmp_path)
+
+    def test_bad_byte_in_a_later_chunk_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"jet lag\n" * 9 + b"caf\xe9\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus, "_CHUNK_CHARS", 1)
+            with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: line 10: not UTF-8"):
+                count_corpus(path)
 
 
 class TestBigramCounts:
@@ -251,6 +350,11 @@ class TestTopCooccurringPairsProperties:
         as_lexeme_pairs=st.booleans(),
         n=st.integers(min_value=0, max_value=18),
     )
+    # Counts ab 2, cd 2, ba 1, bc 1, dc 1: the cut at n = 3 falls among the 1s.
+    @example(tokens=list("ababcdcd"), exclusions=[], as_lexeme_pairs=False, n=3)
+    @example(tokens=list("abab"), exclusions=[("a", "b")], as_lexeme_pairs=True, n=0)
+    # All that remain once bc is excluded.
+    @example(tokens=list("ababcdcd"), exclusions=[("b", "c")], as_lexeme_pairs=False, n=4)
     def test_matches_full_sort(self, tokens, exclusions, as_lexeme_pairs, n):
         """Equal to the full sort by (-count, left, right), ties and exclusions
         included, for n drawn, 0 and all that remain; short by k raises."""

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import codecs
 import io
+import os
 import re
 import shutil
+import time
 
 import pytest
 
+from mwedetect import _io
+from mwedetect._io import Worker
 from mwedetect.cli import main
-from mwedetect.corpus import read_corpus
+from mwedetect.corpus import count_corpus, read_corpus
 from mwedetect.definitions import load_definitions, load_stopwords
 from mwedetect.embeddings import load_embeddings
 from mwedetect.errors import (
@@ -26,6 +30,7 @@ from mwedetect.pipeline import load_compounds, load_config
 # line is the valid one with its first "w" spelled "caf\xe9".
 LOADERS = {
     "corpus": (read_corpus, CorpusError, lambda i: f"w{i} text here"),
+    "counts": (count_corpus, CorpusError, lambda i: f"w{i} text here"),
     "embeddings": (load_embeddings, EmbeddingFormatError, lambda i: f"w{i} 1 0"),
     "definitions": (load_definitions, LexiconFormatError, lambda i: f"w{i}\tsome text"),
     "stopwords": (load_stopwords, LexiconFormatError, lambda i: f"w{i}"),
@@ -56,6 +61,7 @@ def test_loader_names_path_and_line(tmp_path, name, bad_line):
 # Each loader's valid text, and the part of its result that a test compares.
 BOM_CASES = {
     "corpus": ("jet lag\n", lambda tokens: tokens),
+    "counts": ("jet lag\n", lambda counts: (counts.vocabulary, counts.codes.tobytes())),
     "embeddings": ("jet 1 0\nlag 0 1\n", lambda table: (table.index, table.matrix.tobytes())),
     "definitions": ("jet\ta jet\n", lambda lexicon: lexicon.definitions),
     "stopwords": ("the\n", lambda words: words),
@@ -174,6 +180,15 @@ def test_scan_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):
     assert capsys.readouterr().err.startswith(f"error: {corpus}: line 2: not UTF-8")
 
 
+def test_run_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):
+    for source in data_dir.iterdir():
+        shutil.copy(source, tmp_path)
+    corpus = tmp_path / "toy_corpus.txt"
+    corpus.write_bytes(b"jet lag\ncaf\xe9 jet lag\n")
+    assert main(["run", str(tmp_path / "experiment.conf"), "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus.resolve()}: line 2: not UTF-8")
+
+
 def test_run_exits_one_naming_the_config_line(tmp_path, capsys):
     config = tmp_path / "experiment.conf"
     config.write_bytes(b"# settings\nsample_seed = 1\ncorpus = caf\xe9.txt\n")
@@ -247,3 +262,38 @@ def test_cli_format_error_names_the_file(tmp_path, data_dir, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path.resolve() / file}: {message}")
     assert err.count(file) == 1
+
+
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers fork only where os.fork exists")
+def test_a_worker_holds_no_other_workers_pipe_end():
+    with Worker("first", time.sleep, 60):
+        readers = set(_io._READERS)
+        assert readers and all(_is_open(fd) for fd in readers)
+        with Worker("second", lambda: [fd for fd in readers if _is_open(fd)]) as second:
+            assert second.result() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not _io._READERS and all(not _is_open(fd) for fd in readers)
+
+
+def test_without_fork_a_worker_calls_in_place_when_collected(monkeypatch):
+    monkeypatch.delattr(os, "fork", raising=False)
+    calls = []
+
+    def fail():
+        calls.append(os.getpid())
+        raise CorpusError("no tokens")
+
+    with Worker("inline", fail) as worker:
+        assert calls == []
+        with pytest.raises(CorpusError, match="no tokens"):
+            worker.result()
+    assert calls == [os.getpid()]

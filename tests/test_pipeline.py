@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import logging
 import math
 import re
 import string
@@ -14,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mwedetect import ScanHit, scan_corpus
-from mwedetect.corpus import tokenize
+from mwedetect.corpus import build_bigram_counts, tokenize
 from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
@@ -34,7 +35,14 @@ from mwedetect.pipeline import (
     run_experiment,
     split_dataset,
 )
-from mwedetect.scoring import Judgement, ScoreMethod, ScoreOutcome, classify, score_pair
+from mwedetect.scoring import (
+    UNSCORABLE_REASONS,
+    Judgement,
+    ScoreMethod,
+    ScoreOutcome,
+    classify,
+    score_pair,
+)
 
 from conftest import alphabetic_token, make_table, score_arrays
 
@@ -763,7 +771,13 @@ class TestScanHit:
 
 class TestScanCorpus:
     def test_repeated_bigram_is_one_hit(self, toy_table):
-        hits = scan_corpus(tokenize("jet lag jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=2)
+        hits = scan_corpus(
+            build_bigram_counts(tokenize("jet lag jet lag")),
+            toy_table,
+            ScoreMethod.WORD_SIMILARITY,
+            0.5,
+            min_count=2,
+        )
         assert len(hits) == 1
         assert hits[0].pair == LexemePair("jet", "lag")
         assert hits[0].count == 2
@@ -772,7 +786,10 @@ class TestScanCorpus:
     def test_hits_satisfy_documented_predicates(self, toy_table, data_dir):
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
         threshold, min_count = 0.3, 1
-        hits = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, threshold, min_count)
+        hits = scan_corpus(
+            build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, threshold,
+            min_count,
+        )
         assert hits
         for hit in hits:
             assert hit.score < threshold
@@ -780,45 +797,65 @@ class TestScanCorpus:
 
     def test_ascending_score_then_alphabetical_order(self, toy_table, data_dir):
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        hits = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
+        hits = scan_corpus(build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
         keys = [(hit.score, hit.pair.left, hit.pair.right) for hit in hits]
         assert keys == sorted(keys)
 
     def test_threshold_at_lower_bound_yields_nothing(self, toy_table):
-        hits = scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, -1.0)
+        hits = scan_corpus(
+            build_bigram_counts(tokenize("jet lag")), toy_table, ScoreMethod.WORD_SIMILARITY, -1.0
+        )
         assert hits == []
 
     def test_min_count_above_max_yields_nothing(self, toy_table):
         hits = scan_corpus(
-            tokenize("jet lag jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=3
+            build_bigram_counts(tokenize("jet lag jet lag")),
+            toy_table,
+            ScoreMethod.WORD_SIMILARITY,
+            0.5,
+            min_count=3,
         )
         assert hits == []
 
     def test_top_n_truncates_after_sorting(self, toy_table, data_dir):
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        full = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
-        top = scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.3, top_n=2)
+        full = scan_corpus(build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, 0.3)
+        top = scan_corpus(
+            build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, 0.3, top_n=2
+        )
         assert top == full[:2]
 
     def test_unscorable_bigrams_skipped(self, toy_table):
         # "xyzzy" has no vector, so its bigrams silently drop out of the scan.
         hits = scan_corpus(
-            tokenize("jet lag xyzzy jet"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5
+            build_bigram_counts(tokenize("jet lag xyzzy jet")),
+            toy_table,
+            ScoreMethod.WORD_SIMILARITY,
+            0.5,
         )
         assert [hit.pair for hit in hits] == [LexemePair("jet", "lag")]
 
     def test_empty_corpus_rejected(self, toy_table):
         with pytest.raises(CorpusError, match="no tokens"):
-            scan_corpus(tokenize("123 !!"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5)
+            scan_corpus(
+                build_bigram_counts(tokenize("123 !!")), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5
+            )
 
     def test_out_of_range_threshold_rejected(self, toy_table):
         with pytest.raises(ConfigError, match="threshold"):
-            scan_corpus(tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 1.5)
+            scan_corpus(
+                build_bigram_counts(tokenize("jet lag")), toy_table, ScoreMethod.WORD_SIMILARITY,
+                1.5,
+            )
 
     def test_min_count_below_one_rejected(self, toy_table):
         with pytest.raises(ConfigError, match="min_count"):
             scan_corpus(
-                tokenize("jet lag"), toy_table, ScoreMethod.WORD_SIMILARITY, 0.5, min_count=0
+                build_bigram_counts(tokenize("jet lag")),
+                toy_table,
+                ScoreMethod.WORD_SIMILARITY,
+                0.5,
+                min_count=0,
             )
 
     @given(
@@ -843,7 +880,7 @@ class TestScanCorpus:
             if count >= min_count and outcome.is_scorable and outcome.value < threshold:
                 expected.append((outcome.value, left, right, count))
         hits = scan_corpus(
-            tuple(tokens),
+            build_bigram_counts(tuple(tokens)),
             toy_table,
             method,
             threshold,
@@ -852,6 +889,54 @@ class TestScanCorpus:
             stopwords=toy_stopwords,
         )
         assert [(h.score, h.pair.left, h.pair.right, h.count) for h in hits] == sorted(expected)
+
+    @pytest.mark.parametrize("method", list(ScoreMethod))
+    @given(
+        # "xyzzy" has no vector and no definition; "the" is a stop word.
+        tokens=st.lists(
+            st.sampled_from(("jet", "lag", "hot", "dog", "the", "xyzzy")), min_size=1, max_size=30
+        ),
+        min_count=st.integers(min_value=1, max_value=3),
+    )
+    @example(tokens=["jet", "xyzzy", "lag", "jet", "lag"], min_count=1)
+    def test_unscorable_bigrams_are_logged_per_reason(
+        self, toy_table, toy_lexicon, toy_stopwords, method, tokens, min_count
+    ):
+        """The logged counts and the scored bigrams add up to the bigrams
+        with count >= min_count."""
+        frequent = [
+            LexemePair(*key)
+            for key, count in Counter(zip(tokens, tokens[1:])).items()
+            if count >= min_count
+        ]
+        outcomes = [score_pair(method, toy_table, toy_lexicon, toy_stopwords, p) for p in frequent]
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("mwedetect.pipeline")
+        logger.addHandler(handler)
+        try:
+            scan_corpus(
+                build_bigram_counts(tokens), toy_table, method, 1.0, min_count,
+                lexicon=toy_lexicon, stopwords=toy_stopwords,
+            )
+        finally:
+            logger.removeHandler(handler)
+        logged = Counter()
+        for record in records:
+            message = record.getMessage()
+            found = re.fullmatch(r"scan: (\d+) of (\d+) bigram\(s\) unscorable: (.*)", message)
+            assert found and record.levelno == logging.WARNING, message
+            assert int(found[2]) == len(frequent)
+            for part in found[3].split(", "):
+                reason, count = part.rsplit(" ", 1)
+                logged[reason] += int(count)
+            assert int(found[1]) == sum(logged.values())
+            assert list(logged) == [r for r in UNSCORABLE_REASONS if r in logged]
+        assert len(records) == (1 if logged else 0)
+        scored = sum(outcome.is_scorable for outcome in outcomes)
+        assert sum(logged.values()) + scored == len(frequent)
+        assert logged == Counter(o.unscorable_reason for o in outcomes if not o.is_scorable)
 
     @given(
         tokens=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=40),
@@ -868,7 +953,9 @@ class TestScanCorpus:
         bigrams tie on score; the hits come in Python's (score, left, right)
         order."""
         table = make_table(dict(zip("abcdef", vectors)), dimension=2)
-        hits = scan_corpus(tokens, table, ScoreMethod.WORD_SIMILARITY, threshold, top_n=top_n)
+        hits = scan_corpus(
+            build_bigram_counts(tokens), table, ScoreMethod.WORD_SIMILARITY, threshold, top_n=top_n
+        )
         expected = []
         for (left, right), count in Counter(zip(tokens, tokens[1:])).items():
             pair = LexemePair(left, right)
@@ -883,7 +970,11 @@ class TestScanCorpus:
     def test_top_n_below_one_rejected(self, toy_table, data_dir):
         # A negative top_n would slice hits off the end instead of failing.
         corpus = tokenize((data_dir / "toy_corpus.txt").read_text(encoding="utf-8"))
-        assert len(scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.9)) == 20
+        hits = scan_corpus(build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, 0.9)
+        assert len(hits) == 20
         for top_n in (-1, 0):
             with pytest.raises(ConfigError, match="top_n"):
-                scan_corpus(corpus, toy_table, ScoreMethod.WORD_SIMILARITY, 0.9, top_n=top_n)
+                scan_corpus(
+                    build_bigram_counts(corpus), toy_table, ScoreMethod.WORD_SIMILARITY, 0.9,
+                    top_n=top_n,
+                )

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mwedetect import definitions, scoring
 
 from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon, resolve_definitions
-from mwedetect.corpus import tokenize
+from mwedetect.corpus import build_bigram_counts, tokenize
 from mwedetect.embeddings import cosine, load_embeddings
 from mwedetect.errors import ConfigError
 from mwedetect.pairs import LexemePair
@@ -428,7 +428,8 @@ class TestScorePairDispatch:
             with pytest.raises(
                 ConfigError, match=f"^method '{method.value}' needs a definition lexicon$"
             ):
-                scan_corpus(tokenize("jet lag jet lag"), toy_table, method, 0.5)
+                counts = build_bigram_counts(tokenize("jet lag jet lag"))
+                scan_corpus(counts, toy_table, method, 0.5)
 
     def test_missing_stopwords_degrade_to_empty_set(self, toy_table, toy_lexicon):
         pair = LexemePair("video", "game")
