@@ -16,7 +16,7 @@ import pickle
 import signal
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, BinaryIO, NoReturn
 
 from .errors import MweDetectError
 
@@ -140,8 +140,8 @@ def naming(source: object, error: type[MweDetectError]) -> Iterator[None]:
 
     A UnicodeDecodeError becomes ``error`` too. Text is decoded in chunks, so
     neither the error's offset nor a loader's line counter locates the bad
-    byte. Only on this path, a named regular file's bytes are read again and
-    the line ends before the first bad byte are counted.
+    byte. Only on this path, a named regular file's bytes are read again,
+    and ``count_lines`` gives the line of the first bad byte.
     """
     if isinstance(source, (str, os.PathLike)):
         name = os.fspath(source)
@@ -170,33 +170,44 @@ def _first_bad_byte(path: str) -> tuple[UnicodeDecodeError, int] | None:
     """The decode error at the first byte of ``path`` that is not UTF-8, and its line.
 
     The file is decoded in 1 MiB chunks, so memory stays flat however large
-    it is; a character split between two chunks decodes as a whole. Lines
-    end at ``\n``, ``\r\n`` or a lone ``\r``, as in text mode; a ``\r\n``
-    split between two chunks ends one line. None when the whole file
-    decodes.
+    it is; a character split between two chunks decodes as a whole. None
+    when the whole file decodes.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
-    line_ends = 0
-    previous = b""
+    read = 0
     with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            if previous.endswith(b"\r") and chunk.startswith(b"\n"):
-                line_ends -= 1  # counted once at the \r, and once more at this \n
-            previous = chunk
-            try:
-                decoder.decode(chunk)
-            except UnicodeDecodeError as exc:
-                # exc.object is the undecoded tail of the last chunk, which
-                # holds no line end, followed by this chunk.
-                return exc, line_ends + _line_ends(exc.object, exc.start) + 1
-            line_ends += _line_ends(chunk, len(chunk))
         try:
-            decoder.decode(b"", final=True)
-        except UnicodeDecodeError as exc:  # the file ends inside a character
-            return exc, line_ends + 1
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                read += len(chunk)
+                decoder.decode(chunk)
+            decoder.decode(b"", final=True)  # the file may end inside a character
+        except UnicodeDecodeError as exc:
+            # exc.object is the undecoded tail of the bytes read so far. The
+            # bad byte is no line end, so it ends the last line counted.
+            offset = read - len(exc.object) + exc.start
+            return exc, count_lines(handle, 0, offset + 1)
     return None
 
 
-def _line_ends(data: bytes, stop: int) -> int:
-    """The line ends in ``data[:stop]``: each ``\n``, ``\r\n`` and lone ``\r``."""
-    return data.count(b"\n", 0, stop) + data.count(b"\r", 0, stop) - data.count(b"\r\n", 0, stop)
+def count_lines(handle: BinaryIO, start: int, stop: int) -> int:
+    """The lines in bytes ``start`` to ``stop`` of ``handle``, as text mode reads them.
+
+    A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, and bytes after the
+    last line end are one more line. The bytes are read in 1 MiB chunks; a
+    ``\\r\\n`` split between two chunks ends one line.
+    """
+    handle.seek(start)
+    count = 0
+    last = b"\n"
+    while start < stop and (chunk := handle.read(min(1 << 20, stop - start))):
+        start += len(chunk)
+        count += chunk.count(b"\n")
+        # Most files hold no \r, and one scan for it spares them two more
+        # counts: without this test, splitting a 128 MB, 150k-line embeddings
+        # file into ranges took 0.18 s instead of 0.052 s.
+        if b"\r" in chunk:
+            count += chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            count -= 1  # counted once at the \r, and once more at this \n
+        last = chunk[-1:]
+    return count + (last not in (b"\n", b"\r"))

@@ -29,6 +29,9 @@ NO_DEFINITION = "no-definition"
 ALL_OOV = "all-oov"
 ALL_STOPWORDS = "all-stopwords"
 
+# Why a lexeme has no definition sum, in order of precedence.
+DEFINITION_REASONS = (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)
+
 # Definition sums are taken, and pairs scored, this many rows at a time,
 # which bounds the memory of the gathered rows on scans of many bigrams.
 BLOCK_ROWS = 4096
@@ -140,10 +143,10 @@ def definition_sums(
     With ``content`` and a stop-word set, stop words are filtered first;
     then tokens absent from the table are dropped, and what remains is
     summed in definition order. Returns ``(matrix, where)``: ``where[i]`` is
-    the row of ``matrix`` holding the i-th lexeme's sum, or minus the code
-    of the reason it has none: 1 for ``no-definition``, 2 for
-    ``all-stopwords``, 3 for ``all-oov``, in that order of precedence.
-    Dropped out-of-vocabulary tokens are counted at debug level only.
+    the row of ``matrix`` holding the i-th lexeme's sum, or ``-(k + 1)``
+    when it has none for the reason ``DEFINITION_REASONS[k]``; the first
+    reason that applies wins. Dropped out-of-vocabulary tokens are counted
+    at debug level only.
 
     Each sum adds its tokens' rows to a copy of the first, left to right,
     so it is bit-deterministic for a given definition. The sums are taken
@@ -162,9 +165,10 @@ def definition_sums(
     if filtered:
         keep &= ~resolved.stop
     lengths = per_lexeme(keep)
-    where = np.where(resolved.lengths < 0, -1, -3)
+    code = {reason: -k for k, reason in enumerate(DEFINITION_REASONS, start=1)}
+    where = np.where(resolved.lengths < 0, code[NO_DEFINITION], code[ALL_OOV])
     if filtered:
-        where[(resolved.lengths >= 0) & (per_lexeme(~resolved.stop) == 0)] = -2
+        where[(resolved.lengths >= 0) & (per_lexeme(~resolved.stop) == 0)] = code[ALL_STOPWORDS]
     summed = np.flatnonzero(lengths)
     where[summed] = np.arange(len(summed))
     if logger.isEnabledFor(logging.DEBUG):
@@ -203,7 +207,7 @@ def definition_embedding(
     resolved = resolve_definitions(lexicon, table, (lexeme,), stopwords)
     sums, (where,) = definition_sums(resolved, table, content=True)
     if where < 0:
-        return None, (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)[-where - 1]
+        return None, DEFINITION_REASONS[-where - 1]
     return sums[where], None
 
 
@@ -218,4 +222,5 @@ __all__ = [
     "NO_DEFINITION",
     "ALL_OOV",
     "ALL_STOPWORDS",
+    "DEFINITION_REASONS",
 ]

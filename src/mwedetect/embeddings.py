@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import Worker, text_lines
+from ._io import Worker, count_lines, text_lines
 from .errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 logger = logging.getLogger(__name__)
@@ -288,9 +288,8 @@ def _line_ranges(path: str) -> list[tuple[int, int]]:
     one, and range k starts after the first ``\\n`` at or after byte
     ``size * k / ranges`` (ranges that come out empty are dropped). Returns
     each range's first byte and line count; the counts sum to the file's
-    lines, which end at ``\\n``, ``\\r\\n`` or a lone ``\\r`` as in text mode.
-    Anything but a regular file (no path, or a pipe that cannot be read
-    twice) has no ranges.
+    lines as ``count_lines`` counts them. Anything but a regular file (no
+    path, or a pipe that cannot be read twice) has no ranges.
     """
     if not path or not os.path.isfile(path):
         return []
@@ -314,31 +313,8 @@ def _count_ranges(handle: io.BufferedReader, size: int, parts: int) -> list[tupl
         position = handle.tell()
         if starts[-1] < position < size:
             starts.append(position)
-    counts = [_count_lines(handle, start, stop) for start, stop in zip(starts, starts[1:] + [size])]
-    handle.seek(max(size - 1, 0))
-    if handle.read(1) not in (b"", b"\n", b"\r"):
-        counts[-1] += 1  # a last line without a line end
+    counts = [count_lines(handle, start, stop) for start, stop in zip(starts, starts[1:] + [size])]
     return list(zip(starts, counts))
-
-
-def _count_lines(handle: io.BufferedReader, start: int, stop: int) -> int:
-    """The line ends in bytes ``start`` to ``stop`` of ``handle``, read in 1 MiB chunks."""
-    handle.seek(start)
-    count = 0
-    previous = b""
-    while start < stop:
-        chunk = handle.read(min(1 << 20, stop - start))
-        if not chunk:
-            break
-        start += len(chunk)
-        count += chunk.count(b"\n")
-        if b"\r" in chunk:
-            # A lone carriage return ends a line too; \r\n ends one line.
-            count += chunk.count(b"\r") - chunk.count(b"\r\n")
-        if previous.endswith(b"\r") and chunk.startswith(b"\n"):
-            count -= 1  # a \r\n split between two chunks
-        previous = chunk
-    return count
 
 
 def _read_head(lines: Iterator[str]) -> tuple[int | None, int | None, Iterator[tuple[int, str]]]:

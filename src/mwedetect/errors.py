@@ -38,3 +38,16 @@ class ConfigError(MweDetectError):
 
     A bad config key or value, a bad flag or flag combination, a missing file.
     """
+
+
+__all__ = [
+    "MweDetectError",
+    "EmbeddingFormatError",
+    "ZeroNormError",
+    "NonFiniteError",
+    "LexiconFormatError",
+    "CorpusError",
+    "SamplingError",
+    "DatasetError",
+    "ConfigError",
+]

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .definitions import (
-    ALL_OOV,
-    ALL_STOPWORDS,
     BLOCK_ROWS,
-    NO_DEFINITION,
+    DEFINITION_REASONS,
     DefinitionLexicon,
     DefinitionRows,
     definition_sums,
     resolve_definitions,
 )
+from .definitions import ALL_OOV, ALL_STOPWORDS, NO_DEFINITION  # noqa: F401  bound for callers
 from .definitions import definition_embedding  # noqa: F401  bound here for perfbench's hook
 from .embeddings import EmbeddingTable, row_cosines
 from .embeddings import cosine  # noqa: F401  bound here for perfbench's scoring.cosine hook
@@ -47,11 +46,8 @@ ZERO_NORM = "zero-norm"
 NON_FINITE = "non-finite"
 
 # The reasons a pair may be unscorable. In a reason array, 0 means scored
-# and k names UNSCORABLE_REASONS[k - 1]. The definition reasons come first,
-# in the order of the codes that ``definition_sums`` returns.
-UNSCORABLE_REASONS = (
-    NO_DEFINITION, ALL_STOPWORDS, ALL_OOV, LEFT_OOV, RIGHT_OOV, ZERO_NORM, NON_FINITE
-)
+# and k names UNSCORABLE_REASONS[k - 1].
+UNSCORABLE_REASONS = (*DEFINITION_REASONS, LEFT_OOV, RIGHT_OOV, ZERO_NORM, NON_FINITE)
 
 
 class ScoreMethod(enum.Enum):

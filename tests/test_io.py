@@ -7,9 +7,11 @@ import io
 import os
 import re
 import shutil
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwedetect import _io
 from mwedetect._io import Worker
@@ -167,6 +169,51 @@ def test_crlf_split_between_chunks_ends_one_line(tmp_path):
     expected = rf": line {lineno}: not UTF-8 \(invalid start byte, byte 0xff\)$"
     with pytest.raises(LexiconFormatError, match=expected):
         load_stopwords(path)
+
+
+def _text_mode_lines(data: bytes) -> list[str]:
+    """The lines that text mode reads from ``data``."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+
+
+@given(st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n"]), max_size=30).map(b"".join))
+def test_count_lines_counts_the_lines_text_mode_reads(data):
+    handle = io.BytesIO(data)
+    for k in range(len(data) + 1):
+        assert _io.count_lines(handle, 0, k) == len(_text_mode_lines(data[:k]))
+
+
+def test_count_lines_counts_a_crlf_split_between_chunks_once():
+    # The \r ends the first 1 MiB chunk and its \n starts the second.
+    data = b"a\n" * ((1 << 20) // 2 - 1) + b"a\r\nb\rc"
+    assert data[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+    assert _io.count_lines(io.BytesIO(data), 0, len(data)) == len(_text_mode_lines(data))
+
+
+# Text, line ends, and bytes that are not UTF-8: bad ones, and a character
+# cut short.
+_DECODE_PIECES = [b"a", b"\n", b"\r", b"\r\n", "\xe9\u20ac".encode(), b"\xff", b"\xe9", b"\xe2\x82"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_DECODE_PIECES), max_size=20).map(b"".join))
+def test_decode_error_names_the_line_of_the_bad_byte(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    else:
+        bad = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.txt")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        found = _io._first_bad_byte(path)
+    if bad is None:
+        assert found is None
+    else:
+        ends = sum(line.endswith("\n") for line in _text_mode_lines(data[:bad]))
+        assert found[1] == 1 + ends
 
 
 def test_scan_exits_one_naming_the_corpus_line(tmp_path, data_dir, capsys):

@@ -31,6 +31,8 @@ from mwedetect.scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
+    is_compound,
+    lexeme_ids,
     score_ids,
     score_pair,
     score_pairs,
@@ -527,3 +529,46 @@ class TestClassify:
         low = classify(ScoreOutcome.scored(value_low), threshold)
         if high is Judgement.COMPOUND:
             assert low is Judgement.COMPOUND
+
+
+class TestIsCompound:
+    def test_boundary_value_is_not_a_compound(self):
+        assert is_compound(np.array([0.5, 0.78, 0.9]), 0.78).tolist() == [True, False, False]
+
+    def test_nan_is_never_a_compound(self):
+        for threshold in (-1e300, -1.0, 0.0, 1.0, 2.0, 1e300):
+            assert not is_compound(np.array([np.nan]), threshold)[0]
+
+    def test_negative_zero_is_the_boundary_of_zero(self):
+        assert is_compound(np.array([-0.0, 0.0, -5e-324]), 0.0).tolist() == [False, False, True]
+        assert is_compound(np.array([0.0]), -0.0).tolist() == [False]
+
+    @pytest.mark.parametrize("threshold", [-1.5, -1.0000000000000002, 1.0000000000000002, 7.0])
+    def test_threshold_outside_unit_interval_judges_all_scored_alike(self, threshold):
+        values = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        judged = is_compound(values, threshold)
+        assert judged.tolist() == [threshold > 1.0] * len(values)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_raises(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            is_compound(np.array([0.0]), threshold)
+
+
+class TestLexemeIds:
+    def test_ids_in_first_seen_order(self):
+        pairs = [LexemePair("jet", "lag"), LexemePair("lag", "time"), LexemePair("time", "jet")]
+        lexemes, left, right = lexeme_ids(pairs)
+        assert lexemes == ["jet", "lag", "time"]
+        assert (left.tolist(), right.tolist()) == ([0, 1, 2], [1, 2, 0])
+
+    def test_shared_lexeme_gets_one_id(self):
+        lexemes, left, right = lexeme_ids([LexemePair("Hot", "dog"), LexemePair("hot", "hot")])
+        assert lexemes == ["hot", "dog"]
+        assert (left.tolist(), right.tolist()) == ([0, 0], [1, 0])
+
+    def test_no_pairs_give_two_empty_integer_arrays(self):
+        lexemes, left, right = lexeme_ids([])
+        assert lexemes == []
+        for ids in (left, right):
+            assert ids.shape == (0,) and np.issubdtype(ids.dtype, np.integer)
