@@ -231,15 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect compound multiword expressions from embedding non-compositionality.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    method_choices = [method.value for method in ScoreMethod]
+    # The inputs of a scoring method, shared by score and scan.
+    method_inputs = argparse.ArgumentParser(add_help=False)
+    method_inputs.add_argument("--method", required=True, choices=[m.value for m in ScoreMethod])
+    method_inputs.add_argument("--embeddings", required=True)
+    method_inputs.add_argument("--definitions")
+    method_inputs.add_argument("--stopwords")
 
-    score = subparsers.add_parser("score", help="score one word pair")
+    score = subparsers.add_parser("score", parents=[method_inputs], help="score one word pair")
     score.add_argument("left")
     score.add_argument("right")
-    score.add_argument("--method", required=True, choices=method_choices)
-    score.add_argument("--embeddings", required=True)
-    score.add_argument("--definitions")
-    score.add_argument("--stopwords")
     score.set_defaults(func=cmd_score)
 
     run = subparsers.add_parser("run", help="calibrate and evaluate a full experiment")
@@ -247,15 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", help="override the config's output_dir")
     run.set_defaults(func=cmd_run)
 
-    scan = subparsers.add_parser("scan", help="classify every co-occurring bigram of a corpus")
+    scan = subparsers.add_parser(
+        "scan", parents=[method_inputs], help="classify every co-occurring bigram of a corpus"
+    )
     scan.add_argument("--corpus", required=True)
-    scan.add_argument("--embeddings", required=True)
-    scan.add_argument("--method", required=True, choices=method_choices)
     scan.add_argument("--threshold", required=True, type=float)
     scan.add_argument("--min-count", type=int, default=1)
     scan.add_argument("--top-n", type=int, default=None)
-    scan.add_argument("--definitions")
-    scan.add_argument("--stopwords")
     scan.add_argument("--output", help="write hits CSV here instead of standard output")
     scan.set_defaults(func=cmd_scan)
 

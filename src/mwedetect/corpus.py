@@ -73,10 +73,14 @@ class BigramCounts:
             return int(self.counts[position])
         return 0
 
+    def ranks(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vocabulary ranks of the left and of the right token of each code in ``codes``."""
+        return np.divmod(codes, len(self.vocabulary))
+
     def pairs(self, codes: np.ndarray) -> list[LexemePair]:
         """The bigram of each code in ``codes``, in the same order."""
         vocabulary = self.vocabulary
-        lefts, rights = np.divmod(codes, len(vocabulary))
+        lefts, rights = self.ranks(codes)
         return [
             LexemePair(vocabulary[i], vocabulary[j])
             for i, j in zip(lefts.tolist(), rights.tolist())

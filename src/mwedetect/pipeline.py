@@ -42,11 +42,7 @@ from ._io import naming, read_text, text_lines
 
 logger = logging.getLogger(__name__)
 
-METHODS = (
-    ScoreMethod.WORD_SIMILARITY,
-    ScoreMethod.DEFINITION_SIMILARITY,
-    ScoreMethod.DEFINITION_CONTENT_SIMILARITY,
-)
+METHODS = tuple(ScoreMethod)
 
 SHARED = "shared"
 PER_SOURCE = "per-source"
@@ -119,8 +115,8 @@ def load_compounds(
     """
     with text_lines(source, DatasetError) as lines:
         reader = csv.DictReader(lines)
-        pairs: list[LexemePair] = []
-        seen: set[LexemePair] = set()
+        # Setting a key again keeps its first position.
+        pairs: dict[LexemePair, None] = {}
         self_pairs = 0
         try:
             if reader.fieldnames is None:
@@ -140,10 +136,7 @@ def load_compounds(
                     pair = LexemePair(left, right)
                 except ValueError as exc:
                     raise DatasetError(f"compound CSV row {rownum}: {exc}") from None
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                pairs.append(pair)
+                pairs[pair] = None
         except csv.Error as exc:
             # DictReader's own line_num lags behind on a failed row; its reader's does not.
             raise DatasetError(f"compound CSV line {reader.reader.line_num}: {exc}") from None
@@ -151,7 +144,7 @@ def load_compounds(
             logger.warning("compound CSV: skipped %d self-pair row(s)", self_pairs)
         if not pairs:
             raise DatasetError("compound CSV contains no usable pairs")
-    return pairs
+    return list(pairs)
 
 
 def both_orientations(pairs: Iterable[LexemePair]) -> set[tuple[str, str]]:
@@ -181,7 +174,7 @@ def split_dataset(
     rng = random.Random(seed)
     calibration: list[LabeledPair] = []
     heldout: list[LabeledPair] = []
-    for source in (PairSource.LADEC, PairSource.RANDOM, PairSource.COOCCUR):
+    for source in PairSource:
         group = [p for p in pairs if p.source is source]
         if not group:
             continue
@@ -533,8 +526,9 @@ def scan_corpus(
     When the method cannot score some of them, one warning gives their
     number per reason, e.g. ``scan: 37 of 4970 bigram(s) unscorable:
     no-definition 30, left-oov 7``. Hits come back sorted by ascending score
-    (most non-compositional first), then alphabetically, truncated to
-    ``top_n``; only those become ScanHits. A threshold outside [-1, 1], a
+    (most non-compositional first), then by bigram code, which is the
+    ``(left, right)`` order, truncated to ``top_n``; only those become
+    ScanHits. A threshold outside [-1, 1], a
     ``min_count`` or a ``top_n`` below 1 raises ConfigError, and a corpus
     without tokens CorpusError.
     """
@@ -547,13 +541,12 @@ def scan_corpus(
     if not counts.vocabulary:
         raise CorpusError("corpus contains no tokens")
     frequent = counts.counts >= min_count
-    tallies = counts.counts[frequent]
-    left_ranks, right_ranks = np.divmod(counts.codes[frequent], len(counts.vocabulary))
+    codes, tallies = counts.codes[frequent], counts.counts[frequent]
     # Only the lexemes of a frequent bigram are scored.
-    needed, ids = np.unique(np.concatenate((left_ranks, right_ranks)), return_inverse=True)
+    needed, ids = np.unique(np.concatenate(counts.ranks(codes)), return_inverse=True)
     lexemes = [counts.vocabulary[rank] for rank in needed.tolist()]
     values, reasons = score_ids(
-        method, table, lexicon, stopwords, lexemes, ids[: len(tallies)], ids[len(tallies) :]
+        method, table, lexicon, stopwords, lexemes, ids[: len(codes)], ids[len(codes) :]
     )
     unscorable = np.bincount(reasons, minlength=len(UNSCORABLE_REASONS) + 1)[1:]
     if unscorable.any():
@@ -564,17 +557,13 @@ def scan_corpus(
             ", ".join(f"{r} {n}" for r, n in zip(UNSCORABLE_REASONS, unscorable.tolist()) if n),
         )
     hits = np.flatnonzero(is_compound(values, threshold))
-    # By score, then by (left, right): the vocabulary is sorted, so rank
-    # order is string order.
-    hits = hits[np.lexsort((right_ranks[hits], left_ranks[hits], values[hits]))][:top_n]
-    vocabulary = counts.vocabulary
+    # By score, then by code: code order is (left, right) order, as in
+    # top_cooccurring_pairs.
+    hits = hits[np.lexsort((codes[hits], values[hits]))][:top_n]
     return [
-        ScanHit(pair=LexemePair(vocabulary[left], vocabulary[right]), count=count, score=score)
-        for left, right, count, score in zip(
-            left_ranks[hits].tolist(),
-            right_ranks[hits].tolist(),
-            tallies[hits].tolist(),
-            values[hits].tolist(),
+        ScanHit(pair=pair, count=count, score=score)
+        for pair, count, score in zip(
+            counts.pairs(codes[hits]), tallies[hits].tolist(), values[hits].tolist()
         )
     ]
 

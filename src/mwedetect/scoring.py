@@ -33,7 +33,6 @@ from .definitions import (
     definition_sums,
     resolve_definitions,
 )
-from .definitions import ALL_OOV, ALL_STOPWORDS, NO_DEFINITION  # noqa: F401  bound for callers
 from .definitions import definition_embedding  # noqa: F401  bound here for perfbench's hook
 from .embeddings import EmbeddingTable, row_cosines
 from .embeddings import cosine  # noqa: F401  bound here for perfbench's scoring.cosine hook

@@ -242,6 +242,12 @@ class TestBigramCountsProperties:
             for right in (*_STREAM_TOKENS, "q"):
                 assert counts.count(left, right) == reference[(left, right)]
         assert _as_dict(counts) == dict(reference)
+        # ranks() inverts code() on every observed bigram, and pairs() reads
+        # the vocabulary at those ranks.
+        lefts, rights = counts.ranks(counts.codes)
+        ranked = [(counts.vocabulary[i], counts.vocabulary[j]) for i, j in zip(lefts, rights)]
+        assert [counts.code(left, right) for left, right in ranked] == counts.codes.tolist()
+        assert [(p.left, p.right) for p in counts.pairs(counts.codes)] == ranked
 
 
 class TestSampleRandomPairs:

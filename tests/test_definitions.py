@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import functools
+import logging
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mwedetect import definitions
 from mwedetect.definitions import (
@@ -303,6 +304,19 @@ def _reference_sum(table, lexicon, lexeme, stopwords):
         return functools.reduce(np.add, rows), None
 
 
+def _dropped_oov(table, lexicon, lexemes, stopwords):
+    """The out-of-vocabulary tokens of the definitions that get a sum, one lexeme at a time."""
+    dropped = 0
+    for lexeme in lexemes:
+        tokens = lexicon.get(lexeme) or ()
+        if stopwords is not None:
+            tokens = [t for t in tokens if t not in stopwords]
+        missing = sum(t not in table for t in tokens)
+        if missing < len(tokens):  # a token in the table: the lexeme gets a sum
+            dropped += missing
+    return dropped
+
+
 def _bits(vector, reason):
     return reason, None if vector is None else vector.tobytes()
 
@@ -344,3 +358,22 @@ class TestDefinitionEmbeddingsProperties:
             )
         assert plain[1].tolist() == empty[1].tolist()
         assert plain[0].tobytes() == empty[0].tobytes()
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(inputs=_bulk_inputs())
+    def test_debug_log_counts_dropped_oov_tokens(self, caplog, inputs):
+        """At debug level one line counts the out-of-vocabulary tokens dropped
+        from the definitions that still get a sum; filtered stop words are
+        not among them."""
+        table, lexicon, lexemes, stopwords, _ = inputs
+        resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+        for content in (True, False):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, definitions.__name__), np.errstate(all="ignore"):
+                definition_sums(resolved, table, content)
+            dropped = _dropped_oov(table, lexicon, lexemes, stopwords if content else None)
+            assert [r.getMessage() for r in caplog.records if r.name == definitions.__name__] == [
+                f"definition sums: {dropped} token(s) out of vocabulary dropped"
+            ]

@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from mwedetect import definitions, scoring
 
-from mwedetect.definitions import ALL_OOV, ALL_STOPWORDS, DefinitionLexicon, resolve_definitions
+from mwedetect.definitions import (
+    ALL_OOV,
+    ALL_STOPWORDS,
+    NO_DEFINITION,
+    DefinitionLexicon,
+    resolve_definitions,
+)
 from mwedetect.corpus import build_bigram_counts, tokenize
 from mwedetect.embeddings import cosine, load_embeddings
 from mwedetect.errors import ConfigError
@@ -22,7 +28,6 @@ from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate, scan_corpus
 from mwedetect.scoring import (
     LEFT_OOV,
-    NO_DEFINITION,
     NON_FINITE,
     RIGHT_OOV,
     UNSCORABLE_REASONS,
