@@ -77,15 +77,18 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     numpy's text reader parses them. The table's ``source_label`` is the
     path, or empty for a stream of lines.
 
-    Each block of ``BLOCK_LINES`` entry lines is parsed and copied into the
-    table's matrix. A regular file's matrix is allocated once, with one row
-    per line of the file; any other source's matrix grows by doubling.
+    The lines are parsed as one or more ranges, each in blocks of
+    ``BLOCK_LINES`` entry lines copied into the table's matrix. This process
+    parses the first range, from the reader that read the header; when
+    nothing is split, the first range is the whole source. A regular file's
+    matrix is allocated once, with one row per line of the file; any other
+    source's matrix grows by doubling.
 
     On Linux a regular file of at least ``2 * BLOCK_LINES`` lines is split
     into one byte range per CPU the process may run on (at most one per
-    ``BLOCK_LINES`` lines). This process parses the first range; a forked
-    child parses each other range into the same shared matrix and sends
-    back only its tokens or its exception. The table and the errors are
+    ``BLOCK_LINES`` lines). A forked child parses each later range into the
+    same shared matrix and sends back only its tokens or its exception. The
+    first error in file order is raised. The table and the errors are
     those of a one-range parse, with one exception: a range's text is
     decoded up to 8 KiB ahead of the line being checked, so a byte that is
     not UTF-8 may be reported in place of an earlier format fault, and how
@@ -100,18 +103,26 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     when a child ends without a result (it was killed, for instance).
     """
     source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
-    with text_lines(source, EmbeddingFormatError) as lines:
+    with text_lines(source, EmbeddingFormatError) as lines, contextlib.ExitStack() as stack:
         declared, dimension, numbered = _read_head(iter(lines))
         ranges = _line_ranges(source_label) if dimension else []
-        rows = sum(count for _, count in ranges)
+        # Each range's first row, then the rows of all ranges.
+        *firsts, rows = itertools.accumulate((count for _, count in ranges), initial=0)
         if len(ranges) < 2:
             matrix = np.empty((rows, dimension or 0))
-            tokens, matrix = _read_entries(numbered, dimension, matrix, 0)
-            parts = [(0, tokens)]
         else:
             # Anonymous and shared, so the children's writes land here.
             matrix = np.frombuffer(mmap.mmap(-1, rows * dimension * 8)).reshape(rows, dimension)
-            parts = _read_split(source_label, ranges, dimension, numbered, matrix)
+            # The first range ends where the second starts. A source that is
+            # not split is read to its end, and its matrix may grow.
+            numbered = itertools.takewhile(lambda line: line[0] <= firsts[1], numbered)
+        workers = []
+        for (start, count), row in zip(ranges[1:], firsts[1:]):
+            what = f"{source_label}: the child parsing from line {row + 1}"
+            worker = Worker(what, _read_range, source_label, start, count, dimension, matrix, row)
+            workers.append((row, stack.enter_context(worker)))
+        tokens, matrix = _read_entries(numbered, dimension, matrix, 0)
+        parts = [(0, tokens)] + [(row, worker.result()) for row, worker in workers]
         index, duplicates, kept = _first_wins(parts, len(matrix))
         if not index:
             raise EmbeddingFormatError("embedding source contains no entries")
@@ -203,36 +214,6 @@ def _read_entries(
         raise EmbeddingFormatError(f"line {lineno}: {problem}")
     parse_pending()
     return tokens, matrix
-
-
-def _read_split(
-    path: str,
-    ranges: list[tuple[int, int]],
-    dimension: int,
-    numbered: Iterator[tuple[int, str]],
-    matrix: np.ndarray,
-) -> list[tuple[int, list[str]]]:
-    """Parse the first range from ``numbered`` here and each later one in a child.
-
-    ``ranges`` holds each range's first byte and line count, and ``matrix``
-    is shared: a range's entries take rows from the number of lines before
-    it on. Returns each range's first row and entry tokens. Raises the error
-    of the earliest range that failed. Every child is reaped before this
-    returns or raises; one still running then is killed first.
-    """
-    with contextlib.ExitStack() as stack:
-        first_lines = ranges[0][1]
-        workers = []
-        row = first_lines
-        for start, count in ranges[1:]:
-            what = f"{path}: the child parsing from line {row + 1}"
-            worker = Worker(what, _read_range, path, start, count, dimension, matrix, row)
-            workers.append((row, stack.enter_context(worker)))
-            row += count
-        head = itertools.takewhile(lambda numbered_line: numbered_line[0] <= first_lines, numbered)
-        parts = [(0, _read_entries(head, dimension, matrix, 0)[0])]
-        parts += [(row, worker.result()) for row, worker in workers]
-        return parts
 
 
 def _read_range(

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import definitions
 from .definitions import (
-    BLOCK_ROWS,
     DEFINITION_REASONS,
     DefinitionLexicon,
     DefinitionRows,
@@ -114,9 +114,10 @@ def score_ids(
     codes into ``UNSCORABLE_REASONS``, 0 where it is scored. Each lexeme's
     vector is a row of one matrix: the table's own for word similarity,
     ``definition_sums`` otherwise, from ``resolved`` when given. Pairs are
-    scored in blocks of ``BLOCK_ROWS`` rows by ``row_cosines``, bit-identical
-    to ``cosine``. A side without a vector gives that side's reason, the
-    left side's first; then come ``zero-norm`` and ``non-finite``.
+    scored in blocks of ``definitions.BLOCK_ROWS`` rows, read at the call,
+    by ``row_cosines``, bit-identical to ``cosine``. A side without a vector
+    gives that side's reason, the left side's first; then come
+    ``zero-norm`` and ``non-finite``.
     ``stopwords`` is used only for definition content similarity; without a
     set it is identical to definition similarity.
     """
@@ -146,8 +147,9 @@ def score_ids(
     reasons = np.where(left_rows < 0, -left_rows, right_reasons).astype(np.int8)
     values = np.full(len(reasons), np.nan)
     scorable = np.flatnonzero(reasons == 0)
-    for start in range(0, len(scorable), BLOCK_ROWS):
-        block = scorable[start : start + BLOCK_ROWS]
+    block_rows = definitions.BLOCK_ROWS
+    for start in range(0, len(scorable), block_rows):
+        block = scorable[start : start + block_rows]
         values[block], zero_norm = row_cosines(
             matrix[left_rows[block]], matrix[right_rows[block]]
         )

@@ -158,6 +158,20 @@ class TestMatrixReservation:
         assert list(table.index) == ["a", "b", "c"]
         assert table.matrix.tobytes() == np.array([[1.0], [2.0], [3.0]]).tobytes()
 
+    def test_undercounted_file_grows(self, tmp_path):
+        # A file that grew after its lines were counted: with no later range
+        # to stop at, its one range is read to the end and the matrix grows.
+        lines = [f"w{i} {i} {-i}\n" for i in range(1, 6)]
+        path = tmp_path / "e.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 2)
+            patch.setattr(embeddings, "_line_ranges", lambda path: [(0, 1)])
+            table = load_embeddings(path)
+        expected = load_embeddings(lines)
+        assert list(table.index) == list(expected.index) == [f"w{i}" for i in range(1, 6)]
+        assert table.matrix.tobytes() == expected.matrix.tobytes()
+
     def test_no_path_reserves_nothing(self):
         assert embeddings._line_ranges("") == []
 
@@ -350,6 +364,14 @@ def _text_lines(data):
     return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").readlines()
 
 
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
 _FAULTS = st.sampled_from(["token", "count", "non-numeric", "inf", "decode"])
 
 
@@ -389,6 +411,8 @@ class TestSplitLoadProperties:
         split_files(), st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5)
     )
     def test_split_load_equals_one_range_load(self, data, cpus, block_lines):
+        """A split load equals the one-range load of the same file, and the
+        load of the same bytes as an unnamed stream, which names no file."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             path = Path(tmp) / "embeddings.txt"
             path.write_bytes(data)
@@ -399,6 +423,12 @@ class TestSplitLoadProperties:
             _see_cpus(patch, cpus)
             ranges = embeddings._line_ranges(str(path))
             split = _outcome(path)
+            # An unnamed stream has no file to read again for the line of a
+            # byte that is not UTF-8: it reports "line unknown".
+            if _is_utf8(data):
+                streamed = _outcome(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+                named = split.removeprefix(f"{path}: ") if isinstance(split, str) else split
+                assert streamed == named
         assert split == one_range
         assert len(ranges) <= max(min(cpus, len(_text_lines(data)) // block_lines), 1)
         stops = [start for start, _ in ranges[1:]] + [len(data)]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwedetect import definitions, scoring
+from mwedetect import definitions
 
 from mwedetect.definitions import (
     ALL_OOV,
@@ -357,7 +357,6 @@ class TestScorePairsProperties:
         table, lexicon, stopwords, pairs, block_rows = inputs
         for method in ALL_METHODS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(scoring, "BLOCK_ROWS", block_rows)
                 patch.setattr(definitions, "BLOCK_ROWS", block_rows)
                 outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
             assert len(outcomes) == len(pairs)
@@ -391,7 +390,6 @@ class TestScoreIdsProperties:
         resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
         for method in ALL_METHODS:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(scoring, "BLOCK_ROWS", block_rows)
                 patch.setattr(definitions, "BLOCK_ROWS", block_rows)
                 values, reasons = score_ids(method, table, lexicon, stopwords, lexemes, left, right)
                 shared = score_ids(
