@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import functools
 import logging
 import os
 import random
@@ -449,6 +450,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         for method in METHODS
     }
 
+    # Cached: in shared mode both arms of a method share one calibration.
+    @functools.cache
     def calibrate(method: ScoreMethod, source: PairSource) -> float:
         values = scores[method]
         scorable = calibration & ~np.isnan(values)
@@ -461,15 +464,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             )
         return calibrate_threshold(pos, neg)
 
-    thresholds: dict[tuple[ScoreMethod, PairSource], float] = {}
-    for method in METHODS:
-        if config.threshold_mode == SHARED:
-            threshold = calibrate(method, PairSource.RANDOM)
-            for source in NEGATIVE_SOURCES:
-                thresholds[(method, source)] = threshold
-        else:
-            for source in NEGATIVE_SOURCES:
-                thresholds[(method, source)] = calibrate(method, source)
+    shared = config.threshold_mode == SHARED
+    thresholds = {
+        (method, source): calibrate(method, PairSource.RANDOM if shared else source)
+        for method in METHODS
+        for source in NEGATIVE_SOURCES
+    }
 
     heldout_arms = {
         source: ~calibration & (positive | (pair_source == sources.index(source)))

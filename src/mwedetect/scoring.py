@@ -12,8 +12,9 @@ vector a lexeme gets:
 ``score_ids`` is the one scorer: lexeme ids in, a value array and a reason
 array out. ``is_compound`` is the one decision rule: a score strictly below
 the threshold, the mark of non-compositionality, is a compound.
-``score_pairs``, ``score_pair``, ``ScoreOutcome`` and ``classify`` wrap the
-two for callers that hold ``LexemePair`` objects.
+Many ``LexemePair`` objects are scored as
+``score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))``;
+``score_pair``, ``ScoreOutcome`` and ``classify`` wrap the two for one pair.
 """
 
 from __future__ import annotations
@@ -158,23 +159,6 @@ def score_ids(
     return values, reasons
 
 
-def score_pairs(
-    method: ScoreMethod,
-    table: EmbeddingTable,
-    lexicon: DefinitionLexicon | None,
-    stopwords: frozenset[str] | set[str] | None,
-    pairs: Sequence[LexemePair],
-) -> list[ScoreOutcome]:
-    """``score_ids`` of ``pairs``, one ScoreOutcome per pair."""
-    values, reasons = score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))
-    return [
-        ScoreOutcome.unscorable(UNSCORABLE_REASONS[reason - 1])
-        if reason
-        else ScoreOutcome.scored(value)
-        for value, reason in zip(values.tolist(), reasons.tolist())
-    ]
-
-
 def score_pair(
     method: ScoreMethod,
     table: EmbeddingTable,
@@ -182,8 +166,12 @@ def score_pair(
     stopwords: frozenset[str] | set[str] | None,
     pair: LexemePair,
 ) -> ScoreOutcome:
-    """``score_pairs`` of one pair."""
-    return score_pairs(method, table, lexicon, stopwords, (pair,))[0]
+    """``score_ids`` of one pair, as a ScoreOutcome."""
+    values, reasons = score_ids(method, table, lexicon, stopwords, *lexeme_ids((pair,)))
+    reason = int(reasons[0])
+    if reason:
+        return ScoreOutcome.unscorable(UNSCORABLE_REASONS[reason - 1])
+    return ScoreOutcome.scored(float(values[0]))
 
 
 def is_compound(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -213,7 +201,6 @@ __all__ = [
     "ScoreOutcome",
     "lexeme_ids",
     "score_ids",
-    "score_pairs",
     "score_pair",
     "is_compound",
     "classify",

@@ -102,11 +102,23 @@ class TestRunCommand:
         main(["run", CONFIG, "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert "threshold mode: shared" in out
-        assert "assumption:" in out
+        assert "assumption: thresholds calibrated against random negatives, applied to both arms" in out
         assert "fraction 0.5" in out
         header_line = next(line for line in out.splitlines() if line.startswith("method"))
         assert header_line.split() == ["method", "negatives", "threshold", "recall", "precision", "f1"]
         assert sum(1 for line in out.splitlines() if line.startswith(("word", "definition"))) == 6
+
+        for source in _DATA.iterdir():
+            shutil.copy(source, tmp_path)
+        config = tmp_path / "experiment.conf"
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("= shared", "= per-source"),
+            encoding="utf-8",
+        )
+        main(["run", str(config), "--output-dir", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        assert "threshold mode: per-source" in out
+        assert "assumption: thresholds calibrated per negative source" in out.splitlines()
 
     def test_rerun_emits_identical_files(self, tmp_path, capsys):
         main(["run", CONFIG, "--output-dir", str(tmp_path / "one")])
@@ -258,6 +270,9 @@ class TestSampleNegativesCommand:
         )
         assert code == 1
         assert "short by" in capsys.readouterr().err
+        code = main(["sample-negatives", "--corpus", str(corpus), "--kind", "random", "--n", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --n must be >= 1, got 0\n"
 
     def test_oversized_exclusions_field_is_an_error(self, capsys, tmp_path):
         exclusions = tmp_path / "compounds.csv"
@@ -294,12 +309,13 @@ class TestArgumentHandling:
         assert code == 1
 
     def test_negative_min_count_rejected(self, capsys):
-        code = main(
-            ["scan", "--corpus", CORPUS, "--embeddings", EMB,
-             "--method", "word", "--threshold", "0.5", "--min-count", "0"]
-        )
-        assert code == 1
-        assert "min-count" in capsys.readouterr().err
+        for flag in ("--min-count", "--top-n"):
+            code = main(
+                ["scan", "--corpus", CORPUS, "--embeddings", EMB,
+                 "--method", "word", "--threshold", "0.5", flag, "0"]
+            )
+            assert code == 1
+            assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
 
     def test_value_error_from_a_command_propagates(self, monkeypatch):
         # A ValueError is a bug, not a user error: main must not report it as exit 1.

@@ -307,6 +307,28 @@ class TestSampleRandomPairs:
         assert len(set(pairs)) == n
         assert pairs == sample_random_pairs(vocab, n, seed)
 
+    def test_rejection_sampling_on_a_large_vocabulary(self):
+        """1,001 tokens give more ordered pairs than are enumerated, so pairs
+        are drawn and rejected, the path every real corpus takes."""
+        vocab = [f"w{i:04d}" for i in range(1001)]
+        unexcluded = sample_random_pairs(vocab, 500, seed=7)
+        assert unexcluded[:4] == [
+            LexemePair("w0331", "w0970"),
+            LexemePair("w0154", "w0404"),
+            LexemePair("w0666", "w0049"),
+            LexemePair("w0074", "w0840"),
+        ]
+        # Exclude the first 100 draws in both orientations.
+        keys = [(p.left, p.right) for p in unexcluded[:100]]
+        keys += [(right, left) for left, right in keys]
+        pairs = sample_random_pairs(vocab, 500, seed=7, exclusions=keys)
+        assert pairs == sample_random_pairs(
+            vocab, 500, seed=7, exclusions=[LexemePair(*key) for key in keys]
+        )
+        assert len(pairs) == len(set(pairs)) == 500
+        assert all(p.left != p.right for p in pairs)
+        assert not {(p.left, p.right) for p in pairs} & set(keys)
+
 
 class TestTopCooccurringPairs:
     def test_hand_counted_example(self):

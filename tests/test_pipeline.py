@@ -88,6 +88,10 @@ class TestLoadCompounds:
     def test_empty_cell_names_row(self):
         with pytest.raises(DatasetError, match="row 3"):
             load_compounds(["c1,c2", "a,b", "a,"])
+        with pytest.raises(
+            DatasetError, match="^compound CSV row 3: right token contains whitespace: 'dog house'$"
+        ):
+            load_compounds(["c1,c2", "a,b", "hot,dog house"])
 
     def test_no_usable_rows(self):
         with pytest.raises(DatasetError, match="no usable pairs"):

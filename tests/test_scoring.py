@@ -40,7 +40,6 @@ from mwedetect.scoring import (
     lexeme_ids,
     score_ids,
     score_pair,
-    score_pairs,
 )
 
 from conftest import make_table, score_arrays
@@ -348,24 +347,6 @@ def _bits(outcome):
     return outcome.unscorable_reason, None if outcome.value is None else outcome.value.hex()
 
 
-class TestScorePairsProperties:
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @given(_batch_inputs())
-    def test_bit_identical_to_scalar_reference(self, inputs):
-        """Every outcome equals the per-pair scalar formula bit for bit, in
-        blocks smaller than the batch, and score_pair is its one-pair case."""
-        table, lexicon, stopwords, pairs, block_rows = inputs
-        for method in ALL_METHODS:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(definitions, "BLOCK_ROWS", block_rows)
-                outcomes = score_pairs(method, table, lexicon, stopwords, pairs)
-            assert len(outcomes) == len(pairs)
-            for pair, outcome in zip(pairs, outcomes):
-                expected = _reference_outcome(method, table, lexicon, stopwords, pair)
-                assert _bits(outcome) == _bits(expected)
-                assert _bits(score_pair(method, table, lexicon, stopwords, pair)) == _bits(outcome)
-
-
 @st.composite
 def _id_inputs(draw):
     """``_batch_inputs`` as a lexeme list and drawn id pairs, self-pairs included."""
@@ -377,6 +358,24 @@ def _id_inputs(draw):
 
 
 class TestScoreIdsProperties:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(_batch_inputs())
+    def test_bit_identical_to_scalar_reference(self, inputs):
+        """Every pair of ``lexeme_ids(pairs)`` equals the per-pair scalar
+        formula bit for bit, in blocks smaller than the batch, and
+        score_pair is its one-pair case."""
+        table, lexicon, stopwords, pairs, block_rows = inputs
+        for method in ALL_METHODS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(definitions, "BLOCK_ROWS", block_rows)
+                values, reasons = score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))
+            assert len(values) == len(reasons) == len(pairs)
+            for pair, value, reason in zip(pairs, values.tolist(), reasons.tolist()):
+                got = (UNSCORABLE_REASONS[reason - 1], None) if reason else (None, value.hex())
+                expected = _reference_outcome(method, table, lexicon, stopwords, pair)
+                assert got == _bits(expected)
+                assert _bits(score_pair(method, table, lexicon, stopwords, pair)) == got
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(deadline=None)
     @given(_id_inputs())
@@ -421,12 +420,12 @@ class TestScorePairDispatch:
             ):
                 score_pair(method, toy_table, None, None, LexemePair("jet", "lag"))
 
-    def test_score_pairs_without_lexicon_is_a_config_error(self, toy_table):
+    def test_score_ids_without_lexicon_is_a_config_error(self, toy_table):
         for method in (DEFINITION, CONTENT):
             with pytest.raises(
                 ConfigError, match=f"^method '{method.value}' needs a definition lexicon$"
             ):
-                score_pairs(method, toy_table, None, None, [LexemePair("jet", "lag")])
+                score_ids(method, toy_table, None, None, *lexeme_ids([LexemePair("jet", "lag")]))
 
     def test_scan_without_lexicon_is_a_config_error(self, toy_table):
         for method in (DEFINITION, CONTENT):
