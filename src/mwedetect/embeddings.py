@@ -77,23 +77,22 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     numpy's text reader parses them. The table's ``source_label`` is the
     path, or empty for a stream of lines.
 
-    The lines are parsed as one or more ranges, each in blocks of
-    ``BLOCK_LINES`` entry lines copied into the table's matrix. This process
-    parses the first range, from the reader that read the header; when
-    nothing is split, the first range is the whole source. A regular file's
-    matrix is allocated once, with one row per line of the file; any other
-    source's matrix grows by doubling.
+    The lines are parsed as one or more ranges. A range's entry lines are
+    judged a block of ``BLOCK_LINES`` at a time, in file order, and copied
+    into the table's matrix. This process parses the first range, from the
+    reader that read the header; when nothing is split, the first range is
+    the whole source. A regular file's matrix is allocated once, with one
+    row per line of the file; any other source's matrix grows by doubling.
 
     On Linux a regular file of at least ``2 * BLOCK_LINES`` lines is split
     into one byte range per CPU the process may run on (at most one per
     ``BLOCK_LINES`` lines). A forked child parses each later range into the
     same shared matrix and sends back only its tokens or its exception. The
-    first error in file order is raised. The table and the errors are
-    those of a one-range parse, with one exception: a range's text is
-    decoded up to 8 KiB ahead of the line being checked, so a byte that is
-    not UTF-8 may be reported in place of an earlier format fault, and how
-    far ahead differs with where the range starts. On Python 3.12 and later
-    ``os.fork`` issues a DeprecationWarning when the process runs other
+    table and the first error in file order are those of a one-range parse,
+    with one exception: text is decoded up to 8 KiB ahead of the lines
+    read, and only a byte that is not UTF-8 within that read-ahead can be
+    named in place of an earlier bad line. Where a range starts moves it.
+    On Python 3.12 and later ``os.fork`` warns when the process runs other
     threads, as numpy's BLAS pool does; the children only parse text and
     leave through ``os._exit``.
 
@@ -158,60 +157,47 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
 def _read_entries(
     numbered: Iterable[tuple[int, str]], dimension: int | None, matrix: np.ndarray, row: int
 ) -> tuple[list[str], np.ndarray]:
-    """Check numbered lines and parse their entries into ``matrix`` from ``row`` on.
+    """Parse the entry lines of ``numbered`` into ``matrix`` from ``row`` on.
 
-    Each entry line takes the next row, duplicates included. Returns the
-    entry tokens, lowercase and in line order, and the matrix: a larger copy
-    if the entries outgrew it. Raises EmbeddingFormatError naming the first
-    bad line.
+    ``_parse_rows`` judges and parses the non-blank lines a block of
+    ``BLOCK_LINES`` at a time; each entry line takes the next row,
+    duplicates included. Returns the entry tokens, lowercase and in line
+    order, and the matrix: a larger copy if the entries outgrew it.
     """
     tokens: list[str] = []
-    # The pending block: the value text and the line number of each entry
-    # line not yet parsed.
-    rests: list[str] = []
+    # The pending block: each non-blank line not yet parsed, and its number.
+    lines: list[str] = []
     linenos: list[int] = []
 
     def parse_pending() -> None:
         nonlocal matrix
-        if not rests:
+        if not lines:
             return
-        stop = row + len(tokens)
-        start = stop - len(rests)
+        values, block_tokens = _parse_rows(lines, linenos, dimension)
+        start = row + len(tokens)
+        stop = start + len(values)
         if stop > len(matrix):
             # Only a stream, a pipe or a file that grew since its lines were
             # counted gets here.
             grown = np.empty((max(stop, 2 * len(matrix)), dimension))
             grown[:start] = matrix[:start]
             matrix = grown
-        matrix[start:stop] = _parse_rows(rests, linenos)
-        rests.clear()
+        matrix[start:stop] = values
+        tokens.extend(block_tokens)
+        lines.clear()
         linenos.clear()
 
-    for lineno, raw in numbered:
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        token, sep, rest = line.partition(" ")
-        found = rest.count(" ") + 1
-        if token.split() != [token]:
-            problem = "empty or whitespace token"
-        elif not sep:
-            problem = "token without values"
-        elif found != dimension:
-            problem = f"expected {dimension} values, found {found}"
-        elif not rest:
-            # loadtxt would skip an empty row instead of rejecting it.
-            problem = "non-numeric value (empty field)"
-        else:
-            tokens.append(token.lower())
-            rests.append(rest)
-            linenos.append(lineno)
-            if len(rests) == BLOCK_LINES:
-                parse_pending()
-            continue
-        # A bad value on an earlier line of the pending block comes first.
+    try:
+        for lineno, raw in numbered:
+            if line := raw.rstrip("\r\n"):
+                lines.append(line)
+                linenos.append(lineno)
+                if len(lines) == BLOCK_LINES:
+                    parse_pending()
+    except UnicodeDecodeError:
+        # The lines read before the bad byte are judged first.
         parse_pending()
-        raise EmbeddingFormatError(f"line {lineno}: {problem}")
+        raise
     parse_pending()
     return tokens, matrix
 
@@ -328,26 +314,40 @@ def _read_head(lines: Iterator[str]) -> tuple[int | None, int | None, Iterator[t
     return None, dimension, enumerate(itertools.chain(ahead, lines), start=1)
 
 
-def _parse_rows(rests: list[str], linenos: list[int]) -> np.ndarray:
-    """Parse the value text of a block of entry lines into a matrix.
-
-    Raises EmbeddingFormatError naming the first line in file order whose
-    values are non-numeric or non-finite.
-    """
-    try:
-        block = np.loadtxt(rests, **_LOADTXT_OPTIONS)
-    except ValueError as exc:
-        if len(rests) > 1:
-            # loadtxt does not always name the row it stopped at, and a
-            # non-finite row before it must win: parse the lines one by one.
-            for rest, lineno in zip(rests, linenos):
-                _parse_rows([rest], [lineno])
-        reason = _AT_ROW.sub(" at", str(exc))
-        raise EmbeddingFormatError(f"line {linenos[0]}: non-numeric value ({reason})") from None
-    finite = np.isfinite(block).all(axis=1)
-    if not finite.all():
-        raise EmbeddingFormatError(f"line {linenos[int(finite.argmin())]}: non-finite value")
-    return block
+def _parse_rows(
+    lines: list[str], linenos: list[int], dimension: int | None
+) -> tuple[np.ndarray, list[str]]:
+    """The values and the lowercase tokens of a block of entry lines; raises
+    EmbeddingFormatError naming the first bad line, in file order."""
+    split = [line.partition(" ") for line in lines]
+    tokens = [token for token, _, _ in split]
+    rests = [rest for _, _, rest in split]
+    # Joined and split again, the tokens come back unchanged only if none is
+    # empty or holds whitespace. loadtxt skips an empty row, or warns if all are.
+    if all(rests) and " ".join(tokens).split() == tokens:
+        with contextlib.suppress(ValueError):
+            values = np.loadtxt(rests, **_LOADTXT_OPTIONS)
+            if values.shape == (len(lines), dimension) and np.isfinite(values).all():
+                return values, [token.lower() for token in tokens]
+    # The block fails, so one of its lines fails alone: judge each in file order.
+    for (token, sep, rest), lineno in zip(split, linenos):
+        if token.split() != [token]:
+            problem = "empty or whitespace token"
+        elif not sep:
+            problem = "token without values"
+        elif (found := rest.count(" ") + 1) != dimension:
+            problem = f"expected {dimension} values, found {found}"
+        elif not rest:
+            problem = "non-numeric value (empty field)"
+        else:
+            try:
+                if np.isfinite(np.loadtxt([rest], **_LOADTXT_OPTIONS)).all():
+                    continue
+                problem = "non-finite value"
+            except ValueError as exc:
+                problem = f"non-numeric value ({_AT_ROW.sub(' at', str(exc))})"
+        raise EmbeddingFormatError(f"line {lineno}: {problem}")
+    raise AssertionError("a block that fails has a bad line")
 
 
 def row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

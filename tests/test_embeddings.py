@@ -10,6 +10,7 @@ import signal
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,16 @@ def _reference_table(entries):
 
 
 @contextlib.contextmanager
+def _warnings_fail():
+    """Turn every warning into an error, apart from the one Python 3.12 and
+    later issue when a process with threads forks: the children only parse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+        yield
+
+
+@contextlib.contextmanager
 def _list_and_path(lines):
     """``lines`` as both kinds of source: the list itself and a file holding them."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -305,7 +316,9 @@ class TestBlockParseProperties:
         st.lists(
             st.tuples(
                 st.integers(min_value=1),
-                st.sampled_from(["token", "count", "non-numeric", "inf"]),
+                st.sampled_from(
+                    ["token", "count", "no values", "double space", "non-numeric", "inf"]
+                ),
             ),
             min_size=1,
             max_size=2,
@@ -328,13 +341,22 @@ class TestBlockParseProperties:
             elif kind == "count":
                 values.append("1")
                 problems[lineno] = f"expected {dim} values, found {dim + 1}"
+            elif kind == "no values":
+                values, problems[lineno] = [], "token without values"
+            elif kind == "double space":
+                values[-1] = " " + values[-1]
+                problems[lineno] = f"expected {dim} values, found {dim + 1}"
             elif kind == "non-numeric":
                 values[-1], problems[lineno] = "x" + values[-1], "non-numeric value"
             else:
                 values[-1], problems[lineno] = "-inf", "non-finite value"
             lines[lineno - 1] = " ".join([token, *values]) + "\n"
         first = min(problems)
-        with pytest.MonkeyPatch.context() as patch, _list_and_path(lines) as sources:
+        with (
+            pytest.MonkeyPatch.context() as patch,
+            _list_and_path(lines) as sources,
+            _warnings_fail(),
+        ):
             patch.setattr(embeddings, "BLOCK_LINES", block_lines)
             for source in sources:
                 with pytest.raises(EmbeddingFormatError) as caught:
@@ -372,7 +394,9 @@ def _is_utf8(data):
     return True
 
 
-_FAULTS = st.sampled_from(["token", "count", "non-numeric", "inf", "decode"])
+_FAULTS = st.sampled_from(
+    ["token", "count", "no values", "double space", "non-numeric", "inf", "decode"]
+)
 
 
 @st.composite
@@ -388,6 +412,10 @@ def split_files(draw):
             token = f"{token}\t{token}"
         elif kind == "count":
             rest += " 1"
+        elif kind == "no values":
+            rest = ""
+        elif kind == "double space":
+            rest = " " + rest
         elif kind == "non-numeric":
             rest = "x" + rest
         elif kind == "inf":
@@ -413,7 +441,11 @@ class TestSplitLoadProperties:
     def test_split_load_equals_one_range_load(self, data, cpus, block_lines):
         """A split load equals the one-range load of the same file, and the
         load of the same bytes as an unnamed stream, which names no file."""
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        with (
+            tempfile.TemporaryDirectory() as tmp,
+            pytest.MonkeyPatch.context() as patch,
+            _warnings_fail(),
+        ):
             path = Path(tmp) / "embeddings.txt"
             path.write_bytes(data)
             patch.setattr(embeddings, "BLOCK_LINES", block_lines)
@@ -452,6 +484,36 @@ class TestSplitLoadProperties:
                 _see_cpus(patch, cpus)
                 assert len(embeddings._line_ranges(str(path))) == cpus
                 assert _outcome(path) == expected
+
+    @pytest.mark.parametrize(
+        "bad_lineno, named, streamed",
+        [
+            # Past the decoder's 8 KiB read-ahead: line 1 is judged first.
+            (501, "line 1: non-numeric value", "line 1: non-numeric value"),
+            # Within it, the documented exception: the bad byte is named.
+            (4, "line 4: not UTF-8", "line unknown: not UTF-8"),
+        ],
+    )
+    def test_bad_byte_in_the_block_of_an_earlier_bad_line(
+        self, tmp_path, capsys, bad_lineno, named, streamed
+    ):
+        # 2,100 lines, so that the file splits; line 1 and the bad byte are
+        # both in the first block of 1,024 lines.
+        lines = [b"w%d %d.25 -0.5 0.125 1e-3\n" % (i, i % 7) for i in range(1, 2101)]
+        lines[0] = b"w1 x -0.5 0.125 1e-3\n"
+        lines[bad_lineno - 1] = b"w\xe9" + lines[bad_lineno - 1][1:]
+        assert (len(b"".join(lines[: bad_lineno - 1])) > 8192) == (bad_lineno == 501)
+        path = tmp_path / "embeddings.txt"
+        path.write_bytes(b"".join(lines))
+        with pytest.MonkeyPatch.context() as patch:
+            for cpus in (2, 1):
+                _see_cpus(patch, cpus)
+                assert len(embeddings._line_ranges(str(path))) == cpus
+                assert _outcome(path).startswith(f"{path}: {named}")
+        stream = io.TextIOWrapper(io.BytesIO(b"".join(lines)), encoding="utf-8")
+        assert _outcome(stream).startswith(streamed)
+        assert main(["score", "w1", "w2", "--method", "word", "--embeddings", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
 
 
 class TestLineRanges:
