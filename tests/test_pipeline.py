@@ -6,9 +6,12 @@ import bisect
 import dataclasses
 import logging
 import math
+import os
 import re
+import signal
 import string
 import tempfile
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mwedetect import ScanHit, scan_corpus
+from mwedetect import ScanHit, pipeline, scan_corpus
+from mwedetect.cli import main
 from mwedetect.corpus import build_bigram_counts, tokenize
+from mwedetect.definitions import load_definitions, load_stopwords
+from mwedetect.embeddings import load_embeddings
 from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
@@ -41,6 +47,8 @@ from mwedetect.scoring import (
     ScoreMethod,
     ScoreOutcome,
     classify,
+    lexeme_ids,
+    score_ids,
     score_pair,
 )
 
@@ -765,6 +773,119 @@ class TestRunExperimentProperties:
             assert report.tp + report.fn + report.unscorable_pos == positives
             assert report.fp + report.tn + report.unscorable_neg == negatives
             assert report.unscorable_pos == report.unscorable_neg == 0
+
+
+def _every_reason_config(tmp: Path) -> ExperimentConfig:
+    """A run whose positives meet every unscorable reason under some method.
+
+    Each constituent of the first nine compounds has one fault: no
+    definition, a definition of out-of-vocabulary words, of stop words, of
+    two opposite vectors or of two vectors that overflow, no vector (on the
+    left and on the right), a zero vector, or one whose squared norm
+    overflows. Six more compounds and the corpus's fillers score under
+    every method.
+    """
+    rng = np.random.default_rng(0)
+    fillers = [alphabetic_token("f", i) for i in range(10)]
+    sound = [(alphabetic_token("l", i), alphabetic_token("r", i)) for i in range(6)]
+    faulty = [("nodef", "fa"), ("oovdef", "fb"), ("stopdef", "fc"), ("zerodef", "fd"),
+              ("bigdef", "fe"), ("missing", "ff"), ("fg", "absent"), ("zero", "fh"), ("huge", "fi")]
+    vectors = {w: rng.uniform(-1, 1, 3).round(3).tolist() for pair in sound for w in pair}
+    vectors.update({w: rng.uniform(-1, 1, 3).round(3).tolist() for w in fillers})
+    vectors.update({w: rng.uniform(-1, 1, 3).round(3).tolist()
+                    for w in ("nodef", "oovdef", "stopdef", "zerodef", "bigdef", "the", "of")})
+    vectors.update({"zero": [0.0] * 3, "huge": [1e200] * 3, "big": [1e308, 0.0, 0.0],
+                    "plus": [1.0, 0.0, 0.0], "minus": [-1.0, 0.0, 0.0]})
+    definitions = {w: f"{w} fj" for w in vectors if w != "nodef"}
+    definitions.update({"oovdef": "qq rr", "stopdef": "the of", "zerodef": "plus minus",
+                        "bigdef": "big big", "missing": "fa", "absent": "fb"})
+    orders = [rng.permutation(fillers).tolist() for _ in range(4)]
+    files = {
+        "embeddings.txt": "".join(f"{w} {' '.join(map(repr, v))}\n" for w, v in vectors.items()),
+        "compounds.csv": "c1,c2\n" + "".join(f"{a},{b}\n" for a, b in faulty + sound),
+        "corpus.txt": "\n".join(" ".join(order) for order in orders) + "\n",
+        "definitions.tsv": "".join(f"{w}\t{text}\n" for w, text in definitions.items()),
+        "stopwords.txt": "the\nof\n",
+    }
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return ExperimentConfig(
+        **{name.split(".")[0]: tmp / name for name in files}, sample_seed=3, split_seed=4
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the negatives are scored in a fork")
+class TestScoringWorker:
+    """``run_experiment`` scores the negatives in a forked worker."""
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_same_result_with_and_without_the_worker(self, tmp_path, monkeypatch, mode):
+        config = dataclasses.replace(_every_reason_config(tmp_path), threshold_mode=mode)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        forked = run_experiment(config)
+        assert len(forks) == 2  # the corpus count and the scoring
+        # Every unscorable reason occurs among the pairs of the run.
+        table = load_embeddings(config.embeddings)
+        lexicon = load_definitions(config.definitions)
+        stopwords = load_stopwords(config.stopwords)
+        pairs = [lp.pair for lp in forked.dataset.calibration + forked.dataset.heldout]
+        reasons = set()
+        for method in ScoreMethod:
+            reasons.update(score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))[1])
+        assert reasons == set(range(len(UNSCORABLE_REASONS) + 1))
+
+        monkeypatch.delattr(os, "fork")
+        inline = run_experiment(config)
+        assert inline.reports == forked.reports
+        assert inline.thresholds == forked.thresholds
+        assert inline.dataset == forked.dataset
+
+    def test_killed_worker_is_a_child_process_error(self, tmp_path, monkeypatch, capsys):
+        config = _every_reason_config(tmp_path)
+        parent = os.getpid()
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return score_ids(*args)
+
+        monkeypatch.setattr(pipeline, "score_ids", killed)
+        expected = "^the worker scoring the negatives ended without a result$"
+        with pytest.raises(ChildProcessError, match=expected):
+            run_experiment(config)
+        self.assert_no_child_left()
+        # As an OSError it ends the command line with exit 1.
+        conf = tmp_path / "experiment.conf"
+        conf.write_text("".join(f"{name} = {getattr(config, name)}\n" for name in
+                                ("embeddings", "compounds", "corpus", "definitions", "stopwords")),
+                        encoding="utf-8")
+        assert main(["run", str(conf), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: the worker scoring the negatives")
+        self.assert_no_child_left()
+
+    def test_interrupt_while_the_worker_runs(self, tmp_path, monkeypatch):
+        config = _every_reason_config(tmp_path)
+        parent = os.getpid()
+
+        def interrupted(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the parent must kill the worker, not wait for it
+            return score_ids(*args)
+
+        monkeypatch.setattr(pipeline, "score_ids", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config)
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestScanHit:
