@@ -276,7 +276,8 @@ def _merge(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.n
     counts = np.concatenate([counts for _, counts in parts]).astype(np.int64, copy=False)
     if not len(codes):
         return codes, counts
-    order = np.argsort(codes)
+    # The parts are sorted runs, which a stable sort merges.
+    order = np.argsort(codes, kind="stable")
     codes, counts = codes[order], counts[order]
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     return codes[starts], np.add.reduceat(counts, starts)

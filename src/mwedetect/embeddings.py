@@ -376,10 +376,11 @@ def row_cosines(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     two, which is exact.
     """
     values = _row_cosines(u, v)
-    redo = np.minimum(np.abs(u).max(axis=1), np.abs(v).max(axis=1)) < 2.0**-500
+    u_max, v_max = np.abs(u).max(axis=1), np.abs(v).max(axis=1)
+    redo = np.minimum(u_max, v_max) < 2.0**-500
     if redo.any():
         values[redo] = _row_cosines(_scaled_up(u[redo]), _scaled_up(v[redo]))
-    return values, ~u.any(axis=1) | ~v.any(axis=1)
+    return values, (u_max == 0) | (v_max == 0)
 
 
 def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -168,7 +168,8 @@ def split_dataset(
     Stratification runs per pair source, which refines label stratification
     and keeps each negative population represented proportionally on both
     sides. Group sizes are floored, then clamped so every group of two or
-    more lands at least one pair on each side. Deterministic per seed.
+    more lands at least one pair on each side. Deterministic per seed. Both
+    sides hold the given ``LabeledPair`` objects themselves, not copies.
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError(f"split fraction must be in (0, 1), got {fraction}")
@@ -413,7 +414,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     negative arms are drawn, a second forked worker scores the negatives,
     all three methods, while this process splits the dataset and scores
     the positives; without ``os.fork`` the negatives are scored where their
-    scores are collected. Either way each pair gets the same scores.
+    scores are collected. Either way each pair gets the same scores. Pairs
+    stay in the order they were drawn and scored; calibration and
+    evaluation count them through masks, so they do not depend on order.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -432,8 +435,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     exclusions = both_orientations(positives)
     n = len(positives)
-    randoms = sample_random_pairs(counts.vocabulary, n, config.sample_seed, exclusions)
-    cooccurs = top_cooccurring_pairs(counts, n, exclusions)
+    arms = {
+        PairSource.LADEC: positives,
+        PairSource.RANDOM: sample_random_pairs(
+            counts.vocabulary, n, config.sample_seed, exclusions
+        ),
+        PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
+    }
 
     def score(pairs: list[LexemePair]) -> dict[ScoreMethod, np.ndarray]:
         lexemes, left, right = lexeme_ids(pairs)
@@ -447,31 +455,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # A pair's scores do not depend on the pairs scored with it, so a forked
     # worker scores the negatives while this process labels and splits the
     # pairs and scores the positives.
-    with Worker("the worker scoring the negatives", score, randoms + cooccurs) as worker:
-        labeled = (
-            [LabeledPair(p, PairSource.LADEC) for p in positives]
-            + [LabeledPair(p, PairSource.RANDOM) for p in randoms]
-            + [LabeledPair(p, PairSource.COOCCUR) for p in cooccurs]
-        )
+    negatives = [pair for source in NEGATIVE_SOURCES for pair in arms[source]]
+    with Worker("the worker scoring the negatives", score, negatives) as worker:
+        labeled = [LabeledPair(pair, source) for source, pairs in arms.items() for pair in pairs]
         dataset = split_dataset(labeled, config.fraction, config.split_seed)
         positive_scores = score(positives)
         negative_scores = worker.result()
-
-    # Every labeled pair in split order, with its scores, source and split.
-    # The split holds the labeled pairs themselves, so their ids find their
-    # places in ``labeled``: the order of the scores, and each source's
-    # pairs in turn, in PairSource order.
-    pairs = dataset.calibration + dataset.heldout
-    place = {id(lp): i for i, lp in enumerate(labeled)}
-    order = np.fromiter(map(place.__getitem__, map(id, pairs)), np.intp, len(pairs))
     scores = {
-        method: np.concatenate((positive_scores[method], negative_scores[method]))[order]
+        method: np.concatenate((positive_scores[method], negative_scores[method]))
         for method in METHODS
     }
-    sources = list(PairSource)
-    pair_source = np.searchsorted(np.cumsum([len(positives), len(randoms)]), order, "right")
-    positive = pair_source == sources.index(PairSource.LADEC)
-    calibration = np.arange(len(pairs)) < len(dataset.calibration)
+    pair_source = np.repeat(np.array(list(arms), object), [len(pairs) for pairs in arms.values()])
+    positive = pair_source == PairSource.LADEC
+    calibration_ids = set(map(id, dataset.calibration))
+    calibration = np.fromiter((id(lp) in calibration_ids for lp in labeled), bool, len(labeled))
 
     # Cached: in shared mode both arms of a method share one calibration.
     @functools.cache
@@ -479,7 +476,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         values = scores[method]
         scorable = calibration & ~np.isnan(values)
         pos = values[scorable & positive]
-        neg = values[scorable & (pair_source == sources.index(source))]
+        neg = values[scorable & (pair_source == source)]
         if not len(pos) or not len(neg):
             raise DatasetError(
                 f"calibration impossible for {method.value} vs {source.value}: "
@@ -495,7 +492,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
 
     heldout_arms = {
-        source: ~calibration & (positive | (pair_source == sources.index(source)))
+        source: ~calibration & (positive | (pair_source == source))
         for source in NEGATIVE_SOURCES
     }
     reports = tuple(

@@ -745,6 +745,44 @@ def _scorable_experiments(draw):
     }
 
 
+def _written_config(tmp: Path, files: dict[str, str], **options) -> ExperimentConfig:
+    """Write ``files`` into ``tmp``; each file is the input of the key before its dot."""
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return ExperimentConfig(**{name.split(".")[0]: tmp / name for name in files}, **options)
+
+
+def _assert_recomputed_pair_by_pair(result: pipeline.ExperimentResult) -> None:
+    """Each threshold and report of ``result``, from its split's pairs alone.
+
+    The pairs of each side are picked by their ``LabeledPair`` fields and
+    scored by ``score_ids``; nothing of ``run_experiment`` is reused but
+    the split itself.
+    """
+    config, dataset = result.config, result.dataset
+    table = load_embeddings(config.embeddings)
+    lexicon = load_definitions(config.definitions)
+    stopwords = load_stopwords(config.stopwords)
+    reports = {(r.method, r.negative_source): r for r in result.reports}
+
+    def scored(method, side, source):
+        chosen = [lp for lp in side if lp.is_positive or lp.source is source]
+        values = score_ids(method, table, lexicon, stopwords,
+                           *lexeme_ids([lp.pair for lp in chosen]))[0]
+        return values, np.array([lp.is_positive for lp in chosen])
+
+    for method in ScoreMethod:
+        for arm in NEGATIVE_SOURCES:
+            calibrated_on = PairSource.RANDOM if config.threshold_mode == pipeline.SHARED else arm
+            values, positive = scored(method, dataset.calibration, calibrated_on)
+            scorable = ~np.isnan(values)
+            threshold = calibrate_threshold(values[scorable & positive],
+                                            values[scorable & ~positive])
+            assert result.thresholds[(method, arm)] == threshold
+            values, positive = scored(method, dataset.heldout, arm)
+            assert reports[(method, arm)] == evaluate(values, positive, threshold, method, arm)
+
+
 class TestRunExperimentProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -755,15 +793,8 @@ class TestRunExperimentProperties:
     )
     def test_six_reports_whose_counts_add_up(self, files, mode, fraction, seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            for name, text in files.items():
-                Path(tmp, name).write_text(text, encoding="utf-8")
-            config = ExperimentConfig(
-                **{name.split(".")[0]: Path(tmp, name) for name in files},
-                sample_seed=seeds[0],
-                split_seed=seeds[1],
-                fraction=fraction,
-                threshold_mode=mode,
-            )
+            config = _written_config(Path(tmp), files, sample_seed=seeds[0], split_seed=seeds[1],
+                                     fraction=fraction, threshold_mode=mode)
             result = run_experiment(config)
         assert len(result.reports) == 6
         heldout = result.dataset.heldout
@@ -773,6 +804,24 @@ class TestRunExperimentProperties:
             assert report.tp + report.fn + report.unscorable_pos == positives
             assert report.fp + report.tn + report.unscorable_neg == negatives
             assert report.unscorable_pos == report.unscorable_neg == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        files=_scorable_experiments(),
+        mode=st.sampled_from(THRESHOLD_MODES),
+        fraction=st.sampled_from([0.3, 0.5, 0.7]),
+        seeds=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    )
+    def test_thresholds_and_reports_recomputed_pair_by_pair(self, files, mode, fraction, seeds):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = _written_config(Path(tmp), files, sample_seed=seeds[0], split_seed=seeds[1],
+                                     fraction=fraction, threshold_mode=mode)
+            _assert_recomputed_pair_by_pair(run_experiment(config))
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_every_reason_run_recomputed_pair_by_pair(self, tmp_path, mode):
+        config = dataclasses.replace(_every_reason_config(tmp_path), threshold_mode=mode)
+        _assert_recomputed_pair_by_pair(run_experiment(config))
 
 
 def _every_reason_config(tmp: Path) -> ExperimentConfig:
@@ -807,11 +856,7 @@ def _every_reason_config(tmp: Path) -> ExperimentConfig:
         "definitions.tsv": "".join(f"{w}\t{text}\n" for w, text in definitions.items()),
         "stopwords.txt": "the\nof\n",
     }
-    for name, text in files.items():
-        (tmp / name).write_text(text, encoding="utf-8")
-    return ExperimentConfig(
-        **{name.split(".")[0]: tmp / name for name in files}, sample_seed=3, split_seed=4
-    )
+    return _written_config(tmp, files, sample_seed=3, split_seed=4)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the negatives are scored in a fork")
