@@ -20,7 +20,9 @@ from .corpus import count_corpus, counting, sample_random_pairs, top_cooccurring
 # Bound here for perfbench's cli.read_corpus and cli.build_bigram_counts hooks.
 from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords
-from .embeddings import EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingTable, parsing
+# Bound here for perfbench's cli.load_embeddings hook.
+from .embeddings import load_embeddings  # noqa: F401
 from .errors import ConfigError, MweDetectError
 from .pairs import LexemePair
 from .pipeline import (
@@ -52,10 +54,11 @@ def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
 
 
 def _load_method_inputs(args) -> tuple[EmbeddingTable, DefinitionLexicon | None, frozenset[str] | None]:
-    table = load_embeddings(args.embeddings)
-    lexicon = load_definitions(args.definitions) if args.definitions else None
-    stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-    return table, lexicon, stopwords
+    # The definitions and stop words load while forked children parse the embeddings.
+    with parsing(args.embeddings) as embeddings:
+        lexicon = load_definitions(args.definitions) if args.definitions else None
+        stopwords = load_stopwords(args.stopwords) if args.stopwords else None
+        return embeddings.result(), lexicon, stopwords
 
 
 def cmd_score(args) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import Worker, count_lines, text_lines
+from ._io import Worker, count_lines, naming
 from .errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 logger = logging.getLogger(__name__)
@@ -79,79 +79,122 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
 
     The lines are parsed as one or more ranges. A range's entry lines are
     judged a block of ``BLOCK_LINES`` at a time, in file order, and copied
-    into the table's matrix. This process parses the first range, from the
-    reader that read the header; when nothing is split, the first range is
-    the whole source. A regular file's matrix is allocated once, with one
-    row per line of the file; any other source's matrix grows by doubling.
+    into the table's matrix. A regular file's matrix is allocated once,
+    with one row per line of the file; any other source's matrix grows by
+    doubling.
 
     On Linux a regular file of at least ``2 * BLOCK_LINES`` lines is split
     into one byte range per CPU the process may run on (at most one per
-    ``BLOCK_LINES`` lines). A forked child parses each later range into the
-    same shared matrix and sends back only its tokens or its exception. The
-    table and the first error in file order are those of a one-range parse,
-    with one exception: text is decoded up to 8 KiB ahead of the lines
-    read, and only a byte that is not UTF-8 within that read-ahead can be
-    named in place of an earlier bad line. Where a range starts moves it.
-    On Python 3.12 and later ``os.fork`` warns when the process runs other
-    threads, as numpy's BLAS pool does; the children only parse text and
-    leave through ``os._exit``.
+    ``BLOCK_LINES`` lines). This process reads only the header; a forked
+    child parses each range, the first from byte 0, into the same shared
+    matrix and sends back only its tokens or its exception. Any other
+    source is one range, which this process parses from the reader that
+    read the header. The table and the first error in file order are those
+    of a one-range parse, with one exception: text is decoded up to 8 KiB
+    ahead of the lines read, and only a byte that is not UTF-8 within that
+    read-ahead can be named in place of an earlier bad line. Where a range
+    starts moves it. On Python 3.12 and later ``os.fork`` warns when the
+    process runs other threads, as numpy's BLAS pool does; the children
+    only parse text and leave through ``os._exit``.
 
     Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream; for a path or an open file the
     message starts with its name. Raises ChildProcessError, naming the file,
     when a child ends without a result (it was killed, for instance).
     """
-    source_label = os.fspath(source) if isinstance(source, (str, os.PathLike)) else ""
-    with text_lines(source, EmbeddingFormatError) as lines, contextlib.ExitStack() as stack:
-        declared, dimension, numbered = _read_head(iter(lines))
-        ranges = _line_ranges(source_label) if dimension else []
+    with parsing(source) as embeddings:
+        return embeddings.result()
+
+
+@contextlib.contextmanager
+def parsing(source: str | os.PathLike | Iterable[str]) -> Iterator[_Parse]:
+    """``load_embeddings(source)`` begun, to load other inputs in the block.
+
+    On entry the header is read, and a split file has its children forked.
+    ``result()`` returns the table or raises the load's error; a source that
+    is not split is parsed there. When the block raises an Exception before
+    ``result()`` is called, the load is finished first, and its error, if it
+    has one, is raised in place of the block's: errors come in the order of
+    a load made before the block. Leaving the block any other way kills the
+    children.
+    """
+    with contextlib.ExitStack() as stack:
+        parse = _Parse(source, stack)
+        try:
+            yield parse
+        except Exception:
+            if parse.pending:
+                parse.result()
+            raise
+
+
+class _Parse:
+    """A load begun by ``parsing``: the header read and the children forked."""
+
+    def __init__(self, source: str | os.PathLike | Iterable[str], stack: contextlib.ExitStack):
+        is_path = isinstance(source, (str, os.PathLike))
+        self.source = source
+        self.label = os.fspath(source) if is_path else ""
+        self.pending = True  # until result() is called
+        lines = stack.enter_context(open(source, encoding="utf-8-sig")) if is_path else source
+        with naming(source, EmbeddingFormatError):
+            self.declared, self.dimension, self.numbered = _read_head(iter(lines))
+        ranges = _line_ranges(self.label) if self.dimension else []
         # Each range's first row, then the rows of all ranges.
         *firsts, rows = itertools.accumulate((count for _, count in ranges), initial=0)
+        self.workers = []
         if len(ranges) < 2:
-            matrix = np.empty((rows, dimension or 0))
-        else:
-            # Anonymous and shared, so the children's writes land here.
-            matrix = np.frombuffer(mmap.mmap(-1, rows * dimension * 8)).reshape(rows, dimension)
-            # The first range ends where the second starts. A source that is
-            # not split is read to its end, and its matrix may grow.
-            numbered = itertools.takewhile(lambda line: line[0] <= firsts[1], numbered)
-        workers = []
-        for (start, count), row in zip(ranges[1:], firsts[1:]):
-            what = f"{source_label}: the child parsing from line {row + 1}"
-            worker = Worker(what, _read_range, source_label, start, count, dimension, matrix, row)
-            workers.append((row, stack.enter_context(worker)))
-        tokens, matrix = _read_entries(numbered, dimension, matrix, 0)
-        parts = [(0, tokens)] + [(row, worker.result()) for row, worker in workers]
-        index, duplicates, kept = _first_wins(parts, len(matrix))
-        if not index:
-            raise EmbeddingFormatError("embedding source contains no entries")
-        entry_lines = len(index) + len(duplicates)
-        if declared is not None and declared != entry_lines:
-            raise EmbeddingFormatError(
-                f"line 1: header declares {declared} entries, found {entry_lines}"
-            )
+            self.matrix = np.empty((rows, self.dimension or 0))
+            return
+        # Anonymous and shared, so the children's writes land here.
+        shared = mmap.mmap(-1, rows * self.dimension * 8)
+        self.matrix = np.frombuffer(shared).reshape(rows, self.dimension)
+        for (start, count), row in zip(ranges, firsts):
+            what = f"{self.label}: the child parsing from line {row + 1}"
+            header = start == 0 and self.declared is not None
+            args = (self.label, start, count, header, self.dimension, self.matrix, row)
+            self.workers.append((row, stack.enter_context(Worker(what, _read_range, *args))))
 
-    if duplicates:
-        logger.warning(
-            "embedding source %s: %d duplicate token(s) ignored (first occurrence kept), e.g. %r",
-            source_label or "<stream>",
-            len(duplicates),
-            duplicates[0],
+    def result(self) -> EmbeddingTable:
+        """The table: the children joined, or the one range parsed here."""
+        self.pending = False
+        with naming(self.source, EmbeddingFormatError):
+            if self.workers:
+                parts = [(row, worker.result()) for row, worker in self.workers]
+                matrix = self.matrix
+            else:
+                tokens, matrix = _read_entries(self.numbered, self.dimension, self.matrix, 0)
+                parts = [(0, tokens)]
+            index, duplicates, kept = _first_wins(parts, len(matrix))
+            if not index:
+                raise EmbeddingFormatError("embedding source contains no entries")
+            entry_lines = len(index) + len(duplicates)
+            if self.declared is not None and self.declared != entry_lines:
+                raise EmbeddingFormatError(
+                    f"line 1: header declares {self.declared} entries, found {entry_lines}"
+                )
+
+        if duplicates:
+            logger.warning(
+                "embedding source %s: %d duplicate token(s) ignored (first occurrence kept), e.g. %r",
+                self.label or "<stream>",
+                len(duplicates),
+                duplicates[0],
+            )
+        _close_gaps(matrix, kept)
+        if matrix.base is None:
+            # Shrinks in place; the rows past the entries hold nothing needed.
+            # No view of the matrix exists yet, so the reference check is moot.
+            matrix.resize((len(index), self.dimension), refcheck=False)
+        else:
+            matrix = matrix[: len(index)]
+        matrix.flags.writeable = False
+        return EmbeddingTable(
+            index=index,
+            matrix=matrix,
+            source_label=self.label,
+            duplicate_tokens=tuple(duplicates),
         )
-    _close_gaps(matrix, kept)
-    if matrix.base is None:
-        # Shrinks in place; the rows past the entries hold nothing needed.
-        # No view of the matrix exists yet, so the reference check is moot.
-        matrix.resize((len(index), dimension), refcheck=False)
-    else:
-        matrix = matrix[: len(index)]
-    matrix.flags.writeable = False
-    return EmbeddingTable(
-        index=index,
-        matrix=matrix,
-        source_label=source_label,
-        duplicate_tokens=tuple(duplicates),
-    )
 
 
 def _read_entries(
@@ -203,14 +246,18 @@ def _read_entries(
 
 
 def _read_range(
-    path: str, start: int, count: int, dimension: int, matrix: np.ndarray, row: int
+    path: str, start: int, count: int, header: bool, dimension: int, matrix: np.ndarray, row: int
 ) -> list[str]:
     """Parse ``count`` lines of ``path`` from byte ``start`` into ``matrix``
-    from ``row`` on; return their entry tokens."""
+    from ``row`` on; return their entry tokens. The range at byte 0 drops a
+    byte-order mark; with ``header``, its first line is a ``V D`` header."""
     with open(path, "rb") as handle:
         handle.seek(start)
-        lines = itertools.islice(io.TextIOWrapper(handle, encoding="utf-8"), count)
-        return _read_entries(enumerate(lines, start=row + 1), dimension, matrix, row)[0]
+        text = io.TextIOWrapper(handle, encoding="utf-8" if start else "utf-8-sig")
+        numbered = enumerate(itertools.islice(text, count), start=row + 1)
+        if header:
+            next(numbered, None)
+        return _read_entries(numbered, dimension, matrix, row)[0]
 
 
 def _first_wins(
@@ -392,8 +439,11 @@ def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     values = np.clip(values, -1.0, 1.0)
     # Identical vectors must score exactly 1.0: a self-pair stays on the
     # NOT_COMPOUND side of every threshold <= 1.0, which sqrt round-off in
-    # the general formula cannot guarantee.
-    values[(u == v).all(axis=1)] = 1.0
+    # the general formula cannot guarantee. Their formula gives 1 within
+    # 4 * 2**-53 (one rounding each in sqrt, the product and the division
+    # of the same dot product), so only rows from 1 - 2**-50 up are compared.
+    near = np.flatnonzero(values >= 1.0 - 2.0**-50)
+    values[near[(u[near] == v[near]).all(axis=1)]] = 1.0
     values[~finite] = np.nan
     return values
 

@@ -33,7 +33,9 @@ from .corpus import BigramCounts, counting, sample_random_pairs, top_cooccurring
 # Bound here for perfbench's pipeline.read_corpus and pipeline.build_bigram_counts hooks.
 from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
-from .embeddings import EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingTable, parsing
+# Bound here for perfbench's pipeline.load_embeddings hook.
+from .embeddings import load_embeddings  # noqa: F401
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
 from .scoring import UNSCORABLE_REASONS, ScoreMethod, is_compound, lexeme_ids, score_ids
@@ -410,13 +412,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
     recall identical across negative sources by construction. The corpus
-    is counted in a forked worker while the other inputs load. Once both
-    negative arms are drawn, a second forked worker scores the negatives,
-    all three methods, while this process splits the dataset and scores
-    the positives; without ``os.fork`` the negatives are scored where their
-    scores are collected. Either way each pair gets the same scores. Pairs
-    stay in the order they were drawn and scored; calibration and
-    evaluation count them through masks, so they do not depend on order.
+    is counted in a forked worker, and a split embeddings file is parsed
+    by forked children, while the other inputs load; errors still come in
+    the order embeddings, definitions, stop words, compounds, corpus. Once
+    both negative arms are drawn, another forked worker scores the
+    negatives, all three methods, while this process splits the dataset
+    and scores the positives; without ``os.fork`` the negatives are scored
+    where their scores are collected. Either way each pair gets the same
+    scores. Pairs stay in the order they were drawn and scored;
+    calibration and evaluation count them through masks, so they do not
+    depend on order.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -424,13 +429,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if field.default is dataclasses.MISSING and not input_path.exists():
             raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
-    with counting(config.corpus) as corpus:
-        table = load_embeddings(config.embeddings)
+    with counting(config.corpus) as corpus, parsing(config.embeddings) as embeddings:
         lexicon = load_definitions(config.definitions)
         stopwords = load_stopwords(config.stopwords)
         positives = load_compounds(
             config.compounds, config.compound_left_column, config.compound_right_column
         )
+        table = embeddings.result()
         counts = corpus.result()
 
     exclusions = both_orientations(positives)

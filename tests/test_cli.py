@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwedetect import cli, corpus, embeddings
+from mwedetect import cli, corpus, embeddings, pipeline
 from mwedetect.cli import main
 from mwedetect.errors import CorpusError, MweDetectError, SamplingError
 from mwedetect.pipeline import load_config, run_experiment
@@ -395,6 +395,103 @@ class TestCorpusWorker:
         (inputs / "toy_definitions.tsv").write_text("jet\ta jet\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="toy_corpus.txt: line 1: not UTF-8"):
             run_experiment(load_config(inputs / "experiment.conf"))
+        self.assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
+)
+class TestEmbeddingsParsedBesideTheLoaders:
+    """score, scan and run load the other inputs while forked children parse
+    a split embeddings file; errors come in the order of one load after
+    another, and every child is reaped."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        for source in _DATA.iterdir():
+            shutil.copy(source, tmp_path)
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert len(embeddings._line_ranges(str(tmp_path / "toy_embeddings.txt"))) == 3
+        return tmp_path.resolve()
+
+    @staticmethod
+    def argv(command, d):
+        loaders = ["--method", "definition-content", "--embeddings", f"{d}/toy_embeddings.txt",
+                   "--definitions", f"{d}/toy_definitions.tsv", "--stopwords", f"{d}/stopwords.txt"]
+        if command == "score":
+            return ["score", "jet", "lag", *loaders]
+        if command == "scan":
+            return ["scan", "--corpus", f"{d}/toy_corpus.txt", "--threshold", "0.5", *loaders]
+        return ["run", f"{d}/experiment.conf", "--output-dir", f"{d}/out"]
+
+    @staticmethod
+    def damage(d, name):
+        """Give the input ``name`` a bad line; return the error's start."""
+        if name == "embeddings":
+            path = d / "toy_embeddings.txt"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[11] = lines[11].replace(" 0", " x", 1)  # same length, same ranges
+            path.write_text("".join(lines), encoding="utf-8")
+            return f"error: {path}: line 12: non-numeric"
+        if name == "definitions":
+            (d / "toy_definitions.tsv").write_text("jet\ta jet\nno tab here\n", encoding="utf-8")
+            return f"error: {d}/toy_definitions.tsv: line 2: expected"
+        if name == "stopwords":
+            (d / "stopwords.txt").write_text("the\nstop word\n", encoding="utf-8")
+            return f"error: {d}/stopwords.txt: line 2: stop word contains whitespace"
+        (d / "compounds.csv").write_text("c1,c2\njet,\n", encoding="utf-8")
+        return f"error: {d}/compounds.csv: compound CSV row 2: empty constituent"
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "command, other",
+        [(command, other) for command in ("score", "scan", "run")
+         for other in ("definitions", "stopwords", "compounds")
+         if command == "run" or other != "compounds"],
+    )
+    def test_embeddings_error_comes_before_another_inputs_error(
+        self, inputs, capsys, command, other
+    ):
+        self.damage(inputs, other)
+        expected = self.damage(inputs, "embeddings")
+        assert main(self.argv(command, inputs)) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["score", "scan", "run"])
+    def test_bad_definitions_alone_name_their_own_line(self, inputs, capsys, command):
+        expected = self.damage(inputs, "definitions")
+        assert main(self.argv(command, inputs)) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["score", "scan", "run"])
+    def test_interrupt_while_loading_definitions_kills_the_children(
+        self, inputs, monkeypatch, command
+    ):
+        read_range = embeddings._read_range
+        parent = os.getpid()
+
+        def slow(*args):
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_range(*args)
+
+        def interrupted(source):
+            assert os.getpid() == parent
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_read_range", slow)
+        monkeypatch.setattr(cli, "load_definitions", interrupted)
+        monkeypatch.setattr(pipeline, "load_definitions", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(command, inputs))
+        assert time.monotonic() - started < 30
         self.assert_no_child_left()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import io
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mwedetect import embeddings
+from mwedetect import _io, embeddings
 from mwedetect.cli import main
 from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
@@ -515,6 +516,24 @@ class TestSplitLoadProperties:
         assert main(["score", "w1", "w2", "--method", "word", "--embeddings", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {named}")
 
+    @pytest.mark.parametrize("header", [b"", b"12 2\n"])
+    def test_byte_order_mark_on_a_split_file(self, tmp_path, header):
+        # The child for the first range reads from byte 0 and drops the mark
+        # itself, as the reader of the header does.
+        path = tmp_path / "embeddings.txt"
+        entries = b"".join(b"w%d %d 1\n" % (i, i) for i in range(12))
+        path.write_bytes(codecs.BOM_UTF8 + header + entries)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "BLOCK_LINES", 2)
+            _see_cpus(patch, 3)
+            assert len(embeddings._line_ranges(str(path))) == 3
+            split = _outcome(path)
+            _see_cpus(patch, 1)
+            assert len(embeddings._line_ranges(str(path))) == 1
+            one_range = _outcome(path)
+        assert split == one_range
+        assert split[:2] == ([f"w{i}" for i in range(12)], (12, 2))
+
 
 class TestLineRanges:
     def test_range_starts_after_the_first_newline_at_or_after_its_share(self, tmp_path):
@@ -538,7 +557,7 @@ class TestLineRanges:
 
     def test_crlf_split_between_chunks_is_one_line_end(self, tmp_path):
         path = tmp_path / "e.txt"
-        path.write_bytes(b"a" * ((1 << 20) - 1) + b"\r\nb\rc")
+        path.write_bytes(b"a" * (_io._CHUNK_BYTES - 1) + b"\r\nb\rc")
         with pytest.MonkeyPatch.context() as patch:
             _see_cpus(patch, 1)
             assert embeddings._line_ranges(str(path)) == [(0, 3)]
@@ -592,19 +611,31 @@ class TestWorkerLifecycle:
         self.assert_no_child_left()
 
     def test_interrupt_while_children_run(self, split_path, monkeypatch):
-        parent = os.getpid()
-        read_entries = embeddings._read_entries
+        read_range = embeddings._read_range
+        result = _io.Worker.result
 
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
+        def slow(*args):
             time.sleep(60)  # the parent must kill the child, not wait for it
-            return read_entries(*args)
+            return read_range(*args)
 
-        monkeypatch.setattr(embeddings, "_read_entries", interrupted)
+        def interrupted(worker):
+            # The interrupt comes while the parent waits for a child's result.
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            return result(worker)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_read_range", slow)
+        monkeypatch.setattr(_io.Worker, "result", interrupted)
+        previous = signal.signal(signal.SIGALRM, interrupt)
         started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            load_embeddings(split_path)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                load_embeddings(split_path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 30
         self.assert_no_child_left()
 
@@ -691,6 +722,65 @@ class TestRowKernel:
         assert np.isnan(values[1]) and np.isnan(values[3])
         assert values[2] == 1.0
         assert values[4] == -1.0
+
+
+def _reference_row_cosines(u, v):
+    """``row_cosines`` as it was when it compared every pair of rows for equality."""
+
+    def formula(u, v):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            denominator = np.sqrt(row_dots(u, u)) * np.sqrt(row_dots(v, v))
+            values = row_dots(u, v) / denominator
+        finite = np.isfinite(values) & np.isfinite(denominator)
+        values = np.clip(values, -1.0, 1.0)
+        values[(u == v).all(axis=1)] = 1.0
+        values[~finite] = np.nan
+        return values
+
+    values = formula(u, v)
+    u_max, v_max = np.abs(u).max(axis=1), np.abs(v).max(axis=1)
+    redo = np.minimum(u_max, v_max) < 2.0**-500
+    if redo.any():
+        values[redo] = formula(embeddings._scaled_up(u[redo]), embeddings._scaled_up(v[redo]))
+    return values, (u_max == 0) | (v_max == 0)
+
+
+_EDGE_VALUES = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300, 5e-324, 1e308, -1e308]
+
+
+@st.composite
+def row_blocks(draw):
+    """Two (n, d) blocks of rows built from edge values and ordinary floats,
+    some rows equal in both, some scaled by tiny powers of two."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    d = draw(st.integers(min_value=1, max_value=6))
+    elems = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(width=64))
+    rows = st.lists(elems, min_size=d, max_size=d).map(np.array)
+    # Rows below 2**-500 take the scale-up path.
+    scaled_rows = st.tuples(rows, st.sampled_from([1.0, 2.0**-520, 2.0**-1000])).map(
+        lambda drawn: drawn[0] * drawn[1]
+    )
+    u, v = [], []
+    for _ in range(n):
+        u.append(draw(scaled_rows))
+        v.append(u[-1].copy() if draw(st.booleans()) else draw(scaled_rows))
+    return np.array(u), np.array(v)
+
+
+# Equal on both sides; the first row takes the scale-up path.
+_EQUAL_ROWS = np.array([[1e-300, 5e-324], [0.1, 0.7]])
+
+
+class TestRowCosinesReference:
+    @settings(max_examples=300, deadline=None)
+    @example(blocks=(_EQUAL_ROWS, _EQUAL_ROWS.copy()))
+    @given(row_blocks())
+    def test_bit_identical_to_comparing_every_row(self, blocks):
+        u, v = blocks
+        values, zero_norm = row_cosines(u, v)
+        expected_values, expected_zero_norm = _reference_row_cosines(u, v)
+        assert values.tobytes() == expected_values.tobytes()
+        assert zero_norm.tolist() == expected_zero_norm.tolist()
 
 
 @st.composite

@@ -176,17 +176,27 @@ def _text_mode_lines(data: bytes) -> list[str]:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
 
 
-@given(st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n"]), max_size=30).map(b"".join))
-def test_count_lines_counts_the_lines_text_mode_reads(data):
+@given(
+    st.lists(st.sampled_from([b"a", b"\n", b"\r", b"\r\n"]), max_size=30).map(b"".join),
+    st.data(),
+)
+def test_count_lines_counts_the_lines_text_mode_reads(data, draw):
     handle = io.BytesIO(data)
-    for k in range(len(data) + 1):
-        assert _io.count_lines(handle, 0, k) == len(_text_mode_lines(data[:k]))
+    start = draw.draw(st.integers(min_value=0, max_value=len(data)), label="start")
+    # Reads of a byte or two split every \r\n that can be split.
+    chunk = draw.draw(st.sampled_from([1, 2, 3, _io._CHUNK_BYTES]), label="chunk bytes")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_io, "_CHUNK_BYTES", chunk)
+        for stop in range(start, len(data) + 1):
+            expected = len(_text_mode_lines(data[start:stop]))
+            assert _io.count_lines(handle, start, stop) == expected
 
 
 def test_count_lines_counts_a_crlf_split_between_chunks_once():
-    # The \r ends the first 1 MiB chunk and its \n starts the second.
-    data = b"a\n" * ((1 << 20) // 2 - 1) + b"a\r\nb\rc"
-    assert data[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+    # The \r ends the first read and its \n starts the second.
+    chunk = _io._CHUNK_BYTES
+    data = b"a\n" * (chunk // 2 - 1) + b"a\r\nb\rc"
+    assert data[chunk - 1 : chunk + 1] == b"\r\n"
     assert _io.count_lines(io.BytesIO(data), 0, len(data)) == len(_text_mode_lines(data))
 
 
