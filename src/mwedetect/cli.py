@@ -16,25 +16,24 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from .corpus import count_corpus, counting, sample_random_pairs, top_cooccurring_pairs
-# Bound here for perfbench's cli.read_corpus and cli.build_bigram_counts hooks.
-from .corpus import build_bigram_counts, read_corpus  # noqa: F401
-from .definitions import DefinitionLexicon, load_definitions, load_stopwords
-from .embeddings import EmbeddingTable, parsing
-# Bound here for perfbench's cli.load_embeddings hook.
-from .embeddings import load_embeddings  # noqa: F401
+from .corpus import sample_random_pairs, top_cooccurring_pairs
 from .errors import ConfigError, MweDetectError
 from .pairs import LexemePair
 from .pipeline import (
     SHARED,
     EvalReport,
     both_orientations,
-    load_compounds,
     load_config,
+    load_inputs,
     run_experiment,
     scan_corpus,
 )
 from .scoring import ScoreMethod, ScoreOutcome, classify, score_pair
+# Bound here for perfbench's cli.<name> hooks; nothing in this module calls them.
+from .corpus import build_bigram_counts, read_corpus  # noqa: F401
+from .definitions import load_definitions, load_stopwords  # noqa: F401
+from .embeddings import load_embeddings  # noqa: F401
+from .pipeline import load_compounds  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -53,14 +52,6 @@ def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
         raise ConfigError(f"--stopwords is required for method {method.value!r}")
 
 
-def _load_method_inputs(args) -> tuple[EmbeddingTable, DefinitionLexicon | None, frozenset[str] | None]:
-    # The definitions and stop words load while forked children parse the embeddings.
-    with parsing(args.embeddings) as embeddings:
-        lexicon = load_definitions(args.definitions) if args.definitions else None
-        stopwords = load_stopwords(args.stopwords) if args.stopwords else None
-        return embeddings.result(), lexicon, stopwords
-
-
 def cmd_score(args) -> int:
     method = ScoreMethod(args.method)
     _require_method_inputs(method, args.definitions, args.stopwords)
@@ -68,7 +59,7 @@ def cmd_score(args) -> int:
         pair = LexemePair(args.left, args.right)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    table, lexicon, stopwords = _load_method_inputs(args)
+    table, lexicon, stopwords, _, _ = load_inputs(args.embeddings, args.definitions, args.stopwords)
     outcome = score_pair(method, table, lexicon, stopwords, pair)
     if outcome.is_scorable:
         print(f"{outcome.value:.6f}")
@@ -187,18 +178,11 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
     if args.top_n is not None and args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
-    with counting(args.corpus) as corpus:
-        table, lexicon, stopwords = _load_method_inputs(args)
-        hits = scan_corpus(
-            corpus.result(),
-            table,
-            method,
-            args.threshold,
-            min_count=args.min_count,
-            top_n=args.top_n,
-            lexicon=lexicon,
-            stopwords=stopwords,
-        )
+    table, lexicon, stopwords, _, counts = load_inputs(
+        args.embeddings, args.definitions, args.stopwords, corpus=args.corpus
+    )
+    hits = scan_corpus(counts, table, method, args.threshold, min_count=args.min_count,
+                       top_n=args.top_n, lexicon=lexicon, stopwords=stopwords)
     _write_csv_rows(
         args.output,
         ["left", "right", "count", "score"],
@@ -210,12 +194,11 @@ def cmd_scan(args) -> int:
 def cmd_sample_negatives(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
-    counts = count_corpus(args.corpus)
-    exclusions: set[tuple[str, str]] = set()
-    if args.exclusions:
-        exclusions = both_orientations(
-            load_compounds(args.exclusions, args.exclusions_left_column, args.exclusions_right_column)
-        )
+    columns = (args.exclusions_left_column, args.exclusions_right_column)
+    _, _, _, compounds, counts = load_inputs(
+        compounds=args.exclusions, corpus=args.corpus, columns=columns
+    )
+    exclusions = both_orientations(compounds or ())
     if args.kind == "random":
         sampled = sample_random_pairs(counts.vocabulary, args.n, args.seed, exclusions)
         header = ["left", "right"]

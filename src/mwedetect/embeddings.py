@@ -95,7 +95,8 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     read-ahead can be named in place of an earlier bad line. Where a range
     starts moves it. On Python 3.12 and later ``os.fork`` warns when the
     process runs other threads, as numpy's BLAS pool does; the children
-    only parse text and leave through ``os._exit``.
+    only parse text and leave through ``os._exit``. ``pipeline.load_inputs``
+    loads a command's other inputs while they parse.
 
     Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream; for a path or an open file the
@@ -112,20 +113,11 @@ def parsing(source: str | os.PathLike | Iterable[str]) -> Iterator[_Parse]:
 
     On entry the header is read, and a split file has its children forked.
     ``result()`` returns the table or raises the load's error; a source that
-    is not split is parsed there. When the block raises an Exception before
-    ``result()`` is called, the load is finished first, and its error, if it
-    has one, is raised in place of the block's: errors come in the order of
-    a load made before the block. Leaving the block any other way kills the
-    children.
+    is not split is parsed there. Leaving the block kills the children that
+    still run. ``pipeline.load_inputs`` loads the other inputs in the block.
     """
     with contextlib.ExitStack() as stack:
-        parse = _Parse(source, stack)
-        try:
-            yield parse
-        except Exception:
-            if parse.pending:
-                parse.result()
-            raise
+        yield _Parse(source, stack)
 
 
 class _Parse:
@@ -135,7 +127,6 @@ class _Parse:
         is_path = isinstance(source, (str, os.PathLike))
         self.source = source
         self.label = os.fspath(source) if is_path else ""
-        self.pending = True  # until result() is called
         lines = stack.enter_context(open(source, encoding="utf-8-sig")) if is_path else source
         with naming(source, EmbeddingFormatError):
             self.declared, self.dimension, self.numbered = _read_head(iter(lines))
@@ -157,7 +148,6 @@ class _Parse:
 
     def result(self) -> EmbeddingTable:
         """The table: the children joined, or the one range parsed here."""
-        self.pending = False
         with naming(self.source, EmbeddingFormatError):
             if self.workers:
                 parts = [(row, worker.result()) for row, worker in self.workers]

@@ -15,6 +15,7 @@ with masks; no per-pair outcome objects are built.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import enum
@@ -158,6 +159,38 @@ def both_orientations(pairs: Iterable[LexemePair]) -> set[tuple[str, str]]:
     like the compound.
     """
     return {key for p in pairs for key in ((p.left, p.right), (p.right, p.left))}
+
+
+def load_inputs(
+    embeddings: str | os.PathLike | None = None,
+    definitions: str | os.PathLike | None = None,
+    stopwords: str | os.PathLike | None = None,
+    compounds: str | os.PathLike | None = None,
+    corpus: str | os.PathLike | None = None,
+    columns: tuple[str, str] = ("c1", "c2"),
+) -> tuple[EmbeddingTable | None, DefinitionLexicon | None, frozenset[str] | None,
+           list[LexemePair] | None, BigramCounts | None]:
+    """The table, lexicon, stop words, compounds (CSV ``columns``) and corpus
+    counts of the files given, and None for each file not given.
+
+    While a forked worker counts the corpus (``counting``) and a split
+    embeddings file's children parse (``parsing``), this process loads the
+    other three. Errors come in the order embeddings, definitions, stop
+    words, compounds, corpus. An interrupt kills every child.
+    """
+    with contextlib.ExitStack() as stack:
+        counted = None if corpus is None else stack.enter_context(counting(corpus))
+        parse = None if embeddings is None else stack.enter_context(parsing(embeddings))
+        try:
+            lexicon = None if definitions is None else load_definitions(definitions)
+            words = None if stopwords is None else load_stopwords(stopwords)
+            pairs = None if compounds is None else load_compounds(compounds, *columns)
+        except Exception:
+            if parse is not None:
+                parse.result()
+            raise
+        table = None if parse is None else parse.result()
+        return table, lexicon, words, pairs, None if counted is None else counted.result()
 
 
 def split_dataset(
@@ -411,17 +444,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     calibration split, and evaluates the held-out split once per negative
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
-    recall identical across negative sources by construction. The corpus
-    is counted in a forked worker, and a split embeddings file is parsed
-    by forked children, while the other inputs load; errors still come in
-    the order embeddings, definitions, stop words, compounds, corpus. Once
-    both negative arms are drawn, another forked worker scores the
-    negatives, all three methods, while this process splits the dataset
-    and scores the positives; without ``os.fork`` the negatives are scored
-    where their scores are collected. Either way each pair gets the same
-    scores. Pairs stay in the order they were drawn and scored;
-    calibration and evaluation count them through masks, so they do not
-    depend on order.
+    recall identical across negative sources by construction. The inputs
+    load through ``load_inputs``. Once both negative arms are drawn, a
+    forked worker scores the negatives, all three methods, while this
+    process splits the dataset and scores the positives; without
+    ``os.fork`` the negatives are scored where their scores are collected.
+    Either way each pair gets the same scores. Pairs stay in the order they
+    were drawn and scored; calibration and evaluation count them through
+    masks, so they do not depend on order.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -429,14 +459,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if field.default is dataclasses.MISSING and not input_path.exists():
             raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
-    with counting(config.corpus) as corpus, parsing(config.embeddings) as embeddings:
-        lexicon = load_definitions(config.definitions)
-        stopwords = load_stopwords(config.stopwords)
-        positives = load_compounds(
-            config.compounds, config.compound_left_column, config.compound_right_column
-        )
-        table = embeddings.result()
-        counts = corpus.result()
+    table, lexicon, stopwords, positives, counts = load_inputs(
+        config.embeddings, config.definitions, config.stopwords, config.compounds, config.corpus,
+        (config.compound_left_column, config.compound_right_column),
+    )
 
     exclusions = both_orientations(positives)
     n = len(positives)
@@ -600,6 +626,7 @@ __all__ = [
     "EvalReport",
     "load_compounds",
     "both_orientations",
+    "load_inputs",
     "split_dataset",
     "calibrate_threshold",
     "evaluate",

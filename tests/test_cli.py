@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import re
 import shutil
@@ -16,7 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from mwedetect import cli, corpus, embeddings, pipeline
 from mwedetect.cli import main
-from mwedetect.errors import CorpusError, MweDetectError, SamplingError
+from mwedetect.corpus import BigramCounts
+from mwedetect.definitions import DefinitionLexicon
+from mwedetect.embeddings import EmbeddingTable
+from mwedetect.errors import CorpusError, EmbeddingFormatError, MweDetectError, SamplingError
 from mwedetect.pipeline import load_config, run_experiment
 
 _DATA = Path(__file__).parent / "data"
@@ -397,6 +401,54 @@ class TestCorpusWorker:
             run_experiment(load_config(inputs / "experiment.conf"))
         self.assert_no_child_left()
 
+    @staticmethod
+    def sample_argv(d, corpus_path):
+        return ["sample-negatives", "--corpus", str(corpus_path), "--kind", "cooccur", "--n", "4",
+                "--exclusions", f"{d}/compounds.csv"]
+
+    @staticmethod
+    def bad_corpus(d, kind):
+        """A corpus that count_corpus rejects; return it and its error."""
+        if kind == "bytes":
+            (d / "toy_corpus.txt").write_bytes(b"caf\xe9\n")
+            return d / "toy_corpus.txt", f"error: {d}/toy_corpus.txt: line 1: not UTF-8"
+        (d / "empty").mkdir()
+        return d / "empty", f"error: corpus directory contains no files: {d}/empty"
+
+    @pytest.mark.parametrize("kind", ["bytes", "empty directory"])
+    def test_sample_negatives_reports_bad_exclusions_before_a_bad_corpus(
+        self, inputs, capsys, kind
+    ):
+        path, _ = self.bad_corpus(inputs, kind)
+        (inputs / "compounds.csv").write_text("c1,c2\njet,\n", encoding="utf-8")
+        assert main(self.sample_argv(inputs, path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {inputs}/compounds.csv: compound CSV row 2: empty constituent\n"
+        )
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["bytes", "empty directory"])
+    def test_sample_negatives_reports_a_bad_corpus(self, inputs, capsys, kind):
+        path, expected = self.bad_corpus(inputs, kind)
+        assert main(self.sample_argv(inputs, path)) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        self.assert_no_child_left()
+
+    def test_sample_negatives_killed_worker_names_the_corpus(self, inputs, monkeypatch, capsys):
+        def killed(path):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(corpus, "count_corpus", killed)
+        path = inputs / "toy_corpus.txt"
+        args = cli.build_parser().parse_args(self.sample_argv(inputs, path))
+        expected = f"^{re.escape(str(path))}: the worker counting the corpus ended without a result$"
+        with pytest.raises(ChildProcessError, match=expected):
+            args.func(args)
+        self.assert_no_child_left()
+        assert main(self.sample_argv(inputs, path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: the worker counting")
+        self.assert_no_child_left()
+
 
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
@@ -491,6 +543,85 @@ class TestEmbeddingsParsedBesideTheLoaders:
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             main(self.argv(command, inputs))
+        assert time.monotonic() - started < 30
+        self.assert_no_child_left()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
+)
+class TestLoadInputs:
+    """``pipeline.load_inputs``, the one loader of every command's inputs, on
+    the split embeddings file of TestEmbeddingsParsedBesideTheLoaders."""
+
+    inputs = TestEmbeddingsParsedBesideTheLoaders.inputs
+    FILES = ("toy_embeddings.txt", "toy_definitions.tsv", "stopwords.txt", "compounds.csv",
+             "toy_corpus.txt")
+    TYPES = (EmbeddingTable, DefinitionLexicon, frozenset, list, BigramCounts)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_each_file_not_given_is_none(self, inputs):
+        for given in itertools.product((False, True), repeat=len(self.FILES)):
+            paths = [inputs / name if on else None for name, on in zip(self.FILES, given)]
+            loaded = pipeline.load_inputs(*paths)
+            assert len(loaded) == len(self.FILES)
+            for value, on, kind in zip(loaded, given, self.TYPES):
+                assert isinstance(value, kind) if on else value is None, (given, value)
+        self.assert_no_child_left()
+
+    def test_no_fork_for_an_absent_corpus_or_embeddings_file(self, inputs, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        pipeline.load_inputs(
+            definitions=inputs / "toy_definitions.tsv",
+            stopwords=inputs / "stopwords.txt",
+            compounds=inputs / "compounds.csv",
+        )
+        assert forks == []
+        pipeline.load_inputs(corpus=inputs / "toy_corpus.txt")
+        assert len(forks) == 1
+        pipeline.load_inputs(inputs / "toy_embeddings.txt")
+        assert len(forks) == 1 + 3  # one child per range
+        self.assert_no_child_left()
+
+    def test_bad_embeddings_come_before_bad_compounds(self, inputs):
+        damage = TestEmbeddingsParsedBesideTheLoaders.damage
+        damage(inputs, "compounds")
+        expected = damage(inputs, "embeddings").removeprefix("error: ")
+        with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(expected)}"):
+            pipeline.load_inputs(inputs / "toy_embeddings.txt", compounds=inputs / "compounds.csv")
+        self.assert_no_child_left()
+
+    def test_interrupt_while_the_definitions_load_leaves_no_child(self, inputs, monkeypatch):
+        read_range = embeddings._read_range
+        count_corpus = corpus.count_corpus
+        parent = os.getpid()
+
+        def slow(call):
+            def wait(*args):
+                time.sleep(60)  # the parent must kill the child, not wait for it
+                return call(*args)
+            return wait
+
+        def interrupted(source):
+            assert os.getpid() == parent
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_read_range", slow(read_range))
+        monkeypatch.setattr(corpus, "count_corpus", slow(count_corpus))
+        monkeypatch.setattr(pipeline, "load_definitions", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.load_inputs(
+                inputs / "toy_embeddings.txt",
+                inputs / "toy_definitions.tsv",
+                corpus=inputs / "toy_corpus.txt",
+            )
         assert time.monotonic() - started < 30
         self.assert_no_child_left()
 
