@@ -59,7 +59,9 @@ def cmd_score(args) -> int:
         pair = LexemePair(args.left, args.right)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    table, lexicon, stopwords, _, _ = load_inputs(args.embeddings, args.definitions, args.stopwords)
+    table, lexicon, stopwords, _, _ = load_inputs(
+        args.embeddings, args.definitions or None, args.stopwords or None
+    )
     outcome = score_pair(method, table, lexicon, stopwords, pair)
     if outcome.is_scorable:
         print(f"{outcome.value:.6f}")
@@ -179,10 +181,18 @@ def cmd_scan(args) -> int:
     if args.top_n is not None and args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
     table, lexicon, stopwords, _, counts = load_inputs(
-        args.embeddings, args.definitions, args.stopwords, corpus=args.corpus
+        args.embeddings, args.definitions or None, args.stopwords or None, corpus=args.corpus
     )
-    hits = scan_corpus(counts, table, method, args.threshold, min_count=args.min_count,
-                       top_n=args.top_n, lexicon=lexicon, stopwords=stopwords)
+    hits = scan_corpus(
+        counts,
+        table,
+        method,
+        args.threshold,
+        min_count=args.min_count,
+        top_n=args.top_n,
+        lexicon=lexicon,
+        stopwords=stopwords,
+    )
     _write_csv_rows(
         args.output,
         ["left", "right", "count", "score"],
@@ -196,7 +206,7 @@ def cmd_sample_negatives(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     columns = (args.exclusions_left_column, args.exclusions_right_column)
     _, _, _, compounds, counts = load_inputs(
-        compounds=args.exclusions, corpus=args.corpus, columns=columns
+        compounds=args.exclusions or None, corpus=args.corpus, columns=columns
     )
     exclusions = both_orientations(compounds or ())
     if args.kind == "random":

@@ -103,25 +103,18 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     message starts with its name. Raises ChildProcessError, naming the file,
     when a child ends without a result (it was killed, for instance).
     """
-    with parsing(source) as embeddings:
-        return embeddings.result()
-
-
-@contextlib.contextmanager
-def parsing(source: str | os.PathLike | Iterable[str]) -> Iterator[_Parse]:
-    """``load_embeddings(source)`` begun, to load other inputs in the block.
-
-    On entry the header is read, and a split file has its children forked.
-    ``result()`` returns the table or raises the load's error; a source that
-    is not split is parsed there. Leaving the block kills the children that
-    still run. ``pipeline.load_inputs`` loads the other inputs in the block.
-    """
     with contextlib.ExitStack() as stack:
-        yield _Parse(source, stack)
+        return Parsing(source, stack).result()
 
 
-class _Parse:
-    """A load begun by ``parsing``: the header read and the children forked."""
+class Parsing:
+    """``load_embeddings(source)`` begun, to load other inputs meanwhile.
+
+    The header is read and a split file's children are forked on
+    ``stack``; closing it kills those still running. ``result()`` returns
+    the table or raises the load's error; a source that is not split is
+    parsed there. ``pipeline.load_inputs`` loads the other inputs meanwhile.
+    """
 
     def __init__(self, source: str | os.PathLike | Iterable[str], stack: contextlib.ExitStack):
         is_path = isinstance(source, (str, os.PathLike))

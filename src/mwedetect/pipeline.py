@@ -30,19 +30,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BigramCounts, counting, sample_random_pairs, top_cooccurring_pairs
-# Bound here for perfbench's pipeline.read_corpus and pipeline.build_bigram_counts hooks.
-from .corpus import build_bigram_counts, read_corpus  # noqa: F401
+from .corpus import BigramCounts, count_corpus, counting, sample_random_pairs, top_cooccurring_pairs
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
-from .embeddings import EmbeddingTable, parsing
-# Bound here for perfbench's pipeline.load_embeddings hook.
-from .embeddings import load_embeddings  # noqa: F401
+from .embeddings import EmbeddingTable, Parsing
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
 from .scoring import UNSCORABLE_REASONS, ScoreMethod, is_compound, lexeme_ids, score_ids
-# Bound here for perfbench's pipeline.classify and pipeline.score_pair hooks.
-from .scoring import classify, score_pair  # noqa: F401
 from ._io import Worker, naming, read_text, text_lines
+# Bound here for perfbench's pipeline.<name> hooks; nothing in this module calls them.
+from .corpus import build_bigram_counts, read_corpus  # noqa: F401
+from .embeddings import load_embeddings  # noqa: F401
+from .scoring import classify, score_pair  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -167,20 +165,24 @@ def load_inputs(
     stopwords: str | os.PathLike | None = None,
     compounds: str | os.PathLike | None = None,
     corpus: str | os.PathLike | None = None,
-    columns: tuple[str, str] = ("c1", "c2"),
+    columns: Sequence[str] = (),
 ) -> tuple[EmbeddingTable | None, DefinitionLexicon | None, frozenset[str] | None,
            list[LexemePair] | None, BigramCounts | None]:
-    """The table, lexicon, stop words, compounds (CSV ``columns``) and corpus
-    counts of the files given, and None for each file not given.
+    """The table, lexicon, stop words, compounds (``load_compounds``'s CSV
+    columns, or ``columns``) and corpus counts of the files given, and None
+    for each file not given.
 
-    While a forked worker counts the corpus (``counting``) and a split
-    embeddings file's children parse (``parsing``), this process loads the
-    other three. Errors come in the order embeddings, definitions, stop
-    words, compounds, corpus. An interrupt kills every child.
+    While a split embeddings file's children parse (``Parsing``) and a
+    forked worker counts the corpus (``counting``), this process loads the
+    other three. Without an embeddings file the corpus is counted here,
+    last: the fork and the pickled counts would cost more than the small
+    loads they overlap. Errors come in the order embeddings, definitions,
+    stop words, compounds, corpus. An interrupt kills every child.
     """
     with contextlib.ExitStack() as stack:
-        counted = None if corpus is None else stack.enter_context(counting(corpus))
-        parse = None if embeddings is None else stack.enter_context(parsing(embeddings))
+        forked = corpus is not None and embeddings is not None
+        counted = stack.enter_context(counting(corpus)) if forked else None
+        parse = None if embeddings is None else Parsing(embeddings, stack)
         try:
             lexicon = None if definitions is None else load_definitions(definitions)
             words = None if stopwords is None else load_stopwords(stopwords)
@@ -190,7 +192,8 @@ def load_inputs(
                 parse.result()
             raise
         table = None if parse is None else parse.result()
-        return table, lexicon, words, pairs, None if counted is None else counted.result()
+        counts = counted.result() if forked else None if corpus is None else count_corpus(corpus)
+        return table, lexicon, words, pairs, counts
 
 
 def split_dataset(

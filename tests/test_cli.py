@@ -20,7 +20,13 @@ from mwedetect.cli import main
 from mwedetect.corpus import BigramCounts
 from mwedetect.definitions import DefinitionLexicon
 from mwedetect.embeddings import EmbeddingTable
-from mwedetect.errors import CorpusError, EmbeddingFormatError, MweDetectError, SamplingError
+from mwedetect.errors import (
+    CorpusError,
+    EmbeddingFormatError,
+    LexiconFormatError,
+    MweDetectError,
+    SamplingError,
+)
 from mwedetect.pipeline import load_config, run_experiment
 
 _DATA = Path(__file__).parent / "data"
@@ -321,6 +327,25 @@ class TestArgumentHandling:
             assert code == 1
             assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
 
+    def test_an_empty_file_option_means_no_file(self, capsys):
+        def out(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        sample = ["sample-negatives", "--corpus", CORPUS, "--kind", "cooccur", "--n", "4"]
+        assert out([*sample, "--exclusions", ""]) == out(sample)
+        score = ["score", "jet", "lag", "--embeddings", EMB]
+        assert out([*score, "--method", "word", "--definitions", "", "--stopwords", ""]) == out(
+            [*score, "--method", "word"]
+        )
+        # No stop-word set: definition content similarity is definition similarity.
+        content = out([*score, "--method", "definition-content", "--definitions", DEFS,
+                       "--stopwords", ""])
+        assert content == out([*score, "--method", "definition", "--definitions", DEFS])
+        scan = ["scan", "--corpus", CORPUS, "--embeddings", EMB, "--threshold", "0.9"]
+        assert out([*scan, "--method", "definition-content", "--definitions", DEFS,
+                    "--stopwords", ""]) == out([*scan, "--method", "definition", "--definitions", DEFS])
+
     def test_value_error_from_a_command_propagates(self, monkeypatch):
         # A ValueError is a bug, not a user error: main must not report it as exit 1.
         def broken(args):
@@ -333,7 +358,8 @@ class TestArgumentHandling:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the corpus is counted in a forked worker")
 class TestCorpusWorker:
-    """run and scan count the corpus in a forked worker beside the loaders."""
+    """run and scan count the corpus in a forked worker beside the loaders;
+    sample-negatives counts it last, in its own process."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -434,20 +460,13 @@ class TestCorpusWorker:
         assert capsys.readouterr().err.startswith(expected)
         self.assert_no_child_left()
 
-    def test_sample_negatives_killed_worker_names_the_corpus(self, inputs, monkeypatch, capsys):
-        def killed(path):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(corpus, "count_corpus", killed)
-        path = inputs / "toy_corpus.txt"
-        args = cli.build_parser().parse_args(self.sample_argv(inputs, path))
-        expected = f"^{re.escape(str(path))}: the worker counting the corpus ended without a result$"
-        with pytest.raises(ChildProcessError, match=expected):
-            args.func(args)
-        self.assert_no_child_left()
-        assert main(self.sample_argv(inputs, path)) == 1
-        assert capsys.readouterr().err.startswith(f"error: {path}: the worker counting")
-        self.assert_no_child_left()
+    def test_sample_negatives_forks_no_worker(self, inputs, monkeypatch, capsys):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+        assert main(self.sample_argv(inputs, inputs / "toy_corpus.txt")) == 0
+        assert capsys.readouterr().out.startswith("left,right,count\n")
+        assert forks == []
 
 
 @pytest.mark.skipif(
@@ -573,7 +592,7 @@ class TestLoadInputs:
                 assert isinstance(value, kind) if on else value is None, (given, value)
         self.assert_no_child_left()
 
-    def test_no_fork_for_an_absent_corpus_or_embeddings_file(self, inputs, monkeypatch):
+    def test_forks_only_for_an_embeddings_file(self, inputs, monkeypatch):
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
@@ -581,13 +600,22 @@ class TestLoadInputs:
             definitions=inputs / "toy_definitions.tsv",
             stopwords=inputs / "stopwords.txt",
             compounds=inputs / "compounds.csv",
+            corpus=inputs / "toy_corpus.txt",
         )
-        assert forks == []
-        pipeline.load_inputs(corpus=inputs / "toy_corpus.txt")
-        assert len(forks) == 1
+        assert forks == []  # the corpus is counted here, last
         pipeline.load_inputs(inputs / "toy_embeddings.txt")
-        assert len(forks) == 1 + 3  # one child per range
+        assert len(forks) == 3  # one child per range
+        pipeline.load_inputs(inputs / "toy_embeddings.txt", corpus=inputs / "toy_corpus.txt")
+        assert len(forks) == 3 + 1 + 3  # and the counting worker
         self.assert_no_child_left()
+
+    def test_corpus_error_comes_last_without_an_embeddings_file(self, inputs):
+        (inputs / "toy_corpus.txt").write_bytes(b"caf\xe9\n")
+        (inputs / "stopwords.txt").write_text("two words\n", encoding="utf-8")
+        with pytest.raises(LexiconFormatError, match="stopwords.txt: line 1"):
+            pipeline.load_inputs(stopwords=inputs / "stopwords.txt", corpus=inputs / "toy_corpus.txt")
+        with pytest.raises(CorpusError, match="toy_corpus.txt: line 1: not UTF-8"):
+            pipeline.load_inputs(corpus=inputs / "toy_corpus.txt")
 
     def test_bad_embeddings_come_before_bad_compounds(self, inputs):
         damage = TestEmbeddingsParsedBesideTheLoaders.damage
