@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import Worker, read_text, text_lines
+from ._io import read_text, text_lines
 from .errors import CorpusError, SamplingError
 from .pairs import LexemePair
 
@@ -250,15 +250,6 @@ def _unpacked(keys: np.ndarray) -> list[str]:
     letters = ((keys[:, None] >> np.arange(55, -1, -5)) & 31).astype(np.uint8)
     letters[letters > 0] |= 96  # back to the codes of "a" to "z"
     return letters.view("S12").ravel().astype(str).tolist()
-
-
-def counting(path: str | Path) -> Worker:
-    """``count_corpus(path)`` in a forked worker, to run beside the loaders.
-
-    Its ``result()`` returns the counts or raises count_corpus's error, so
-    errors come in the order of a count made where it is collected.
-    """
-    return Worker(f"{path}: the worker counting the corpus", count_corpus, path)
 
 
 def _chunks(files: list[Path]) -> Iterator[str]:

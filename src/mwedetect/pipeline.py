@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BigramCounts, count_corpus, counting, sample_random_pairs, top_cooccurring_pairs
+from .corpus import BigramCounts, count_corpus, sample_random_pairs, top_cooccurring_pairs
 from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
 from .embeddings import EmbeddingTable, Parsing
 from .errors import ConfigError, CorpusError, DatasetError
@@ -172,27 +172,23 @@ def load_inputs(
     columns, or ``columns``) and corpus counts of the files given, and None
     for each file not given.
 
-    While a split embeddings file's children parse (``Parsing``) and a
-    forked worker counts the corpus (``counting``), this process loads the
-    other three. Without an embeddings file the corpus is counted here,
-    last: the fork and the pickled counts would cost more than the small
-    loads they overlap. Errors come in the order embeddings, definitions,
-    stop words, compounds, corpus. An interrupt kills every child.
+    While a split embeddings file's children parse (``Parsing``), this
+    process loads the other four, the corpus last. Errors come in the order
+    embeddings, definitions, stop words, compounds, corpus. An interrupt
+    kills every child.
     """
     with contextlib.ExitStack() as stack:
-        forked = corpus is not None and embeddings is not None
-        counted = stack.enter_context(counting(corpus)) if forked else None
         parse = None if embeddings is None else Parsing(embeddings, stack)
         try:
             lexicon = None if definitions is None else load_definitions(definitions)
             words = None if stopwords is None else load_stopwords(stopwords)
             pairs = None if compounds is None else load_compounds(compounds, *columns)
+            counts = None if corpus is None else count_corpus(corpus)
         except Exception:
             if parse is not None:
                 parse.result()
             raise
         table = None if parse is None else parse.result()
-        counts = counted.result() if forked else None if corpus is None else count_corpus(corpus)
         return table, lexicon, words, pairs, counts
 
 
@@ -448,13 +444,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
     recall identical across negative sources by construction. The inputs
-    load through ``load_inputs``. Once both negative arms are drawn, a
-    forked worker scores the negatives, all three methods, while this
-    process splits the dataset and scores the positives; without
-    ``os.fork`` the negatives are scored where their scores are collected.
-    Either way each pair gets the same scores. Pairs stay in the order they
-    were drawn and scored; calibration and evaluation count them through
-    masks, so they do not depend on order.
+    load through ``load_inputs``, which counts the corpus in this process
+    while forked children parse a split embeddings file. Once both
+    negative arms are drawn, a forked worker scores the negatives, all
+    three methods, while this process splits the dataset and scores the
+    positives; without ``os.fork`` the negatives are scored where their
+    scores are collected. Either way each pair gets the same scores. Pairs
+    stay in the order they were drawn and scored; calibration and
+    evaluation count them through masks, so they do not depend on order.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.

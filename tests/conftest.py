@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,13 @@ def make_table(vectors: dict, dimension: int) -> EmbeddingTable:
         index={token: row for row, token in enumerate(vectors)},
         matrix=np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dimension),
     )
+
+
+def assert_no_child_left() -> None:
+    """Fail if this process has a child that was not reaped."""
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

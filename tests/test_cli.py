@@ -7,7 +7,6 @@ import itertools
 import os
 import re
 import shutil
-import signal
 import tempfile
 import time
 from pathlib import Path
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mwedetect import cli, corpus, embeddings, pipeline
+from mwedetect import cli, embeddings, pipeline
 from mwedetect.cli import main
 from mwedetect.corpus import BigramCounts
 from mwedetect.definitions import DefinitionLexicon
@@ -28,6 +27,8 @@ from mwedetect.errors import (
     SamplingError,
 )
 from mwedetect.pipeline import load_config, run_experiment
+
+from conftest import assert_no_child_left
 
 _DATA = Path(__file__).parent / "data"
 EMB = str(_DATA / "toy_embeddings.txt")
@@ -356,10 +357,9 @@ class TestArgumentHandling:
             main(["score", "jet", "lag", "--method", "word", "--embeddings", EMB])
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the corpus is counted in a forked worker")
-class TestCorpusWorker:
-    """run and scan count the corpus in a forked worker beside the loaders;
-    sample-negatives counts it last, in its own process."""
+class TestCorpusCount:
+    """Every command counts the corpus in its own process, after its other
+    loads, so a corpus error comes last."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -372,50 +372,13 @@ class TestCorpusWorker:
         return ["scan", "--corpus", f"{d}/toy_corpus.txt", "--embeddings", f"{d}/toy_embeddings.txt",
                 "--method", "word", "--threshold", "0.5"]
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_empty_corpus(self, inputs, capsys):
         (inputs / "toy_corpus.txt").write_text("123 !!\n", encoding="utf-8")
         with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens"):
             run_experiment(load_config(inputs / "experiment.conf"))
         assert main(self.scan_argv(inputs)) == 1
         assert capsys.readouterr().err == "error: corpus contains no tokens\n"
-        self.assert_no_child_left()
-
-    def test_failed_load_stops_the_counting_worker(self, inputs, monkeypatch):
-        count_corpus = corpus.count_corpus
-
-        def slow(path):
-            time.sleep(60)  # the parent must kill the worker, not wait for it
-            return count_corpus(path)
-
-        monkeypatch.setattr(corpus, "count_corpus", slow)
-        (inputs / "toy_embeddings.txt").write_text("jet 1 0\nlag x 1\n", encoding="utf-8")
-        started = time.monotonic()
-        assert main(["run", f"{inputs}/experiment.conf", "--output-dir", f"{inputs}/out"]) == 1
-        assert main(self.scan_argv(inputs)) == 1
-        assert time.monotonic() - started < 30
-        self.assert_no_child_left()
-
-    def test_killed_worker_is_a_child_process_error_naming_the_corpus(
-        self, inputs, monkeypatch, capsys
-    ):
-        def killed(path):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        monkeypatch.setattr(corpus, "count_corpus", killed)
-        path = inputs / "toy_corpus.txt"
-        expected = f"^{re.escape(str(path))}: the worker counting the corpus ended without a result$"
-        with pytest.raises(ChildProcessError, match=expected):
-            run_experiment(load_config(inputs / "experiment.conf"))
-        self.assert_no_child_left()
-        for argv in (["run", f"{inputs}/experiment.conf"], self.scan_argv(inputs)):
-            assert main(argv) == 1
-            assert capsys.readouterr().err.startswith(f"error: {path}: the worker counting")
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_corpus_error_comes_after_the_loaders_errors(self, inputs, capsys):
         (inputs / "toy_corpus.txt").write_bytes(b"caf\xe9\n")
@@ -425,7 +388,7 @@ class TestCorpusWorker:
         (inputs / "toy_definitions.tsv").write_text("jet\ta jet\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="toy_corpus.txt: line 1: not UTF-8"):
             run_experiment(load_config(inputs / "experiment.conf"))
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @staticmethod
     def sample_argv(d, corpus_path):
@@ -451,14 +414,14 @@ class TestCorpusWorker:
         assert capsys.readouterr().err == (
             f"error: {inputs}/compounds.csv: compound CSV row 2: empty constituent\n"
         )
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("kind", ["bytes", "empty directory"])
     def test_sample_negatives_reports_a_bad_corpus(self, inputs, capsys, kind):
         path, expected = self.bad_corpus(inputs, kind)
         assert main(self.sample_argv(inputs, path)) == 1
         assert capsys.readouterr().err.startswith(expected)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_sample_negatives_forks_no_worker(self, inputs, monkeypatch, capsys):
         forks = []
@@ -511,19 +474,21 @@ class TestEmbeddingsParsedBesideTheLoaders:
         if name == "stopwords":
             (d / "stopwords.txt").write_text("the\nstop word\n", encoding="utf-8")
             return f"error: {d}/stopwords.txt: line 2: stop word contains whitespace"
+        if name == "corpus":
+            (d / "toy_corpus.txt").write_bytes(b"jet lag\ncaf\xe9\n")
+            return f"error: {d}/toy_corpus.txt: line 2: not UTF-8"
         (d / "compounds.csv").write_text("c1,c2\njet,\n", encoding="utf-8")
         return f"error: {d}/compounds.csv: compound CSV row 2: empty constituent"
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    # The inputs besides the embeddings that each command reads.
+    OTHERS = {
+        "score": ("definitions", "stopwords"),
+        "scan": ("definitions", "stopwords", "corpus"),
+        "run": ("definitions", "stopwords", "compounds", "corpus"),
+    }
 
     @pytest.mark.parametrize(
-        "command, other",
-        [(command, other) for command in ("score", "scan", "run")
-         for other in ("definitions", "stopwords", "compounds")
-         if command == "run" or other != "compounds"],
+        "command, other", [(command, other) for command, others in OTHERS.items() for other in others]
     )
     def test_embeddings_error_comes_before_another_inputs_error(
         self, inputs, capsys, command, other
@@ -532,14 +497,44 @@ class TestEmbeddingsParsedBesideTheLoaders:
         expected = self.damage(inputs, "embeddings")
         assert main(self.argv(command, inputs)) == 1
         assert capsys.readouterr().err.startswith(expected)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["score", "scan", "run"])
     def test_bad_definitions_alone_name_their_own_line(self, inputs, capsys, command):
         expected = self.damage(inputs, "definitions")
         assert main(self.argv(command, inputs)) == 1
         assert capsys.readouterr().err.startswith(expected)
-        self.assert_no_child_left()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["scan", "run"])
+    def test_bad_corpus_alone_is_reported(self, inputs, capsys, command):
+        expected = self.damage(inputs, "corpus")
+        assert main(self.argv(command, inputs)) == 1
+        assert capsys.readouterr().err.startswith(expected)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["scan", "run"])
+    def test_interrupt_while_counting_the_corpus_kills_the_children(
+        self, inputs, monkeypatch, command
+    ):
+        read_range = embeddings._read_range
+        parent = os.getpid()
+
+        def slow(*args):
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_range(*args)
+
+        def interrupted(path):
+            assert os.getpid() == parent
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_read_range", slow)
+        monkeypatch.setattr(pipeline, "count_corpus", interrupted)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(self.argv(command, inputs))
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
 
     @pytest.mark.parametrize("command", ["score", "scan", "run"])
     def test_interrupt_while_loading_definitions_kills_the_children(
@@ -563,7 +558,7 @@ class TestEmbeddingsParsedBesideTheLoaders:
         with pytest.raises(KeyboardInterrupt):
             main(self.argv(command, inputs))
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
+        assert_no_child_left()
 
 
 @pytest.mark.skipif(
@@ -578,11 +573,6 @@ class TestLoadInputs:
              "toy_corpus.txt")
     TYPES = (EmbeddingTable, DefinitionLexicon, frozenset, list, BigramCounts)
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_each_file_not_given_is_none(self, inputs):
         for given in itertools.product((False, True), repeat=len(self.FILES)):
             paths = [inputs / name if on else None for name, on in zip(self.FILES, given)]
@@ -590,7 +580,7 @@ class TestLoadInputs:
             assert len(loaded) == len(self.FILES)
             for value, on, kind in zip(loaded, given, self.TYPES):
                 assert isinstance(value, kind) if on else value is None, (given, value)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_forks_only_for_an_embeddings_file(self, inputs, monkeypatch):
         forks = []
@@ -602,12 +592,12 @@ class TestLoadInputs:
             compounds=inputs / "compounds.csv",
             corpus=inputs / "toy_corpus.txt",
         )
-        assert forks == []  # the corpus is counted here, last
+        assert forks == []
         pipeline.load_inputs(inputs / "toy_embeddings.txt")
         assert len(forks) == 3  # one child per range
         pipeline.load_inputs(inputs / "toy_embeddings.txt", corpus=inputs / "toy_corpus.txt")
-        assert len(forks) == 3 + 1 + 3  # and the counting worker
-        self.assert_no_child_left()
+        assert len(forks) == 3 + 3  # the corpus is counted here
+        assert_no_child_left()
 
     def test_corpus_error_comes_last_without_an_embeddings_file(self, inputs):
         (inputs / "toy_corpus.txt").write_bytes(b"caf\xe9\n")
@@ -623,25 +613,21 @@ class TestLoadInputs:
         expected = damage(inputs, "embeddings").removeprefix("error: ")
         with pytest.raises(EmbeddingFormatError, match=f"^{re.escape(expected)}"):
             pipeline.load_inputs(inputs / "toy_embeddings.txt", compounds=inputs / "compounds.csv")
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_interrupt_while_the_definitions_load_leaves_no_child(self, inputs, monkeypatch):
         read_range = embeddings._read_range
-        count_corpus = corpus.count_corpus
         parent = os.getpid()
 
-        def slow(call):
-            def wait(*args):
-                time.sleep(60)  # the parent must kill the child, not wait for it
-                return call(*args)
-            return wait
+        def slow(*args):
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_range(*args)
 
         def interrupted(source):
             assert os.getpid() == parent
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(embeddings, "_read_range", slow(read_range))
-        monkeypatch.setattr(corpus, "count_corpus", slow(count_corpus))
+        monkeypatch.setattr(embeddings, "_read_range", slow)
         monkeypatch.setattr(pipeline, "load_definitions", interrupted)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -651,7 +637,7 @@ class TestLoadInputs:
                 corpus=inputs / "toy_corpus.txt",
             )
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
+        assert_no_child_left()
 
 
 def _swap_columns(data: bytes) -> bytes:

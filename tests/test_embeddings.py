@@ -23,6 +23,8 @@ from mwedetect.cli import main
 from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
+from conftest import assert_no_child_left
+
 
 class TestLoadEmbeddings:
     def test_parses_tokens_and_vectors(self, toy_table):
@@ -578,16 +580,11 @@ class TestWorkerLifecycle:
         assert len(embeddings._line_ranges(str(path))) == 3
         return path
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     def test_success(self, split_path):
         table = load_embeddings(split_path)
         assert list(table.index) == [f"w{i}" for i in range(12)]
         assert table.matrix.tobytes() == np.array([[i, 1.0] for i in range(12)]).tobytes()
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("part", [0, 1, 2])
     def test_failure_in_each_range(self, split_path, part):
@@ -599,7 +596,7 @@ class TestWorkerLifecycle:
         expected = f"^{re.escape(str(split_path))}: line {lineno}: non-numeric"
         with pytest.raises(EmbeddingFormatError, match=expected):
             load_embeddings(split_path)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_exception_in_the_merge(self, split_path, monkeypatch):
         def broken(*args):
@@ -608,7 +605,7 @@ class TestWorkerLifecycle:
         monkeypatch.setattr(embeddings, "_first_wins", broken)
         with pytest.raises(RuntimeError, match="merge failed"):
             load_embeddings(split_path)
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_interrupt_while_children_run(self, split_path, monkeypatch):
         read_range = embeddings._read_range
@@ -637,7 +634,7 @@ class TestWorkerLifecycle:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_killed_child_is_a_child_process_error_naming_the_file(
         self, split_path, monkeypatch, capsys
@@ -653,11 +650,11 @@ class TestWorkerLifecycle:
         monkeypatch.setattr(embeddings, "_parse_rows", killed)
         with pytest.raises(ChildProcessError, match=f"^{re.escape(str(split_path))}: "):
             load_embeddings(split_path)
-        self.assert_no_child_left()
+        assert_no_child_left()
         # As an OSError it ends the command line with exit 1.
         assert main(["score", "w1", "w2", "--method", "word", "--embeddings", str(split_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {split_path}: ")
-        self.assert_no_child_left()
+        assert_no_child_left()
 
 
 class TestCosine:

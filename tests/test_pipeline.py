@@ -52,7 +52,7 @@ from mwedetect.scoring import (
     score_pair,
 )
 
-from conftest import alphabetic_token, make_table, score_arrays
+from conftest import alphabetic_token, assert_no_child_left, make_table, score_arrays
 
 
 def _positive(left: str, right: str) -> LabeledPair:
@@ -870,7 +870,7 @@ class TestScoringWorker:
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
         forked = run_experiment(config)
-        assert len(forks) == 2  # the corpus count and the scoring
+        assert len(forks) == 1  # the scoring
         # Every unscorable reason occurs among the pairs of the run.
         table = load_embeddings(config.embeddings)
         lexicon = load_definitions(config.definitions)
@@ -900,7 +900,7 @@ class TestScoringWorker:
         expected = "^the worker scoring the negatives ended without a result$"
         with pytest.raises(ChildProcessError, match=expected):
             run_experiment(config)
-        self.assert_no_child_left()
+        assert_no_child_left()
         # As an OSError it ends the command line with exit 1.
         conf = tmp_path / "experiment.conf"
         conf.write_text("".join(f"{name} = {getattr(config, name)}\n" for name in
@@ -908,7 +908,7 @@ class TestScoringWorker:
                         encoding="utf-8")
         assert main(["run", str(conf), "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: the worker scoring the negatives")
-        self.assert_no_child_left()
+        assert_no_child_left()
 
     def test_interrupt_while_the_worker_runs(self, tmp_path, monkeypatch):
         config = _every_reason_config(tmp_path)
@@ -925,12 +925,7 @@ class TestScoringWorker:
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config)
         assert time.monotonic() - started < 30
-        self.assert_no_child_left()
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert_no_child_left()
 
 
 class TestScanHit:
