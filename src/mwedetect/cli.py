@@ -137,7 +137,7 @@ def cmd_run(args) -> int:
         [(*key, threshold, mode) for key, threshold in result.thresholds.items()],
     )
 
-    dataset = result.dataset
+    calibrated = int(result.calibration.sum())
     # The split ratio and the choice of calibration negatives are assumptions,
     # not givens; surface them on every run so reports are self-describing.
     print(f"threshold mode: {mode}")
@@ -146,9 +146,9 @@ def cmd_run(args) -> int:
     else:
         print("assumption: thresholds calibrated per negative source")
     print(
-        f"assumption: dataset split {len(dataset.calibration)} calibration / "
-        f"{len(dataset.heldout)} held-out pairs (fraction {dataset.split_fraction}, "
-        f"seed {dataset.split_seed})"
+        f"assumption: dataset split {calibrated} calibration / "
+        f"{len(result.calibration) - calibrated} held-out pairs (fraction {config.fraction}, "
+        f"seed {config.split_seed})"
     )
     for (method, source), threshold in result.thresholds.items():
         if not -1.0 <= threshold <= 1.0:

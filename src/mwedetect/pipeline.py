@@ -61,28 +61,6 @@ NEGATIVE_SOURCES = (PairSource.RANDOM, PairSource.COOCCUR)
 
 
 @dataclass(frozen=True)
-class LabeledPair:
-    """A pair and where it came from; only known compounds are positives."""
-
-    pair: LexemePair
-    source: PairSource
-
-    @property
-    def is_positive(self) -> bool:
-        return self.source is PairSource.LADEC
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """A calibration/held-out partition of labeled pairs."""
-
-    calibration: tuple[LabeledPair, ...]
-    heldout: tuple[LabeledPair, ...]
-    split_seed: int
-    split_fraction: float
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Per-method, per-negative-source metrics over one held-out arm.
 
@@ -193,45 +171,41 @@ def load_inputs(
 
 
 def split_dataset(
-    pairs: Sequence[LabeledPair],
+    sources: Sequence[PairSource],
     fraction: float,
     seed: int,
-) -> LabeledDataset:
-    """Stratified random split: ``fraction`` of each group to calibration.
+) -> np.ndarray:
+    """Stratified random split: the calibration mask over pairs from ``sources``.
 
-    Stratification runs per pair source, which refines label stratification
-    and keeps each negative population represented proportionally on both
-    sides. Group sizes are floored, then clamped so every group of two or
-    more lands at least one pair on each side. Deterministic per seed. Both
-    sides hold the given ``LabeledPair`` objects themselves, not copies.
+    ``sources`` names each pair's source, and the boolean mask returned
+    flags the pairs that go to calibration: ``fraction`` of each source's
+    pairs, which refines label stratification and keeps each negative
+    population represented proportionally on both sides. Group sizes are
+    floored, then clamped so every group of two or more lands at least one
+    pair on each side. Deterministic per seed.
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError(f"split fraction must be in (0, 1), got {fraction}")
+    sources = np.asarray(sources, dtype=object)
     rng = random.Random(seed)
-    calibration: list[LabeledPair] = []
-    heldout: list[LabeledPair] = []
+    calibration = np.zeros(len(sources), dtype=bool)
     for source in PairSource:
-        group = [p for p in pairs if p.source is source]
+        group = np.flatnonzero(sources == source).tolist()
         if not group:
             continue
         rng.shuffle(group)
         k = int(len(group) * fraction)
         if len(group) >= 2:
             k = min(max(k, 1), len(group) - 1)
-        calibration.extend(group[:k])
-        heldout.extend(group[k:])
-    for side_name, side in (("calibration", calibration), ("heldout", heldout)):
-        if {p.is_positive for p in side} != {True, False}:
+        calibration[group[:k]] = True
+    positive = sources == PairSource.LADEC
+    for side_name, side in (("calibration", calibration), ("heldout", ~calibration)):
+        if not (positive & side).any() or not (~positive & side).any():
             raise DatasetError(
                 f"stratified split infeasible: {side_name} split lacks a label "
                 "(need at least two pairs of each label)"
             )
-    return LabeledDataset(
-        calibration=tuple(calibration),
-        heldout=tuple(heldout),
-        split_seed=seed,
-        split_fraction=fraction,
-    )
+    return calibration
 
 
 def calibrate_threshold(
@@ -247,12 +221,19 @@ def calibrate_threshold(
     Classification is strictly-below, and ties in F1 break toward the
     smallest threshold. All candidates are counted at once, by
     ``np.searchsorted`` over the sorted scores. The scores may be sequences
-    of floats or float arrays; unscorable pairs must already be removed.
+    of floats or float arrays; unscorable pairs must already be removed,
+    and a NaN or infinite score raises DatasetError.
     """
     pos = np.sort(np.asarray(positive_scores, dtype=np.float64))
     neg = np.sort(np.asarray(negative_scores, dtype=np.float64))
     if not len(pos) or not len(neg):
         raise DatasetError("calibration needs at least one positive and one negative score")
+    bad_pos, bad_neg = (int(np.count_nonzero(~np.isfinite(side))) for side in (pos, neg))
+    if bad_pos or bad_neg:
+        raise DatasetError(
+            f"calibration scores must be finite: {bad_pos} positive and {bad_neg} negative "
+            "score(s) are NaN or infinite"
+        )
     # Sorted, each value once, as np.unique gives them; np.unique itself
     # loads numpy.ma the first time it runs in a process (15 ms, numpy 2.4).
     values = np.sort(np.concatenate((pos, neg)))
@@ -422,13 +403,21 @@ def _parse_config(content: str, base: Path) -> ExperimentConfig:
     return config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Everything a run produces: six reports, thresholds, and provenance."""
+    """Everything a run produces: six reports, thresholds, and provenance.
+
+    ``pairs`` holds every pair in the order it was drawn: the positives,
+    then each negative arm. ``sources`` names each pair's source, and
+    ``calibration`` flags the pairs of the calibration split; the rest are
+    held out.
+    """
 
     reports: tuple[EvalReport, ...]
     thresholds: dict[tuple[ScoreMethod, PairSource], float]
-    dataset: LabeledDataset
+    pairs: tuple[LexemePair, ...]
+    sources: np.ndarray
+    calibration: np.ndarray
     config: ExperimentConfig
     vocabulary_size: int
     bigram_type_count: int
@@ -484,22 +473,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         }
 
     # A pair's scores do not depend on the pairs scored with it, so a forked
-    # worker scores the negatives while this process labels and splits the
-    # pairs and scores the positives.
+    # worker scores the negatives while this process splits the pairs and
+    # scores the positives.
     negatives = [pair for source in NEGATIVE_SOURCES for pair in arms[source]]
+    pair_source = np.repeat(np.array(list(arms), object), [len(pairs) for pairs in arms.values()])
     with Worker("the worker scoring the negatives", score, negatives) as worker:
-        labeled = [LabeledPair(pair, source) for source, pairs in arms.items() for pair in pairs]
-        dataset = split_dataset(labeled, config.fraction, config.split_seed)
+        calibration = split_dataset(pair_source, config.fraction, config.split_seed)
         positive_scores = score(positives)
         negative_scores = worker.result()
     scores = {
         method: np.concatenate((positive_scores[method], negative_scores[method]))
         for method in METHODS
     }
-    pair_source = np.repeat(np.array(list(arms), object), [len(pairs) for pairs in arms.values()])
     positive = pair_source == PairSource.LADEC
-    calibration_ids = set(map(id, dataset.calibration))
-    calibration = np.fromiter((id(lp) in calibration_ids for lp in labeled), bool, len(labeled))
 
     # Cached: in shared mode both arms of a method share one calibration.
     @functools.cache
@@ -540,7 +526,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         reports=reports,
         thresholds=thresholds,
-        dataset=dataset,
+        pairs=(*positives, *negatives),
+        sources=pair_source,
+        calibration=calibration,
         config=config,
         vocabulary_size=len(counts.vocabulary),
         bigram_type_count=len(counts),
@@ -621,8 +609,6 @@ def scan_corpus(
 
 __all__ = [
     "PairSource",
-    "LabeledPair",
-    "LabeledDataset",
     "EvalReport",
     "load_compounds",
     "both_orientations",

@@ -19,10 +19,18 @@ def alphabetic_token(prefix: str, i: int) -> str:
 
 def score_arrays(scored) -> tuple[np.ndarray, np.ndarray]:
     """The value and positive-flag arrays that ``evaluate`` takes, from
-    (LabeledPair, ScoreOutcome) pairs: an unscorable outcome's value is NaN."""
+    (is_positive, ScoreOutcome) pairs: an unscorable outcome's value is NaN."""
     values = np.array([np.nan if o.value is None else o.value for _, o in scored], dtype=np.float64)
-    positive = np.array([labeled.is_positive for labeled, _ in scored], dtype=bool)
+    positive = np.array([is_positive for is_positive, _ in scored], dtype=bool)
     return values, positive
+
+
+def assert_same_split(first, second) -> None:
+    """Fail unless two ``ExperimentResult``s drew the same pairs from the
+    same sources and split them alike."""
+    assert first.pairs == second.pairs
+    assert np.array_equal(first.sources, second.sources)
+    assert np.array_equal(first.calibration, second.calibration)
 
 
 def make_table(vectors: dict, dimension: int) -> EmbeddingTable:

@@ -30,13 +30,12 @@ from mwedetect.pipeline import (
     PairSource,
     calibrate_threshold,
     evaluate,
-    LabeledPair,
     load_config,
     run_experiment,
 )
 from mwedetect.scoring import ScoreMethod, ScoreOutcome, score_pair
 
-from conftest import score_arrays
+from conftest import assert_same_split, score_arrays
 
 
 @pytest.fixture
@@ -147,19 +146,14 @@ def test_criterion_2_calibration_matches_bruteforce_oracle(announce):
 def test_criterion_3_metric_arithmetic_is_exact(announce):
     """Hand-labeled 10-pair fixture reproduces rational metrics exactly."""
     with announce("3 (exact metric arithmetic)"):
-        positives = [
-            LabeledPair(LexemePair(t, "x"), PairSource.LADEC) for t in "abcde"
-        ]
-        negatives = [
-            LabeledPair(LexemePair(t, "y"), PairSource.RANDOM) for t in "fghij"
-        ]
+        is_positive = [True] * 5 + [False] * 5
         outcomes = [0.1, 0.2, 0.6, 0.9, None, 0.3, 0.7, 0.8, 0.95, None]
         scored = [
             (
-                labeled,
+                positive,
                 ScoreOutcome.scored(v) if v is not None else ScoreOutcome.unscorable("left-oov"),
             )
-            for labeled, v in zip(positives + negatives, outcomes)
+            for positive, v in zip(is_positive, outcomes)
         ]
         report = evaluate(
             *score_arrays(scored), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
@@ -217,7 +211,7 @@ def test_criterion_5_end_to_end_fixture_run(announce, config_path, toy_table):
         again = run_experiment(load_config(config_path))
         assert again.reports == result.reports
         assert again.thresholds == result.thresholds
-        assert again.dataset == result.dataset
+        assert_same_split(again, result)
 
 
 def test_criterion_6_shared_threshold_recall_equality(announce, config_path):
@@ -373,9 +367,9 @@ def test_criterion_8_scan_emits_exactly_the_qualifying_bigrams(announce, toy_tab
 def test_fixture_dataset_shape_matches_acceptance_contract(config_path):
     """The bundled experiment really is 4 positives + 4 random + 4 co-occurring."""
     result = run_experiment(load_config(config_path))
-    pairs = result.dataset.calibration + result.dataset.heldout
+    assert len(result.pairs) == len(result.sources) == len(result.calibration)
     per_source = {source: 0 for source in PairSource}
-    for labeled in pairs:
-        per_source[labeled.source] += 1
+    for source in result.sources:
+        per_source[source] += 1
     assert per_source == {PairSource.LADEC: 4, PairSource.RANDOM: 4, PairSource.COOCCUR: 4}
     assert dataclasses.asdict(load_config(config_path))["fraction"] == 0.5

@@ -109,6 +109,18 @@ class TestRunCommand:
         assert (tmp_path / "reports.csv").read_text(encoding="utf-8") == EXPECTED_REPORTS_CSV
         assert (tmp_path / "thresholds.csv").read_text(encoding="utf-8") == EXPECTED_THRESHOLDS_CSV
 
+    def test_stdout_is_the_readme_example(self, tmp_path, capsys):
+        readme = (_DATA.parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(
+            r"```sh\n\$ mwedetect run experiment\.conf --output-dir results/\n(.*?)```",
+            readme,
+            re.DOTALL,
+        ).group(1)
+        results = tmp_path / "results"
+        assert main(["run", CONFIG, "--output-dir", str(results)]) == 0
+        out = capsys.readouterr().out
+        assert out.replace(f"{results}{os.sep}", "results/") == example
+
     def test_prints_assumption_header_and_table(self, tmp_path, capsys):
         main(["run", CONFIG, "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import dataclasses
 import logging
 import math
 import os
+import random
 import re
 import signal
 import string
@@ -32,7 +33,6 @@ from mwedetect.pipeline import (
     THRESHOLD_MODES,
     EvalReport,
     ExperimentConfig,
-    LabeledPair,
     PairSource,
     calibrate_threshold,
     evaluate,
@@ -52,22 +52,15 @@ from mwedetect.scoring import (
     score_pair,
 )
 
-from conftest import alphabetic_token, assert_no_child_left, make_table, score_arrays
+from conftest import (
+    alphabetic_token,
+    assert_no_child_left,
+    assert_same_split,
+    make_table,
+    score_arrays,
+)
 
-
-def _positive(left: str, right: str) -> LabeledPair:
-    return LabeledPair(LexemePair(left, right), PairSource.LADEC)
-
-
-def _negative(left: str, right: str, source: PairSource = PairSource.RANDOM) -> LabeledPair:
-    return LabeledPair(LexemePair(left, right), source)
-
-
-class TestLabeledPair:
-    def test_positive_must_come_from_compound_source(self):
-        for source in PairSource:
-            labeled = LabeledPair(LexemePair("a", "b"), source)
-            assert labeled.is_positive is (source is PairSource.LADEC)
+LADEC, RANDOM, COOCCUR = PairSource
 
 
 class TestLoadCompounds:
@@ -127,66 +120,117 @@ class TestLoadCompounds:
             load_compounds(path)
 
 
+@dataclasses.dataclass(frozen=True)
+class _LabeledPair:
+    """A pair and where it came from, as the object split below takes them."""
+
+    pair: object
+    source: PairSource
+
+    @property
+    def is_positive(self) -> bool:
+        return self.source is PairSource.LADEC
+
+
+def _object_split(pairs, fraction, seed):
+    """The stratified split as it was done on pair objects: the reference
+    that ``split_dataset``'s mask is checked against."""
+    if not 0.0 < fraction < 1.0:
+        raise DatasetError(f"split fraction must be in (0, 1), got {fraction}")
+    rng = random.Random(seed)
+    calibration = []
+    heldout = []
+    for source in PairSource:
+        group = [p for p in pairs if p.source is source]
+        if not group:
+            continue
+        rng.shuffle(group)
+        k = int(len(group) * fraction)
+        if len(group) >= 2:
+            k = min(max(k, 1), len(group) - 1)
+        calibration.extend(group[:k])
+        heldout.extend(group[k:])
+    for side_name, side in (("calibration", calibration), ("heldout", heldout)):
+        if {p.is_positive for p in side} != {True, False}:
+            raise DatasetError(
+                f"stratified split infeasible: {side_name} split lacks a label "
+                "(need at least two pairs of each label)"
+            )
+    return tuple(calibration), tuple(heldout)
+
+
 class TestSplitDataset:
-    def _balanced(self, n_pos: int, n_neg: int) -> list[LabeledPair]:
-        tokens = "abcdefghijklmnopqrstuvwxyz"
-        positives = [_positive(tokens[i], tokens[i + 1]) for i in range(n_pos)]
-        negatives = [_negative(tokens[i + 1], tokens[i]) for i in range(n_neg)]
-        return positives + negatives
+    def _balanced(self, n_pos: int, n_neg: int) -> np.ndarray:
+        return np.array([LADEC] * n_pos + [RANDOM] * n_neg, dtype=object)
 
     def test_half_split_is_exact_for_even_groups(self):
-        dataset = split_dataset(self._balanced(10, 10), fraction=0.5, seed=0)
-        for side in (dataset.calibration, dataset.heldout):
-            assert sum(1 for p in side if p.is_positive) == 5
-            assert sum(1 for p in side if not p.is_positive) == 5
+        sources = self._balanced(10, 10)
+        calibration = split_dataset(sources, fraction=0.5, seed=0)
+        for side in (calibration, ~calibration):
+            assert np.count_nonzero(sources[side] == LADEC) == 5
+            assert np.count_nonzero(sources[side] != LADEC) == 5
 
     def test_partition_preserves_every_pair(self):
-        pairs = self._balanced(7, 9)
-        dataset = split_dataset(pairs, fraction=0.5, seed=3)
-        assert sorted(str(p.pair) for p in dataset.calibration + dataset.heldout) == sorted(
-            str(p.pair) for p in pairs
-        )
+        sources = self._balanced(7, 9)
+        calibration = split_dataset(sources, fraction=0.5, seed=3)
+        assert calibration.dtype == bool and calibration.shape == sources.shape
+        assert sorted(np.flatnonzero(calibration).tolist()
+                      + np.flatnonzero(~calibration).tolist()) == list(range(len(sources)))
 
     def test_deterministic_per_seed(self):
-        pairs = self._balanced(8, 8)
-        first = split_dataset(pairs, fraction=0.5, seed=42)
-        second = split_dataset(pairs, fraction=0.5, seed=42)
-        assert first == second
+        sources = self._balanced(8, 8)
+        first = split_dataset(sources, fraction=0.5, seed=42)
+        second = split_dataset(sources, fraction=0.5, seed=42)
+        assert np.array_equal(first, second)
 
     def test_different_seeds_differ(self):
-        pairs = self._balanced(8, 8)
-        splits = {split_dataset(pairs, 0.5, seed).calibration for seed in range(20)}
+        sources = self._balanced(8, 8)
+        splits = {tuple(split_dataset(sources, 0.5, seed)) for seed in range(20)}
         assert len(splits) > 1
 
     def test_stratified_per_negative_source(self):
-        pairs = self._balanced(4, 0) + [
-            _negative("x", "y", PairSource.RANDOM),
-            _negative("y", "x", PairSource.RANDOM),
-            _negative("x", "z", PairSource.COOCCUR),
-            _negative("z", "x", PairSource.COOCCUR),
-        ]
-        dataset = split_dataset(pairs, fraction=0.5, seed=1)
-        for side in (dataset.calibration, dataset.heldout):
-            assert sum(1 for p in side if p.source is PairSource.RANDOM) == 1
-            assert sum(1 for p in side if p.source is PairSource.COOCCUR) == 1
+        sources = np.array([LADEC] * 4 + [RANDOM, RANDOM, COOCCUR, COOCCUR], dtype=object)
+        calibration = split_dataset(sources, fraction=0.5, seed=1)
+        for side in (calibration, ~calibration):
+            assert np.count_nonzero(sources[side] == RANDOM) == 1
+            assert np.count_nonzero(sources[side] == COOCCUR) == 1
 
     def test_extreme_fraction_clamped_so_both_sides_populated(self):
-        pairs = self._balanced(4, 4)
-        low = split_dataset(pairs, fraction=0.1, seed=0)
-        assert sum(1 for p in low.calibration if p.is_positive) == 1
-        high = split_dataset(pairs, fraction=0.9, seed=0)
-        assert sum(1 for p in high.heldout if p.is_positive) == 1
+        sources = self._balanced(4, 4)
+        low = split_dataset(sources, fraction=0.1, seed=0)
+        assert np.count_nonzero(sources[low] == LADEC) == 1
+        high = split_dataset(sources, fraction=0.9, seed=0)
+        assert np.count_nonzero(sources[~high] == LADEC) == 1
 
     def test_fraction_bounds_rejected(self):
-        pairs = self._balanced(4, 4)
+        sources = self._balanced(4, 4)
         for fraction in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(DatasetError, match="fraction"):
-                split_dataset(pairs, fraction=fraction, seed=0)
+                split_dataset(sources, fraction=fraction, seed=0)
 
     def test_single_positive_is_infeasible(self):
-        pairs = self._balanced(1, 4)
+        sources = self._balanced(1, 4)
         with pytest.raises(DatasetError, match="infeasible"):
-            split_dataset(pairs, fraction=0.5, seed=0)
+            split_dataset(sources, fraction=0.5, seed=0)
+
+    @settings(max_examples=500)
+    @given(
+        sources=st.lists(st.sampled_from(PairSource), max_size=40),
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(),
+    )
+    def test_flags_what_the_object_split_puts_in_calibration(self, sources, fraction, seed):
+        labeled = [_LabeledPair(i, source) for i, source in enumerate(sources)]
+        try:
+            calibration, _ = _object_split(labeled, fraction, seed)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as raised:
+                split_dataset(sources, fraction, seed)
+            assert str(raised.value) == str(exc)
+            return
+        expected = np.zeros(len(sources), dtype=bool)
+        expected[[lp.pair for lp in calibration]] = True
+        assert np.array_equal(split_dataset(sources, fraction, seed), expected)
 
 
 # Scores in [-1, 1]: a coarse grid, so ties and duplicates are common, or any float.
@@ -217,6 +261,25 @@ class TestCalibrateThreshold:
             calibrate_threshold([], [0.5])
         with pytest.raises(DatasetError):
             calibrate_threshold([0.5], [])
+
+    @pytest.mark.parametrize(
+        "positives, negatives, counts",
+        [
+            ([math.nan], [0.1], (1, 0)),
+            ([0.2], [math.nan], (0, 1)),
+            ([math.inf, 0.3], [0.1], (1, 0)),
+            ([0.2, -math.inf], [math.nan, math.inf, 0.4], (1, 2)),
+        ],
+    )
+    def test_non_finite_scores_rejected_and_counted(self, positives, negatives, counts):
+        expected = (
+            f"^calibration scores must be finite: {counts[0]} positive and {counts[1]} "
+            r"negative score\(s\) are NaN or infinite$"
+        )
+        with pytest.raises(DatasetError, match=expected):
+            calibrate_threshold(positives, negatives)
+        with pytest.raises(DatasetError, match=expected):
+            calibrate_threshold(np.array(positives), np.array(negatives))
 
     def test_adjacent_floats_cut_at_the_larger(self):
         # (0.1 + next) / 2 rounds back onto 0.1, which would leave no cut
@@ -350,9 +413,9 @@ class TestCalibrateThreshold:
         """The calibrated threshold may lie above 1 (no positive scores below
         a negative); evaluate must still judge by ``value < threshold``."""
         threshold = calibrate_threshold(positives, negatives)
-        scored = [
-            (_positive(f"p{i}", "x"), ScoreOutcome.scored(v)) for i, v in enumerate(positives)
-        ] + [(_negative(f"n{i}", "y"), ScoreOutcome.scored(v)) for i, v in enumerate(negatives)]
+        scored = [(True, ScoreOutcome.scored(v)) for v in positives] + [
+            (False, ScoreOutcome.scored(v)) for v in negatives
+        ]
         report = evaluate(
             *score_arrays(scored), threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
         )
@@ -367,23 +430,20 @@ class TestCalibrateThreshold:
 
 
 class TestEvaluate:
-    def _score(self, pairs, values):
+    def _score(self, is_positive, values):
         scored = []
-        for labeled, value in zip(pairs, values):
+        for positive, value in zip(is_positive, values):
             outcome = (
                 ScoreOutcome.unscorable("left-oov")
                 if value is None
                 else ScoreOutcome.scored(value)
             )
-            scored.append((labeled, outcome))
+            scored.append((positive, outcome))
         return scored
 
     def _ten_pair_fixture(self):
-        tokens = "abcdefghij"
-        positives = [_positive(t, "x") for t in tokens[:5]]
-        negatives = [_negative(t, "y") for t in tokens[5:]]
-        scored = self._score(positives, [0.1, 0.2, 0.6, 0.9, None])
-        scored += self._score(negatives, [0.3, 0.7, 0.8, 0.95, None])
+        scored = self._score([True] * 5, [0.1, 0.2, 0.6, 0.9, None])
+        scored += self._score([False] * 5, [0.3, 0.7, 0.8, 0.95, None])
         return scored
 
     def test_hand_computed_confusion_counts(self):
@@ -410,10 +470,8 @@ class TestEvaluate:
         assert report.f1 == float(Fraction(4, 7))
 
     def test_perfect_recall_example(self):
-        positives = [_positive(t, "x") for t in "ab"]
-        negatives = [_negative(t, "y") for t in "cdef"]
-        scored = self._score(positives, [0.1, 0.2]) + self._score(
-            negatives, [0.3, 0.7, 0.8, 0.9]
+        scored = self._score([True] * 2, [0.1, 0.2]) + self._score(
+            [False] * 4, [0.3, 0.7, 0.8, 0.9]
         )
         report = evaluate(
             *score_arrays(scored), 0.5, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
@@ -424,7 +482,7 @@ class TestEvaluate:
         assert report.f1 == 0.8
 
     def test_all_unscorable_leaves_metrics_absent(self):
-        scored = self._score([_positive("a", "x"), _negative("b", "y")], [None, None])
+        scored = self._score([True, False], [None, None])
         report = evaluate(
             *score_arrays(scored), 0.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
         )
@@ -435,9 +493,7 @@ class TestEvaluate:
         assert (report.unscorable_pos, report.unscorable_neg) == (1, 1)
 
     def test_nothing_judged_compound_leaves_precision_absent(self):
-        scored = self._score(
-            [_positive("a", "x"), _negative("b", "y")], [0.9, 0.8]
-        )
+        scored = self._score([True, False], [0.9, 0.8])
         report = evaluate(
             *score_arrays(scored), -1.0, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
         )
@@ -451,12 +507,8 @@ class TestEvaluate:
     )
     def test_counts_equal_a_counter_over_classify(self, rows, threshold):
         """The mask counts equal judging every outcome with ``classify``."""
-        scored = self._score(
-            [_positive(f"p{i}", "x") if is_positive else _negative(f"n{i}", "y")
-             for i, (is_positive, _) in enumerate(rows)],
-            [value for _, value in rows],
-        )
-        tally = Counter((lp.is_positive, classify(outcome, threshold)) for lp, outcome in scored)
+        scored = self._score([is_positive for is_positive, _ in rows], [value for _, value in rows])
+        tally = Counter((positive, classify(outcome, threshold)) for positive, outcome in scored)
         report = evaluate(
             *score_arrays(scored), threshold, ScoreMethod.WORD_SIMILARITY, PairSource.RANDOM
         )
@@ -669,17 +721,17 @@ class TestRunExperiment:
             assert report.unscorable_neg == 0
 
     def test_dataset_is_one_to_one_to_one(self, result):
-        pairs = result.dataset.calibration + result.dataset.heldout
+        assert len(result.pairs) == len(result.sources) == len(result.calibration)
         by_source = {source: 0 for source in PairSource}
-        for labeled in pairs:
-            by_source[labeled.source] += 1
+        for source in result.sources:
+            by_source[source] += 1
         assert by_source == {PairSource.LADEC: 4, PairSource.RANDOM: 4, PairSource.COOCCUR: 4}
 
     def test_rerun_is_bit_identical(self, result, config_path):
         again = run_experiment(load_config(config_path))
         assert again.reports == result.reports
         assert again.thresholds == result.thresholds
-        assert again.dataset == result.dataset
+        assert_same_split(again, result)
 
     def test_per_source_mode_calibrates_each_arm(self, config_path):
         config = dataclasses.replace(load_config(config_path), threshold_mode="per-source")
@@ -755,31 +807,33 @@ def _written_config(tmp: Path, files: dict[str, str], **options) -> ExperimentCo
 def _assert_recomputed_pair_by_pair(result: pipeline.ExperimentResult) -> None:
     """Each threshold and report of ``result``, from its split's pairs alone.
 
-    The pairs of each side are picked by their ``LabeledPair`` fields and
-    scored by ``score_ids``; nothing of ``run_experiment`` is reused but
-    the split itself.
+    The pairs of each side are picked by their sources and scored by
+    ``score_ids``; nothing of ``run_experiment`` is reused but the pairs
+    and the split themselves.
     """
-    config, dataset = result.config, result.dataset
+    config = result.config
     table = load_embeddings(config.embeddings)
     lexicon = load_definitions(config.definitions)
     stopwords = load_stopwords(config.stopwords)
     reports = {(r.method, r.negative_source): r for r in result.reports}
 
     def scored(method, side, source):
-        chosen = [lp for lp in side if lp.is_positive or lp.source is source]
+        chosen = [(pair, pair_source) for pair, pair_source, on_side
+                  in zip(result.pairs, result.sources, side)
+                  if on_side and pair_source in (LADEC, source)]
         values = score_ids(method, table, lexicon, stopwords,
-                           *lexeme_ids([lp.pair for lp in chosen]))[0]
-        return values, np.array([lp.is_positive for lp in chosen])
+                           *lexeme_ids([pair for pair, _ in chosen]))[0]
+        return values, np.array([pair_source is LADEC for _, pair_source in chosen])
 
     for method in ScoreMethod:
         for arm in NEGATIVE_SOURCES:
             calibrated_on = PairSource.RANDOM if config.threshold_mode == pipeline.SHARED else arm
-            values, positive = scored(method, dataset.calibration, calibrated_on)
+            values, positive = scored(method, result.calibration, calibrated_on)
             scorable = ~np.isnan(values)
             threshold = calibrate_threshold(values[scorable & positive],
                                             values[scorable & ~positive])
             assert result.thresholds[(method, arm)] == threshold
-            values, positive = scored(method, dataset.heldout, arm)
+            values, positive = scored(method, ~result.calibration, arm)
             assert reports[(method, arm)] == evaluate(values, positive, threshold, method, arm)
 
 
@@ -797,10 +851,10 @@ class TestRunExperimentProperties:
                                      fraction=fraction, threshold_mode=mode)
             result = run_experiment(config)
         assert len(result.reports) == 6
-        heldout = result.dataset.heldout
-        positives = sum(lp.is_positive for lp in heldout)
+        heldout = result.sources[~result.calibration]
+        positives = np.count_nonzero(heldout == LADEC)
         for report in result.reports:
-            negatives = sum(lp.source is report.negative_source for lp in heldout)
+            negatives = np.count_nonzero(heldout == report.negative_source)
             assert report.tp + report.fn + report.unscorable_pos == positives
             assert report.fp + report.tn + report.unscorable_neg == negatives
             assert report.unscorable_pos == report.unscorable_neg == 0
@@ -875,7 +929,7 @@ class TestScoringWorker:
         table = load_embeddings(config.embeddings)
         lexicon = load_definitions(config.definitions)
         stopwords = load_stopwords(config.stopwords)
-        pairs = [lp.pair for lp in forked.dataset.calibration + forked.dataset.heldout]
+        pairs = list(forked.pairs)
         reasons = set()
         for method in ScoreMethod:
             reasons.update(score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))[1])
@@ -885,7 +939,7 @@ class TestScoringWorker:
         inline = run_experiment(config)
         assert inline.reports == forked.reports
         assert inline.thresholds == forked.thresholds
-        assert inline.dataset == forked.dataset
+        assert_same_split(inline, forked)
 
     def test_killed_worker_is_a_child_process_error(self, tmp_path, monkeypatch, capsys):
         config = _every_reason_config(tmp_path)

@@ -25,7 +25,7 @@ from mwedetect.corpus import build_bigram_counts, tokenize
 from mwedetect.embeddings import cosine, load_embeddings
 from mwedetect.errors import ConfigError
 from mwedetect.pairs import LexemePair
-from mwedetect.pipeline import LabeledPair, PairSource, calibrate_threshold, evaluate, scan_corpus
+from mwedetect.pipeline import PairSource, calibrate_threshold, evaluate, scan_corpus
 from mwedetect.scoring import (
     LEFT_OOV,
     NON_FINITE,
@@ -486,22 +486,22 @@ class TestClassify:
         positives, negatives = scores
         threshold = calibrate_threshold(positives, negatives)
         labeled = [
-            (LabeledPair(LexemePair(f"p{i}", "x"), source), outcome)
-            for source, values, unscored in (
-                (PairSource.LADEC, positives, unscorable[0]),
-                (PairSource.RANDOM, negatives, unscorable[1]),
+            (is_positive, outcome)
+            for is_positive, values, unscored in (
+                (True, positives, unscorable[0]),
+                (False, negatives, unscorable[1]),
             )
-            for i, outcome in enumerate(
+            for outcome in (
                 [ScoreOutcome.scored(value) for value in values]
                 + [ScoreOutcome.unscorable(LEFT_OOV)] * unscored
             )
         ]
         judged = Counter()
-        for pair, outcome in labeled:
+        for is_positive, outcome in labeled:
             judgement = classify(outcome, threshold)
             if outcome.is_scorable:
                 assert (judgement is Judgement.COMPOUND) == (outcome.value < threshold)
-            judged[pair.is_positive, judgement] += 1
+            judged[is_positive, judgement] += 1
         report = evaluate(*score_arrays(labeled), threshold, WORD, PairSource.RANDOM)
         assert (report.tp, report.fn, report.unscorable_pos) == (
             judged[True, Judgement.COMPOUND],
