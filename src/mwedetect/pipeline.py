@@ -203,7 +203,7 @@ def split_dataset(
         if not (positive & side).any() or not (~positive & side).any():
             raise DatasetError(
                 f"stratified split infeasible: {side_name} split lacks a label "
-                "(need at least two pairs of each label)"
+                "(each label needs a source with at least two pairs)"
             )
     return calibration
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import codecs
+import random
 import re
+import string
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -183,6 +185,29 @@ class TestCountCorpus:
                 paths.append(path)
             for source in (root, paths[0]):
                 assert_same_counts(count_corpus(source), build_bigram_counts(read_corpus(source)))
+
+    def test_equals_read_then_count_at_the_real_chunk_size(self, tmp_path):
+        """Two files over several real chunks, with more than 46,341 words, so
+        codes pass 2**31, and with bigrams that recur across chunk and file ends."""
+        rng = random.Random(0)
+        # Four letters name the word, so the words are distinct; up to ten
+        # more make some longer than 12 letters.
+        words = [
+            "".join(chr(ord("a") + i // 26**k % 26) for k in range(4))
+            + "".join(rng.choices(string.ascii_lowercase, k=rng.randrange(11)))
+            for i in range(50_000)
+        ]
+        # Twice round the words: each bigram that spans a chunk or file end recurs.
+        tokens = words * 2
+        first, second = " ".join(tokens[:60_000]), " ".join(tokens[60_000:])
+        chunk = corpus._CHUNK_CHARS
+        assert len(first) + len(second) > 3 * chunk
+        assert first[chunk - 1 : chunk + 1].isalpha()  # a token straddles a chunk end
+        (tmp_path / "a.txt").write_text(first, encoding="utf-8")
+        (tmp_path / "b.txt").write_text(second, encoding="utf-8")
+        counts = count_corpus(tmp_path)
+        assert len(counts.vocabulary) == 50_000 and int(counts.codes[-1]) > 2**31
+        assert_same_counts(counts, build_bigram_counts(read_corpus(tmp_path)))
 
     def test_counts_across_file_ends(self, tmp_path):
         (tmp_path / "a.txt").write_text("the cat", encoding="utf-8")

@@ -154,7 +154,7 @@ def _object_split(pairs, fraction, seed):
         if {p.is_positive for p in side} != {True, False}:
             raise DatasetError(
                 f"stratified split infeasible: {side_name} split lacks a label "
-                "(need at least two pairs of each label)"
+                "(each label needs a source with at least two pairs)"
             )
     return tuple(calibration), tuple(heldout)
 
@@ -212,6 +212,17 @@ class TestSplitDataset:
         sources = self._balanced(1, 4)
         with pytest.raises(DatasetError, match="infeasible"):
             split_dataset(sources, fraction=0.5, seed=0)
+
+    def test_two_negatives_from_one_pair_sources_are_infeasible(self):
+        """Two negatives are not enough when no source holds two of them:
+        each one-pair source goes wholly to held-out, and the message says so."""
+        sources = np.array([LADEC, LADEC, RANDOM, COOCCUR], dtype=object)
+        with pytest.raises(DatasetError) as raised:
+            split_dataset(sources, fraction=0.5, seed=0)
+        assert str(raised.value) == (
+            "stratified split infeasible: calibration split lacks a label "
+            "(each label needs a source with at least two pairs)"
+        )
 
     @settings(max_examples=500)
     @given(
