@@ -3,10 +3,10 @@
 The tokenizer keeps only runs of ASCII letters, lowercased; numerals and
 punctuation never become tokens. Bigrams are counted as integer codes over
 the sorted vocabulary. ``count_corpus`` reads a corpus a chunk at a time,
-keeps only each token's id and counts the bigrams with one sort;
-``read_corpus`` and ``build_bigram_counts`` are the same count by way of
-the whole token sequence. Both samplers are deterministic given
-their inputs and seed.
+keeps only each chunk's distinct words and token indexes, ranks the words
+once at the end and counts the bigrams with one sort; ``read_corpus`` and
+``build_bigram_counts`` are the same count by way of the whole token
+sequence. Both samplers are deterministic given their inputs and seed.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .pairs import LexemePair
 # Every byte but the lowercase ASCII letters becomes a space.
 _LETTERS = bytes(byte if ord("a") <= byte <= ord("z") else ord(" ") for byte in range(256))
 
-# Characters of a corpus file that count_corpus reads at a time. Only the
-# chunk's own arrays grow with it: 64 Ki to 1 Mi characters gave the same
-# peak on a 1M-token and a 10M-token corpus, and 4 Mi doubled the 1M-token
-# one. Fewer chunks copy the sorted key table fewer times: 1 Mi counted a
-# 10M-token corpus of 615k words in 1.3 s, 256 Ki in 2.2 s.
+# Characters of a corpus file that count_corpus reads at a time. From 64 Ki
+# to 1 Mi characters a 10M-token corpus of 763k words counted in about the
+# same time (0.95-1.03 s), and 256 Ki gave the lowest peak on it and on a
+# 1M-token corpus; 4 Mi nearly doubled the 1M-token one.
 _CHUNK_CHARS = 1 << 18
 
 # Above this many ordered token pairs, uniform sampling switches from full
@@ -157,19 +156,18 @@ def count_corpus(path: str | Path) -> BigramCounts:
     a file may have no line ends. The letters at the end of a chunk may go
     on in the next, so they wait for it. A token of up to 12 letters
     becomes one int64 key, 5 bits a letter (``a`` 1 to ``z`` 26) with the
-    first letter highest, so key order is string order; each chunk's
-    distinct keys get ids from one sorted table of the keys seen so far,
-    all in numpy. Only a longer token gets its id from a dict. Each chunk's
-    token ids (int32) are kept. At the end the ids become ranks in the
-    sorted vocabulary and each adjacent pair of ranks one int64 code, over
-    the whole sequence; one in-place sort lines the codes up, and each run
-    of equal codes is a bigram and its count. The peak holds two int64
-    arrays of the token count, 16 bytes a token. Errors are read_corpus's.
+    first letter highest, so key order is string order. Each chunk keeps
+    its distinct keys, its distinct longer tokens and each token's index
+    into them (int32). At the end one ``np.unique`` over every chunk's keys
+    and one sort of the longer tokens rank the words, and each chunk's
+    tokens become ranks in the sorted vocabulary. Each adjacent pair of
+    ranks is one int64 code, over the whole sequence; one in-place sort
+    lines the codes up, and each run of equal codes is a bigram and its
+    count. The peak holds two int64 arrays of the token count, 16 bytes a
+    token. Errors are read_corpus's.
     """
-    keys = key_ids = np.empty(0, np.int64)  # the keys seen, ascending, and their ids
-    long_ids: dict[str, int] = {}
-    size = 0  # the ids given out
-    sequence: list[np.ndarray] = []  # each chunk's token ids
+    chunks = []  # each chunk's distinct keys, distinct longer tokens and token index
+    longs: set[str] = set()
     tail = b""
     for chunk in _chunks(_corpus_files(Path(path))):
         # Lowercasing and the translation go character by character, so
@@ -178,35 +176,28 @@ def count_corpus(path: str | Path) -> BigramCounts:
         cut = letters.rfind(b" ") + 1
         letters, tail = letters[:cut], letters[cut:]
         _, distinct, longer, index = _distinct_tokens(letters)
-        at = np.searchsorted(keys, distinct)
-        seen = at < len(keys)
-        seen[seen] = keys[at[seen]] == distinct[seen]
-        new = np.flatnonzero(~seen)
-        distinct_ids = np.empty(len(distinct), np.int32)
-        distinct_ids[seen] = key_ids[at[seen]]
-        distinct_ids[new] = np.arange(size, size + len(new))
-        size += len(new)
-        keys = np.insert(keys, at[new], distinct[new])
-        key_ids = np.insert(key_ids, at[new], distinct_ids[new])
-        for word in longer:
-            if word not in long_ids:
-                long_ids[word] = size
-                size += 1
-        ids = np.concatenate((distinct_ids, np.array([long_ids[w] for w in longer], np.int32)))
-        sequence.append(ids[index])
+        longs.update(longer)
+        chunks.append((distinct, longer, index.astype(np.int32)))
 
+    keys, key_ranks = np.unique(
+        np.concatenate([distinct for distinct, _, _ in chunks]), return_inverse=True
+    )
     # Both lists are sorted. A word's rank counts the words of the other
     # list before it: no packed word equals a longer one.
-    words, longs = _unpacked(keys), sorted(long_ids)
+    words, longs = _unpacked(keys), sorted(longs)
     before = np.array([bisect.bisect_left(words, word) for word in longs], np.int64)
-    ranks = np.empty(size, np.int64)
-    ranks[key_ids] = np.arange(len(words)) + np.searchsorted(
-        before, np.arange(len(words)), side="right"
-    )
-    ranks[np.array([long_ids[word] for word in longs], np.intp)] = before + np.arange(len(longs))
+    key_ranks += np.searchsorted(before, key_ranks, side="right")
+    long_ranks = before + np.arange(len(longs))
     vocabulary = tuple(sorted(words + longs))
-    ranked = ranks[np.concatenate(sequence)]
-    del sequence
+    ranked = np.empty(sum(len(index) for _, _, index in chunks), np.int64)
+    start = offset = 0
+    for distinct, longer, index in chunks:
+        at = [bisect.bisect_left(longs, word) for word in longer]
+        table = np.concatenate((key_ranks[offset : offset + len(distinct)], long_ranks[at]))
+        ranked[start : start + len(index)] = table[index]
+        offset += len(distinct)
+        start += len(index)
+    del chunks, key_ranks, table, distinct, index
     # int64 ranks: an int32 product would overflow past 46,341 words.
     codes = ranked[:-1] * len(vocabulary)
     codes += ranked[1:]

@@ -380,6 +380,8 @@ def _parse_config(content: str, base: Path) -> ExperimentConfig:
     for key, field in fields.items():
         kind = types[key]
         if kind is Path:
+            if key in raw and not raw[key]:  # Path("") would be the config directory
+                raise ConfigError(f"config key {key!r}: empty path")
             if "\0" in raw.get(key, ""):  # no file system takes a NUL byte in a path
                 raise ConfigError(f"config key {key!r}: not a path: {raw[key]!r}")
             value = Path(raw.get(key, field.default))

@@ -168,6 +168,23 @@ class TestCountCorpus:
         nested=False,
         chunk=5,
     )
+    @example(  # only tokens of more than 12 letters: every chunk has no keys
+        files=[
+            (["abcdefghijklm nopqrstuvwxyzab", "abcdefghijklm abcdefghijklmn"], "\n", True, False)
+        ],
+        nested=False,
+        chunk=6,
+    )
+    @example(  # the chunk "12345" holds no token at all
+        files=[(["jet 0123456789!?.,;: lag jet"], "\n", False, False)],
+        nested=False,
+        chunk=5,
+    )
+    @example(  # the second chunk's words all sort before the first chunk's
+        files=[(["zz yy zzzzzzzzzzzzz aa bb aaaaaaaaaaaaa zz"], "\n", True, False)],
+        nested=False,
+        chunk=20,
+    )
     def test_equals_read_then_count(self, files, nested, chunk):
         """Over a file and a directory of files, in chunks down to one character."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:

@@ -630,6 +630,17 @@ class TestLoadConfig:
             load_config(path)
         assert str(error.value) == f"{path}: config key 'embeddings': not a path: 'emb\\x00.txt'"
 
+    @pytest.mark.parametrize(
+        "key", ["embeddings", "compounds", "corpus", "definitions", "stopwords", "output_dir"]
+    )
+    def test_empty_path_rejected(self, tmp_path, key):
+        # Path("") is ".", so an empty value would name the config directory.
+        lines = [line for line in self.REQUIRED.splitlines() if not line.startswith(key)]
+        path = self._write(tmp_path, "\n".join(lines) + f"\n{key} =\n")
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"{path}: config key '{key}': empty path"
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.conf")
