@@ -28,12 +28,13 @@ from .pipeline import (
     run_experiment,
     scan_corpus,
 )
-from .scoring import ScoreMethod, ScoreOutcome, classify, score_pair
+from .scoring import UNSCORABLE_REASONS, Judgement, ScoreMethod, is_compound, lexeme_ids, score_ids
 # Bound here for perfbench's cli.<name> hooks; nothing in this module calls them.
 from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .definitions import load_definitions, load_stopwords  # noqa: F401
 from .embeddings import load_embeddings  # noqa: F401
 from .pipeline import load_compounds  # noqa: F401
+from .scoring import classify, score_pair  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -62,12 +63,9 @@ def cmd_score(args) -> int:
     table, lexicon, stopwords, _, _ = load_inputs(
         args.embeddings, args.definitions or None, args.stopwords or None
     )
-    outcome = score_pair(method, table, lexicon, stopwords, pair)
-    if outcome.is_scorable:
-        print(f"{outcome.value:.6f}")
-        return 0
-    print(f"unscorable: {outcome.unscorable_reason}")
-    return 2
+    (value,), (reason,) = score_ids(method, table, lexicon, stopwords, *lexeme_ids((pair,)))
+    print(f"unscorable: {UNSCORABLE_REASONS[reason - 1]}" if reason else f"{value:.6f}")
+    return 2 if reason else 0
 
 
 def _metric_cell(value: float | None) -> str:
@@ -153,7 +151,7 @@ def cmd_run(args) -> int:
     for (method, source), threshold in result.thresholds.items():
         if not -1.0 <= threshold <= 1.0:
             # Every score in [-1, 1] falls on the same side of this threshold.
-            judged = classify(ScoreOutcome.scored(0.0), threshold)
+            judged = Judgement.COMPOUND if is_compound(0.0, threshold) else Judgement.NOT_COMPOUND
             print(
                 f"assumption: {method.value} vs {source.value} calibration is degenerate: "
                 f"threshold {threshold:.6f} lies outside [-1, 1], so every scored pair is "

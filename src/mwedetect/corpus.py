@@ -48,12 +48,16 @@ class BigramCounts:
     ``rank(left) * V + rank(right)`` with ``V`` the vocabulary size, so code
     order is the lexical ``(left, right)`` order. ``codes``
     holds each observed bigram's code once, ascending, and ``counts`` its
-    number of occurrences (int64 arrays of equal length).
+    number of occurrences (int64 arrays of equal length). ``unigrams``
+    holds each vocabulary token's number of occurrences, by rank (int64).
+    The bigram counts' marginals are not the unigram counts: the sequence's
+    last token is no bigram's left token, and its first no bigram's right.
     """
 
     vocabulary: tuple[str, ...]
     codes: np.ndarray
     counts: np.ndarray
+    unigrams: np.ndarray
 
     @functools.cached_property
     def index(self) -> dict[str, int]:
@@ -160,11 +164,12 @@ def count_corpus(path: str | Path) -> BigramCounts:
     its distinct keys, its distinct longer tokens and each token's index
     into them (int32). At the end one ``np.unique`` over every chunk's keys
     and one sort of the longer tokens rank the words, and each chunk's
-    tokens become ranks in the sorted vocabulary. Each adjacent pair of
-    ranks is one int64 code, over the whole sequence; one in-place sort
-    lines the codes up, and each run of equal codes is a bigram and its
-    count. The peak holds two int64 arrays of the token count, 16 bytes a
-    token. Errors are read_corpus's.
+    tokens become ranks in the sorted vocabulary, and one ``np.bincount``
+    of the ranks gives ``unigrams``. Each adjacent pair of ranks is one
+    int64 code, over the whole sequence; one in-place sort lines the codes
+    up, and each run of equal codes is a bigram and its count. The peak
+    holds two int64 arrays of the token count, 16 bytes a token, and the
+    V × 8-byte ``unigrams``. Errors are read_corpus's.
     """
     chunks = []  # each chunk's distinct keys, distinct longer tokens and token index
     longs: set[str] = set()
@@ -198,6 +203,7 @@ def count_corpus(path: str | Path) -> BigramCounts:
         offset += len(distinct)
         start += len(index)
     del chunks, key_ranks, table, distinct, index
+    unigrams = np.bincount(ranked, minlength=len(vocabulary)).astype(np.int64, copy=False)
     # int64 ranks: an int32 product would overflow past 46,341 words.
     codes = ranked[:-1] * len(vocabulary)
     codes += ranked[1:]
@@ -209,7 +215,9 @@ def count_corpus(path: str | Path) -> BigramCounts:
     np.not_equal(codes[1:], codes[:-1], out=starts[1:])
     starts = np.flatnonzero(starts)
     counts = np.diff(starts, append=len(codes)).astype(np.int64, copy=False)
-    return BigramCounts(vocabulary=vocabulary, codes=codes[starts], counts=counts)
+    return BigramCounts(
+        vocabulary=vocabulary, codes=codes[starts], counts=counts, unigrams=unigrams
+    )
 
 
 def _distinct_tokens(letters: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
@@ -263,14 +271,18 @@ def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
     """Count every adjacent token pair; n tokens yield n-1 observations.
 
     Each token becomes its rank in the sorted vocabulary, each adjacent pair
-    of ranks one int64 code, and ``np.unique`` counts the codes.
+    of ranks one int64 code, and ``np.unique`` counts the codes;
+    ``np.bincount`` counts the ranks.
     """
     vocabulary = tuple(sorted(set(tokens)))
     index = dict(zip(vocabulary, range(len(vocabulary))))
     ids = np.fromiter(map(index.__getitem__, tokens), np.int64, count=len(tokens))
     codes, counts = np.unique(ids[:-1] * len(vocabulary) + ids[1:], return_counts=True)
     return BigramCounts(
-        vocabulary=vocabulary, codes=codes, counts=counts.astype(np.int64, copy=False)
+        vocabulary=vocabulary,
+        codes=codes,
+        counts=counts.astype(np.int64, copy=False),
+        unigrams=np.bincount(ids, minlength=len(vocabulary)).astype(np.int64, copy=False),
     )
 
 

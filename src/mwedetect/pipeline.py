@@ -407,12 +407,16 @@ def _parse_config(content: str, base: Path) -> ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
-    """Everything a run produces: six reports, thresholds, and provenance.
+    """Everything a run produces: six reports, thresholds, scores, and provenance.
 
     ``pairs`` holds every pair in the order it was drawn: the positives,
     then each negative arm. ``sources`` names each pair's source, and
     ``calibration`` flags the pairs of the calibration split; the rest are
-    held out.
+    held out. ``values`` and ``reasons`` hold, per method, the float64
+    values and int8 reason codes that ``score_ids`` gave the pairs, in the
+    same order: NaN and ``k`` for ``UNSCORABLE_REASONS[k - 1]`` where a
+    pair is unscorable, 0 where it is scored. The thresholds and reports
+    are computed from these arrays; they take 27 bytes a pair.
     """
 
     reports: tuple[EvalReport, ...]
@@ -420,6 +424,8 @@ class ExperimentResult:
     pairs: tuple[LexemePair, ...]
     sources: np.ndarray
     calibration: np.ndarray
+    values: dict[ScoreMethod, np.ndarray]
+    reasons: dict[ScoreMethod, np.ndarray]
     config: ExperimentConfig
     vocabulary_size: int
     bigram_type_count: int
@@ -443,6 +449,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scores are collected. Either way each pair gets the same scores. Pairs
     stay in the order they were drawn and scored; calibration and
     evaluation count them through masks, so they do not depend on order.
+    The result keeps every pair's value and reason under each method.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -465,12 +472,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
     }
 
-    def score(pairs: list[LexemePair]) -> dict[ScoreMethod, np.ndarray]:
+    def score(pairs: list[LexemePair]) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray]]:
         lexemes, left, right = lexeme_ids(pairs)
         # Both definition methods sum from the same resolved definitions.
         resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
         return {
-            method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)[0]
+            method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)
             for method in METHODS
         }
 
@@ -483,19 +490,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         calibration = split_dataset(pair_source, config.fraction, config.split_seed)
         positive_scores = score(positives)
         negative_scores = worker.result()
-    scores = {
-        method: np.concatenate((positive_scores[method], negative_scores[method]))
-        for method in METHODS
-    }
+    # The values, then the reasons, of every pair in drawn order.
+    values, reasons = (
+        {
+            method: np.concatenate((positive_scores[method][k], negative_scores[method][k]))
+            for method in METHODS
+        }
+        for k in (0, 1)
+    )
     positive = pair_source == PairSource.LADEC
 
     # Cached: in shared mode both arms of a method share one calibration.
     @functools.cache
     def calibrate(method: ScoreMethod, source: PairSource) -> float:
-        values = scores[method]
-        scorable = calibration & ~np.isnan(values)
-        pos = values[scorable & positive]
-        neg = values[scorable & (pair_source == source)]
+        scorable = calibration & ~np.isnan(values[method])
+        pos = values[method][scorable & positive]
+        neg = values[method][scorable & (pair_source == source)]
         if not len(pos) or not len(neg):
             raise DatasetError(
                 f"calibration impossible for {method.value} vs {source.value}: "
@@ -516,7 +526,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     reports = tuple(
         evaluate(
-            scores[method][heldout_arms[source]],
+            values[method][heldout_arms[source]],
             positive[heldout_arms[source]],
             thresholds[(method, source)],
             method,
@@ -531,6 +541,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         pairs=(*positives, *negatives),
         sources=pair_source,
         calibration=calibration,
+        values=values,
+        reasons=reasons,
         config=config,
         vocabulary_size=len(counts.vocabulary),
         bigram_type_count=len(counts),

@@ -27,10 +27,16 @@ def score_arrays(scored) -> tuple[np.ndarray, np.ndarray]:
 
 def assert_same_split(first, second) -> None:
     """Fail unless two ``ExperimentResult``s drew the same pairs from the
-    same sources and split them alike."""
+    same sources, split them alike and kept the same values and reasons."""
     assert first.pairs == second.pairs
     assert np.array_equal(first.sources, second.sources)
     assert np.array_equal(first.calibration, second.calibration)
+    for kept in ("values", "reasons"):
+        ours, theirs = getattr(first, kept), getattr(second, kept)
+        assert list(ours) == list(theirs)
+        for method, array in ours.items():
+            assert array.dtype == theirs[method].dtype
+            assert np.array_equal(array, theirs[method], equal_nan=True)
 
 
 def make_table(vectors: dict, dimension: int) -> EmbeddingTable:

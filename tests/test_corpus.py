@@ -128,12 +128,22 @@ def _as_dict(counts):
 
 
 def assert_same_counts(counts, expected):
-    """Field by field equal: vocabulary, the bytes of both arrays, and the index."""
+    """Field by field equal: vocabulary, the bytes of the three arrays, and the index."""
     assert counts.vocabulary == expected.vocabulary
-    assert counts.codes.dtype == counts.counts.dtype == np.int64
+    assert counts.codes.dtype == counts.counts.dtype == counts.unigrams.dtype == np.int64
+    assert expected.unigrams.dtype == np.int64
     assert counts.codes.tobytes() == expected.codes.tobytes()
     assert counts.counts.tobytes() == expected.counts.tobytes()
+    assert counts.unigrams.tobytes() == expected.unigrams.tobytes()
     assert list(counts.index.items()) == list(expected.index.items())
+
+
+def assert_unigrams_count(counts, tokens):
+    """``counts.unigrams`` holds each word's occurrences in ``tokens``, by rank."""
+    occurrences = Counter(tokens)
+    assert len(counts.unigrams) == len(occurrences)
+    assert {w: int(counts.unigrams[counts.index[w]]) for w in occurrences} == occurrences
+    assert int(counts.unigrams.sum()) == len(tokens)
 
 
 # One corpus file: its lines, the line end, whether the last line ends, and
@@ -201,7 +211,9 @@ class TestCountCorpus:
                 path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
                 paths.append(path)
             for source in (root, paths[0]):
-                assert_same_counts(count_corpus(source), build_bigram_counts(read_corpus(source)))
+                counts, tokens = count_corpus(source), read_corpus(source)
+                assert_same_counts(counts, build_bigram_counts(tokens))
+                assert_unigrams_count(counts, tokens)
 
     def test_equals_read_then_count_at_the_real_chunk_size(self, tmp_path):
         """Two files over several real chunks, with more than 46,341 words, so
@@ -224,7 +236,9 @@ class TestCountCorpus:
         (tmp_path / "b.txt").write_text(second, encoding="utf-8")
         counts = count_corpus(tmp_path)
         assert len(counts.vocabulary) == 50_000 and int(counts.codes[-1]) > 2**31
-        assert_same_counts(counts, build_bigram_counts(read_corpus(tmp_path)))
+        tokens = read_corpus(tmp_path)
+        assert_same_counts(counts, build_bigram_counts(tokens))
+        assert_unigrams_count(counts, tokens)
 
     def test_counts_across_file_ends(self, tmp_path):
         (tmp_path / "a.txt").write_text("the cat", encoding="utf-8")
@@ -238,6 +252,7 @@ class TestCountCorpus:
         path.write_text("123 !!\n", encoding="utf-8")
         counts = count_corpus(path)
         assert counts.vocabulary == () and len(counts) == 0
+        assert counts.unigrams.dtype == np.int64 and len(counts.unigrams) == 0
         assert_same_counts(counts, build_bigram_counts(()))
 
     def test_empty_directory_raises(self, tmp_path):
@@ -260,6 +275,8 @@ class TestBigramCounts:
         assert counts.count("the", "cat") == 2
         assert counts.count("cat", "the") == 0
         assert sum(counts.counts.tolist()) == 4
+        # "cat", "sat", "the": the last "cat" is no bigram's left token.
+        assert counts.unigrams.tolist() == [2, 1, 2]
 
     def test_single_token_has_no_bigrams(self):
         counts = build_bigram_counts(tokenize("lonely"))
@@ -308,6 +325,7 @@ class TestBigramCountsProperties:
         counts = build_bigram_counts(tokens)
         assert len(counts) == len(reference)
         assert counts.vocabulary == tuple(sorted(set(tokens)))
+        assert_unigrams_count(counts, tokens)
         for left in (*_STREAM_TOKENS, "q"):
             for right in (*_STREAM_TOKENS, "q"):
                 assert counts.count(left, right) == reference[(left, right)]

@@ -781,6 +781,11 @@ class TestRunExperiment:
         assert NEGATIVE_SOURCES == (PairSource.RANDOM, PairSource.COOCCUR)
         assert all(isinstance(r, EvalReport) for r in result.reports)
 
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_kept_scores_are_what_the_reports_count(self, config_path, mode):
+        config = dataclasses.replace(load_config(config_path), threshold_mode=mode)
+        _assert_kept_scores(run_experiment(config))
+
 
 @st.composite
 def _scorable_experiments(draw):
@@ -826,13 +831,40 @@ def _written_config(tmp: Path, files: dict[str, str], **options) -> ExperimentCo
     return ExperimentConfig(**{name.split(".")[0]: tmp / name for name in files}, **options)
 
 
+def _assert_kept_scores(result: pipeline.ExperimentResult) -> None:
+    """``result.values`` and ``result.reasons`` are one fresh ``score_ids``
+    of ``result.pairs`` per method, bit for bit, and each report is
+    ``evaluate`` of its held-out arm's slice of the kept values."""
+    config = result.config
+    table = load_embeddings(config.embeddings)
+    lexicon = load_definitions(config.definitions)
+    stopwords = load_stopwords(config.stopwords)
+    reports = {(r.method, r.negative_source): r for r in result.reports}
+    positive = result.sources == LADEC
+    assert list(result.values) == list(result.reasons) == list(ScoreMethod)
+    for method in ScoreMethod:
+        values, reasons = result.values[method], result.reasons[method]
+        expected = score_ids(method, table, lexicon, stopwords, *lexeme_ids(result.pairs))
+        assert values.dtype == np.float64 and reasons.dtype == np.int8
+        assert values.tobytes() == expected[0].tobytes()
+        assert reasons.tobytes() == expected[1].tobytes()
+        assert np.array_equal(np.isnan(values), reasons != 0)
+        for arm in NEGATIVE_SOURCES:
+            heldout = ~result.calibration & (positive | (result.sources == arm))
+            threshold = result.thresholds[(method, arm)]
+            report = evaluate(values[heldout], positive[heldout], threshold, method, arm)
+            assert reports[(method, arm)] == report
+
+
 def _assert_recomputed_pair_by_pair(result: pipeline.ExperimentResult) -> None:
     """Each threshold and report of ``result``, from its split's pairs alone.
 
     The pairs of each side are picked by their sources and scored by
     ``score_ids``; nothing of ``run_experiment`` is reused but the pairs
-    and the split themselves.
+    and the split themselves. The kept values and reasons are checked by
+    ``_assert_kept_scores``.
     """
+    _assert_kept_scores(result)
     config = result.config
     table = load_embeddings(config.embeddings)
     lexicon = load_definitions(config.definitions)
@@ -899,6 +931,19 @@ class TestRunExperimentProperties:
         config = dataclasses.replace(_every_reason_config(tmp_path), threshold_mode=mode)
         _assert_recomputed_pair_by_pair(run_experiment(config))
 
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_unscorable_negatives_kept(self, tmp_path, mode):
+        """A filler without a vector: the negatives with it are unscorable by word."""
+        config = dataclasses.replace(_every_reason_config(tmp_path), threshold_mode=mode)
+        lines = config.embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith("fi ")]
+        assert len(kept) == len(lines) - 1
+        config.embeddings.write_text("".join(kept), encoding="utf-8")
+        result = run_experiment(config)
+        negative = result.sources != LADEC
+        assert result.reasons[ScoreMethod.WORD_SIMILARITY][negative].any()
+        _assert_recomputed_pair_by_pair(result)
+
 
 def _every_reason_config(tmp: Path) -> ExperimentConfig:
     """A run whose positives meet every unscorable reason under some method.
@@ -947,14 +992,9 @@ class TestScoringWorker:
         monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
         forked = run_experiment(config)
         assert len(forks) == 1  # the scoring
-        # Every unscorable reason occurs among the pairs of the run.
-        table = load_embeddings(config.embeddings)
-        lexicon = load_definitions(config.definitions)
-        stopwords = load_stopwords(config.stopwords)
-        pairs = list(forked.pairs)
-        reasons = set()
-        for method in ScoreMethod:
-            reasons.update(score_ids(method, table, lexicon, stopwords, *lexeme_ids(pairs))[1])
+        # Every unscorable reason occurs among the pairs of the run; the kept
+        # reasons are a fresh score_ids of the pairs (_assert_kept_scores).
+        reasons = set(np.concatenate(list(forked.reasons.values())).tolist())
         assert reasons == set(range(len(UNSCORABLE_REASONS) + 1))
 
         monkeypatch.delattr(os, "fork")
