@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import random
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -116,6 +117,8 @@ def tokenize_all(texts: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarra
 
     Returns ``(words, ids, counts)``: the distinct tokens, the index into
     ``words`` of each token, text after text, and each text's token count.
+    ``words`` holds the tokens of up to 12 letters in sorted order, then
+    the longer ones, first seen first.
     """
     joined = "\n".join(texts)
     if joined.count("\n") != len(texts) - 1:  # a text holds a line end: no token spans it
@@ -123,10 +126,11 @@ def tokenize_all(texts: Sequence[str]) -> tuple[list[str], np.ndarray, np.ndarra
     # As in _letters; the line ends between the texts are found before the
     # translation makes them spaces.
     encoded = joined.lower().encode("ascii", "replace")
-    starts, keys, longer, ids = _distinct_tokens(encoded.translate(_LETTERS))
+    longer: dict[str, int] = {}  # one call: a longer token's id is its place after the keys
+    starts, keys, _, ids = _distinct_tokens(encoded.translate(_LETTERS), longer)
     ends = np.flatnonzero(np.frombuffer(encoded, np.uint8) == ord("\n"))
     counts = np.bincount(np.searchsorted(ends, starts), minlength=len(texts))
-    return _unpacked(keys) + longer, ids, counts
+    return _unpacked(keys) + list(longer), ids, counts
 
 
 def has_token(text: str) -> bool:
@@ -160,19 +164,20 @@ def count_corpus(path: str | Path) -> BigramCounts:
     a file may have no line ends. The letters at the end of a chunk may go
     on in the next, so they wait for it. A token of up to 12 letters
     becomes one int64 key, 5 bits a letter (``a`` 1 to ``z`` 26) with the
-    first letter highest, so key order is string order. Each chunk keeps
-    its distinct keys, its distinct longer tokens and each token's index
-    into them (int32). At the end one ``np.unique`` over every chunk's keys
-    and one sort of the longer tokens rank the words, and each chunk's
-    tokens become ranks in the sorted vocabulary, and one ``np.bincount``
-    of the ranks gives ``unigrams``. Each adjacent pair of ranks is one
+    first letter highest, so key order is string order. A longer token gets
+    an id in one table for the whole corpus. Each chunk keeps its distinct
+    keys, the ids of its distinct longer tokens and each token's index into
+    them (int32). At the end one ``np.unique`` over every chunk's keys and
+    one sort of the longer tokens rank the words, each chunk's tokens
+    become ranks in the sorted vocabulary, and one ``np.bincount`` of the
+    ranks gives ``unigrams``. Each adjacent pair of ranks is one
     int64 code, over the whole sequence; one in-place sort lines the codes
     up, and each run of equal codes is a bigram and its count. The peak
     holds two int64 arrays of the token count, 16 bytes a token, and the
     V × 8-byte ``unigrams``. Errors are read_corpus's.
     """
-    chunks = []  # each chunk's distinct keys, distinct longer tokens and token index
-    longs: set[str] = set()
+    chunks = []  # each chunk's distinct keys, longer-token ids and token index
+    longer: dict[str, int] = {}  # each longer token's id, over the whole corpus
     tail = b""
     for chunk in _chunks(_corpus_files(Path(path))):
         # Lowercasing and the translation go character by character, so
@@ -180,25 +185,24 @@ def count_corpus(path: str | Path) -> BigramCounts:
         letters = tail + _letters(chunk)
         cut = letters.rfind(b" ") + 1
         letters, tail = letters[:cut], letters[cut:]
-        _, distinct, longer, index = _distinct_tokens(letters)
-        longs.update(longer)
-        chunks.append((distinct, longer, index.astype(np.int32)))
+        _, distinct, ids, index = _distinct_tokens(letters, longer)
+        chunks.append((distinct, ids, index.astype(np.int32)))
 
     keys, key_ranks = np.unique(
         np.concatenate([distinct for distinct, _, _ in chunks]), return_inverse=True
     )
     # Both lists are sorted. A word's rank counts the words of the other
     # list before it: no packed word equals a longer one.
-    words, longs = _unpacked(keys), sorted(longs)
+    words, longs = _unpacked(keys), sorted(longer)
     before = np.array([bisect.bisect_left(words, word) for word in longs], np.int64)
     key_ranks += np.searchsorted(before, key_ranks, side="right")
-    long_ranks = before + np.arange(len(longs))
+    long_ranks = np.empty(len(longs), np.int64)  # by id
+    long_ranks[[longer[word] for word in longs]] = before + np.arange(len(longs))
     vocabulary = tuple(sorted(words + longs))
     ranked = np.empty(sum(len(index) for _, _, index in chunks), np.int64)
     start = offset = 0
-    for distinct, longer, index in chunks:
-        at = [bisect.bisect_left(longs, word) for word in longer]
-        table = np.concatenate((key_ranks[offset : offset + len(distinct)], long_ranks[at]))
+    for distinct, ids, index in chunks:
+        table = np.concatenate((key_ranks[offset : offset + len(distinct)], long_ranks[ids]))
         ranked[start : start + len(index)] = table[index]
         offset += len(distinct)
         start += len(index)
@@ -220,15 +224,16 @@ def count_corpus(path: str | Path) -> BigramCounts:
     )
 
 
-def _distinct_tokens(letters: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+def _distinct_tokens(letters: bytes, longer: dict[str, int]) -> tuple[np.ndarray, ...]:
     """The tokens of ``letters``, runs of lowercase letters between spaces.
 
     A token of up to 12 letters becomes one int64 key: 5 bits a letter
     (``a`` 1 to ``z`` 26), the first letter highest, so a shorter token
-    ends in zero bits and key order is string order. Returns ``(starts,
-    keys, longer, index)``: where each token starts in ``letters``; the
-    distinct keys, ascending; the distinct longer tokens, first seen first;
-    and the index of each token into ``keys`` followed by ``longer``.
+    ends in zero bits and key order is string order. A longer token not yet
+    in ``longer`` is added to it with the next id. Returns ``(starts, keys,
+    ids, index)``: where each token starts in ``letters``; the distinct
+    keys, ascending; the ids of the distinct longer tokens, first seen
+    first; and the index of each token into ``keys`` followed by those.
     """
     values = np.frombuffer(letters + b" ", np.uint8) & 31  # a space is 0
     edges = np.flatnonzero(np.diff(values != 0, prepend=False))
@@ -243,12 +248,14 @@ def _distinct_tokens(letters: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray
     keys, inverse = np.unique(keys << 5 * (12 - longest), return_inverse=True)
     index = np.empty(len(starts), np.intp)
     index[packed] = inverse.ravel()
-    longer: dict[str, int] = {}  # each longer token's index
-    for position in np.flatnonzero(~packed).tolist():
-        start = int(starts[position])
-        word = letters[start : start + int(lengths[position])].decode("ascii")
-        index[position] = longer.setdefault(word, len(keys) + len(longer))
-    return starts, keys, list(longer), index
+    at = np.flatnonzero(~packed)
+    spans = map(slice, starts[at].tolist(), edges[1::2][at].tolist())
+    words = list(map(letters.__getitem__, spans))
+    # Each distinct one's index; per occurrence, only dict and map steps in C.
+    local = dict(zip(dict.fromkeys(words), itertools.count(len(keys))))
+    index[at] = np.fromiter(map(local.__getitem__, words), np.intp, len(words))
+    ids = [longer.setdefault(word.decode("ascii"), len(longer)) for word in local]
+    return starts, keys, np.array(ids, np.intp), index
 
 
 def _unpacked(keys: np.ndarray) -> list[str]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import text_lines
-from .corpus import has_token, tokenize, tokenize_all
+from .corpus import has_token, tokenize_all
 from .embeddings import EmbeddingTable
 from .errors import LexiconFormatError
 
@@ -44,16 +44,11 @@ BLOCK_ROWS = 512
 class DefinitionLexicon:
     """Lexeme (lowercase) -> the text of its first definition.
 
-    The text is tokenized only when a lexeme's tokens are asked for, so a
-    run pays for the definitions it scores, not for the whole lexicon.
+    ``resolve_definitions`` tokenizes only the definitions it is asked for,
+    so a run pays for the definitions it scores, not for the whole lexicon.
     """
 
     definitions: dict[str, str]
-
-    def get(self, lexeme: str) -> tuple[str, ...] | None:
-        """The lowercase alphabetic tokens of ``lexeme``'s definition, or None."""
-        definition = self.definitions.get(lexeme.lower())
-        return None if definition is None else tokenize(definition)
 
     def __contains__(self, lexeme: str) -> bool:
         return lexeme.lower() in self.definitions
@@ -67,7 +62,7 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
 
     When a lexeme repeats, only its first line is kept: the lexicon stores
     first definitions only. A definition must hold at least one token of
-    the corpus tokenizer, which ``DefinitionLexicon.get`` applies to it.
+    the corpus tokenizer, which ``resolve_definitions`` applies to it.
     """
     definitions: dict[str, str] = {}
     with text_lines(source, LexiconFormatError) as lines:

@@ -39,9 +39,10 @@ class EmbeddingTable:
     """Immutable token -> vector map with a single fixed dimension.
 
     ``index`` maps each token to its row of ``matrix``, one (V, d) float64
-    array that the loader makes read-only. Tokens are stored lowercase;
-    lookups lowercase their argument, so case never causes a spurious
-    out-of-vocabulary miss.
+    array that the loader makes read-only: a token's vector is
+    ``matrix[index[token]]``. Tokens are stored lowercase; ``in`` and
+    ``scoring.score_ids`` lowercase what they look up, so case never causes
+    a spurious out-of-vocabulary miss.
     """
 
     index: dict[str, int]
@@ -52,11 +53,6 @@ class EmbeddingTable:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[1]
-
-    def lookup(self, token: str) -> np.ndarray | None:
-        """Return the row of ``token`` (case-insensitive) as a view, or None."""
-        row = self.index.get(token.lower())
-        return None if row is None else self.matrix[row]
 
     def __contains__(self, token: str) -> bool:
         return token.lower() in self.index

@@ -326,6 +326,15 @@ class ExperimentConfig:
     compound_right_column: str = "c2"
     output_dir: Path = Path(".")
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.fraction < 1.0:
+            raise ConfigError(f"config key 'fraction': must be in (0, 1), got {self.fraction}")
+        if self.threshold_mode not in THRESHOLD_MODES:
+            raise ConfigError(
+                f"config key 'threshold_mode': expected one of {THRESHOLD_MODES}, "
+                f"got {self.threshold_mode!r}"
+            )
+
 
 # The ConfigError wording for a value that does not parse as its field's type.
 _NUMBER_KINDS = {int: "an integer", float: "a number"}
@@ -394,15 +403,7 @@ def _parse_config(content: str, base: Path) -> ExperimentConfig:
                     f"config key {key!r}: not {_NUMBER_KINDS[kind]}: {raw[key]!r}"
                 ) from None
 
-    config = ExperimentConfig(**values)
-    if not 0.0 < config.fraction < 1.0:
-        raise ConfigError(f"config key 'fraction': must be in (0, 1), got {config.fraction}")
-    if config.threshold_mode not in THRESHOLD_MODES:
-        raise ConfigError(
-            f"config key 'threshold_mode': expected one of {THRESHOLD_MODES}, "
-            f"got {config.threshold_mode!r}"
-        )
-    return config
+    return ExperimentConfig(**values)
 
 
 @dataclass(frozen=True, eq=False)

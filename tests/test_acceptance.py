@@ -315,10 +315,10 @@ def test_criterion_8_scan_emits_exactly_the_qualifying_bigrams(announce, toy_tab
         for (left, right), count in counts.items():
             if count < min_count:
                 continue
-            u = toy_table.lookup(left)
-            v = toy_table.lookup(right)
-            if u is None or v is None:
+            if left not in toy_table or right not in toy_table:
                 continue
+            u = toy_table.matrix[toy_table.index[left]]
+            v = toy_table.matrix[toy_table.index[right]]
             score = plain_cosine(u, v)
             if score < threshold:
                 expected.append((left, right, count, score))

@@ -195,6 +195,17 @@ class TestCountCorpus:
         nested=False,
         chunk=20,
     )
+    @example(  # a longer token in every chunk, each time with the same corpus-wide id
+        files=[(["abcdefghijklmn jet. abcdefghijklmn jet. abcdefghijklmn"], "\n", True, False)],
+        nested=False,
+        chunk=20,
+    )
+    @example(  # a longer token first seen in the second chunk sorts before every earlier
+        # word, and the third chunk holds it again
+        files=[(["zz zzzzzzzzzzzzzz yy aaaaaaaaaaaaaa zz aaaaaaaaaaaaaa"], "\n", True, False)],
+        nested=False,
+        chunk=20,
+    )
     def test_equals_read_then_count(self, files, nested, chunk):
         """Over a file and a directory of files, in chunks down to one character."""
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mwedetect import definitions
+from mwedetect.corpus import tokenize
 from mwedetect.definitions import (
     ALL_OOV,
     ALL_STOPWORDS,
@@ -31,20 +32,24 @@ from conftest import alphabetic_token, make_table
 class TestLoadDefinitions:
     def test_parses_and_tokenizes(self):
         lexicon = load_definitions(["hot\ta Jet, or similar!"])
-        assert lexicon.get("hot") == ("a", "jet", "or", "similar")
+        assert "hot" in lexicon
+        assert tokenize(lexicon.definitions["hot"]) == ("a", "jet", "or", "similar")
 
     def test_first_definition_wins(self):
         lexicon = load_definitions(["bank\tmoney house", "bank\triver side"])
-        assert lexicon.get("bank") == ("money", "house")
+        assert "bank" in lexicon
+        assert tokenize(lexicon.definitions["bank"]) == ("money", "house")
 
     def test_lexeme_lowercased(self):
         lexicon = load_definitions(["Jet\tfast plane"])
         assert "jet" in lexicon
-        assert lexicon.get("JET") == ("fast", "plane")
+        assert "JET" in lexicon
+        assert tokenize(lexicon.definitions["JET".lower()]) == ("fast", "plane")
 
     def test_only_first_tab_separates(self):
         lexicon = load_definitions(["a\tb\tc"])
-        assert lexicon.get("a") == ("b", "c")
+        assert "a" in lexicon
+        assert tokenize(lexicon.definitions["a"]) == ("b", "c")
 
     def test_blank_lines_skipped(self):
         lexicon = load_definitions(["", "x\ty", "   "])
@@ -67,7 +72,9 @@ class TestLoadDefinitions:
             load_definitions(["num\t1234 !!"])
 
     def test_missing_lexeme_returns_none(self):
-        assert load_definitions(["x\ty"]).get("absent") is None
+        lexicon = load_definitions(["x\ty"])
+        assert "absent" not in lexicon
+        assert "absent" not in lexicon.definitions
 
 
 class TestLoadStopwords:
@@ -139,7 +146,8 @@ class TestLoaderRulesProperties:
             lexicon = load_definitions(lines)
             assert lexicon.definitions == expected
             for lexeme, definition in expected.items():
-                assert lexicon.get(lexeme) == _reference_tokens(definition)
+                assert lexeme in lexicon
+                assert tokenize(lexicon.definitions[lexeme]) == _reference_tokens(definition)
 
     @given(_LEXICON_LINES)
     def test_stopwords_match_per_line_rules(self, lines):
@@ -297,7 +305,7 @@ def _reference_sum(table, lexicon, lexeme, stopwords):
         tokens = [t for t in tokens if t not in stopwords]
         if not tokens:
             return None, ALL_STOPWORDS
-    rows = [table.lookup(t) for t in tokens if t in table]
+    rows = [table.matrix[table.index[t.lower()]] for t in tokens if t in table]
     if not rows:
         return None, ALL_OOV
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +316,7 @@ def _dropped_oov(table, lexicon, lexemes, stopwords):
     """The out-of-vocabulary tokens of the definitions that get a sum, one lexeme at a time."""
     dropped = 0
     for lexeme in lexemes:
-        tokens = lexicon.get(lexeme) or ()
+        tokens = tokenize(lexicon.definitions[lexeme.lower()]) if lexeme in lexicon else ()
         if stopwords is not None:
             tokens = [t for t in tokens if t not in stopwords]
         missing = sum(t not in table for t in tokens)

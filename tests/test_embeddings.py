@@ -30,11 +30,16 @@ class TestLoadEmbeddings:
     def test_parses_tokens_and_vectors(self, toy_table):
         assert toy_table.dimension == 4
         assert len(toy_table) == 16
-        np.testing.assert_array_equal(toy_table.lookup("jet"), [1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(toy_table.lookup("dog"), [-1.0, 1.0, 0.0, 0.0])
+        matrix, index = toy_table.matrix, toy_table.index
+        np.testing.assert_array_equal(matrix[index["jet"]], [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(matrix[index["dog"]], [-1.0, 1.0, 0.0, 0.0])
 
     def test_lookup_is_case_insensitive(self, toy_table):
-        np.testing.assert_array_equal(toy_table.lookup("JET"), toy_table.lookup("jet"))
+        # Tokens are stored lowercase: "JET" lowercased is the row of "jet".
+        np.testing.assert_array_equal(
+            toy_table.matrix[toy_table.index["JET".lower()]], [1.0, 0.0, 0.0, 0.0]
+        )
+        assert "JET" in toy_table
         assert "Jet" in toy_table
 
     def test_tokens_stored_lowercase(self):
@@ -42,11 +47,11 @@ class TestLoadEmbeddings:
         assert sorted(table.index) == ["canis", "felis"]
 
     def test_missing_token_returns_none(self, toy_table):
-        assert toy_table.lookup("zzz") is None
+        assert "zzz" not in toy_table.index
         assert "zzz" not in toy_table
 
     def test_vectors_are_read_only(self, toy_table):
-        vec = toy_table.lookup("jet")
+        vec = toy_table.matrix[toy_table.index["jet"]]
         with pytest.raises(ValueError):
             vec[0] = 99.0
 
@@ -56,12 +61,12 @@ class TestLoadEmbeddings:
 
     def test_crlf_line_endings(self):
         table = load_embeddings(["a 1 0\r\n", "b 0 1\r\n"])
-        np.testing.assert_array_equal(table.lookup("a"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.index["a"]], [1.0, 0.0])
 
     def test_first_duplicate_wins_and_is_recorded(self, caplog):
         with caplog.at_level("WARNING"):
             table = load_embeddings(["dup 1 0", "dup 2 0", "other 0 1"])
-        np.testing.assert_array_equal(table.lookup("dup"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.index["dup"]], [1.0, 0.0])
         assert table.duplicate_tokens == ("dup",)
         assert any("duplicate" in record.message for record in caplog.records)
 
@@ -98,7 +103,7 @@ class TestLoadEmbeddings:
     def test_zero_vector_loads(self):
         # A zero-norm entry is a parse-level success; it only fails at cosine time.
         table = load_embeddings(["zero 0 0", "one 1 0"])
-        np.testing.assert_array_equal(table.lookup("zero"), [0.0, 0.0])
+        np.testing.assert_array_equal(table.matrix[table.index["zero"]], [0.0, 0.0])
 
     def test_source_label_defaults_to_path(self, data_dir):
         table = load_embeddings(data_dir / "toy_embeddings.txt")
@@ -201,14 +206,14 @@ class TestWord2vecHeader:
         table = load_embeddings(data_dir / "word2vec_header.txt")
         assert table.dimension == 2
         assert list(table.index) == ["alpha", "beta", "gamma"]
-        np.testing.assert_array_equal(table.lookup("gamma"), [0.5, -0.5])
+        np.testing.assert_array_equal(table.matrix[table.index["gamma"]], [0.5, -0.5])
 
     def test_one_dimensional_entry_that_looks_like_a_header(self, data_dir):
         # "2 3" is followed by lines of one value, not three: it is the entry "2".
         table = load_embeddings(data_dir / "glove_1d_header_like.txt")
         assert table.dimension == 1
         assert list(table.index) == ["2", "alpha", "beta"]
-        np.testing.assert_array_equal(table.lookup("2"), [3.0])
+        np.testing.assert_array_equal(table.matrix[table.index["2"]], [3.0])
 
     def test_wrong_entry_count_names_the_header(self, data_dir):
         path = data_dir / "word2vec_wrong_count.txt"
@@ -309,8 +314,8 @@ class TestBlockParseProperties:
             assert list(table.index) == list(expected)
             assert table.matrix.shape == (len(expected), table.dimension)
             for token, vector in expected.items():
-                assert table.lookup(token).tobytes() == vector.tobytes()
-                assert not table.lookup(token).flags.writeable
+                assert table.matrix[table.index[token]].tobytes() == vector.tobytes()
+                assert not table.matrix[table.index[token]].flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(

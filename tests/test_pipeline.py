@@ -624,6 +624,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="threshold_mode"):
             load_config(self._write(tmp_path, self.REQUIRED + "threshold_mode = magic\n"))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"threshold_mode": "Shared"}, "config key 'threshold_mode': expected one of"),
+            ({"fraction": 1.5}, r"config key 'fraction': must be in \(0, 1\), got 1.5"),
+        ],
+        ids=["threshold_mode", "fraction"],
+    )
+    def test_replaced_config_checks_its_rules(self, config_path, change, message):
+        # A library caller's replace() must not run a mode or a split no config could.
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(load_config(config_path), **change)
+
     def test_nul_byte_in_path_rejected(self, tmp_path):
         path = self._write(tmp_path, self.REQUIRED.replace("emb.txt", "emb\0.txt"))
         with pytest.raises(ConfigError) as error:

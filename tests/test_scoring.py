@@ -224,8 +224,9 @@ def _scoring_inputs(draw):
 def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
     """Reference (vector, reason) for one lexeme, built without mwedetect."""
     if method is WORD:
-        vector = table.lookup(lexeme)
-        return (None, oov_reason) if vector is None else (vector, None)
+        if lexeme not in table:
+            return None, oov_reason
+        return table.matrix[table.index[lexeme.lower()]], None
     definition = lexicon.definitions.get(lexeme)
     if definition is None:
         return None, NO_DEFINITION
@@ -234,7 +235,7 @@ def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
         tokens = [t for t in tokens if t not in stopwords]
         if not tokens:
             return None, ALL_STOPWORDS
-    rows = [table.lookup(t) for t in tokens if t in table]
+    rows = [table.matrix[table.index[t.lower()]] for t in tokens if t in table]
     if not rows:
         return None, ALL_OOV
     with np.errstate(over="ignore"):
@@ -263,7 +264,9 @@ class TestScorePairProperties:
                 else:
                     assert outcome.is_scorable
                     if method is WORD:
-                        assert outcome.value == cosine(table.lookup(left), table.lookup(right))
+                        u = table.matrix[table.index[left.lower()]]
+                        v = table.matrix[table.index[right.lower()]]
+                        assert outcome.value == cosine(u, v)
                 flipped = score_pair(method, table, lexicon, stopwords, LexemePair(right, left))
                 assert flipped.value == outcome.value
                 assert flipped.is_scorable == outcome.is_scorable
