@@ -46,6 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _path(value: str) -> str:
+    if not value:  # Path("") would be the working directory
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
     if method is not ScoreMethod.WORD_SIMILARITY and definitions is None:
         raise ConfigError(f"--definitions is required for method {method.value!r}")
@@ -157,10 +163,8 @@ def cmd_run(args) -> int:
                 f"threshold {threshold:.6f} lies outside [-1, 1], so every scored pair is "
                 f"judged {judged.value}"
             )
-    print(
-        f"corpus: {result.vocabulary_size} vocabulary types, "
-        f"{result.bigram_type_count} bigram types"
-    )
+    counts = result.counts
+    print(f"corpus: {len(counts.vocabulary)} vocabulary types, {len(counts)} bigram types")
     print()
     print(_format_report_table(result.reports))
     print()
@@ -239,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="calibrate and evaluate a full experiment")
     run.add_argument("config")
-    run.add_argument("--output-dir", help="override the config's output_dir")
+    run.add_argument("--output-dir", type=_path, help="override the config's output_dir")
     run.set_defaults(func=cmd_run)
 
     scan = subparsers.add_parser(
         "scan", parents=[method_inputs], help="classify every co-occurring bigram of a corpus"
     )
-    scan.add_argument("--corpus", required=True)
+    scan.add_argument("--corpus", required=True, type=_path)
     scan.add_argument("--threshold", required=True, type=float)
     scan.add_argument("--min-count", type=int, default=1)
     scan.add_argument("--top-n", type=int, default=None)
@@ -253,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.set_defaults(func=cmd_scan)
 
     sample = subparsers.add_parser("sample-negatives", help="draw negative pairs from a corpus")
-    sample.add_argument("--corpus", required=True)
+    sample.add_argument("--corpus", required=True, type=_path)
     sample.add_argument("--kind", required=True, choices=["random", "cooccur"])
     sample.add_argument("--n", required=True, type=int)
     sample.add_argument("--seed", type=int, default=0)

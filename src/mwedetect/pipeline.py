@@ -417,7 +417,8 @@ class ExperimentResult:
     values and int8 reason codes that ``score_ids`` gave the pairs, in the
     same order: NaN and ``k`` for ``UNSCORABLE_REASONS[k - 1]`` where a
     pair is unscorable, 0 where it is scored. The thresholds and reports
-    are computed from these arrays; they take 27 bytes a pair.
+    are computed from these arrays; they take 27 bytes a pair. ``counts``
+    is the corpus's ``BigramCounts``, which both negative arms are drawn from.
     """
 
     reports: tuple[EvalReport, ...]
@@ -428,8 +429,7 @@ class ExperimentResult:
     values: dict[ScoreMethod, np.ndarray]
     reasons: dict[ScoreMethod, np.ndarray]
     config: ExperimentConfig
-    vocabulary_size: int
-    bigram_type_count: int
+    counts: BigramCounts
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -450,7 +450,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     scores are collected. Either way each pair gets the same scores. Pairs
     stay in the order they were drawn and scored; calibration and
     evaluation count them through masks, so they do not depend on order.
-    The result keeps every pair's value and reason under each method.
+    The result keeps the counts and every pair's value and reason per method.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -545,8 +545,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         values=values,
         reasons=reasons,
         config=config,
-        vocabulary_size=len(counts.vocabulary),
-        bigram_type_count=len(counts),
+        counts=counts,
     )
 
 

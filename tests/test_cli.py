@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mwedetect
 from mwedetect import cli, embeddings, pipeline
 from mwedetect.cli import main
 from mwedetect.corpus import BigramCounts
@@ -359,6 +363,27 @@ class TestArgumentHandling:
         assert out([*scan, "--method", "definition-content", "--definitions", DEFS,
                     "--stopwords", ""]) == out([*scan, "--method", "definition", "--definitions", DEFS])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample-negatives", "--corpus", "", "--kind", "cooccur", "--n", "2"],
+            ["scan", "--corpus", "", "--embeddings", EMB, "--method", "word", "--threshold", "0.5"],
+            ["run", CONFIG, "--output-dir", ""],
+        ],
+        ids=["sample-negatives", "scan", "run"],
+    )
+    def test_an_empty_corpus_or_output_dir_is_an_error(self, argv, tmp_path, monkeypatch, capsys):
+        # Path("") is the working directory: its files would be counted as
+        # the corpus, or the reports written among them.
+        (tmp_path / "notes.txt").write_text("zebra crossing here zebra crossing\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for name in ("load_config", "load_inputs"):
+            monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a file was read"))
+        assert main(argv) == 1
+        flag = argv[argv.index("") - 1]
+        assert capsys.readouterr() == ("", f"error: argument {flag}: empty path\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
+
     def test_value_error_from_a_command_propagates(self, monkeypatch):
         # A ValueError is a bug, not a user error: main must not report it as exit 1.
         def broken(args):
@@ -367,6 +392,89 @@ class TestArgumentHandling:
         monkeypatch.setattr(cli, "cmd_score", broken)
         with pytest.raises(ValueError, match="bug"):
             main(["score", "jet", "lag", "--method", "word", "--embeddings", EMB])
+
+
+# Everything the commands produce under one hash seed, as JSON on stdout:
+# each command's exit code and its stdout without the "wrote" lines, each
+# output file, and a digest of what two runs keep in their results.
+_HASH_SEED_SCRIPT = """
+import contextlib, hashlib, io, itertools, json, shutil, string, sys
+from pathlib import Path
+from mwedetect.cli import main
+from mwedetect.pipeline import THRESHOLD_MODES, load_config, run_experiment
+
+data, out = Path(sys.argv[1]), Path(sys.argv[2])
+produced = {}
+
+def command(name, *argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([str(arg) for arg in argv])
+    lines = stdout.getvalue().splitlines(keepends=True)
+    produced[name] = [code, "".join(line for line in lines if not line.startswith("wrote "))]
+    for path in sorted(out.glob("*.csv")):
+        produced[f"{name} {path.name}"] = path.read_text(encoding="utf-8")
+        path.unlink()
+
+# 1,320 distinct tokens give more ordered pairs than are enumerated, so random
+# negatives are drawn by rejection sampling; 120 of them are longer than the
+# 12 letters count_corpus packs into a key.
+letters = itertools.product(string.ascii_lowercase, repeat=3)
+tokens = ["".join(t) for t in itertools.islice(letters, 1200)]
+large = out / "large-corpus.txt"
+large.write_text((" ".join(tokens + [t * 5 for t in tokens[::10]] + tokens[::7]) + "\\n") * 200)
+inputs = shutil.copytree(data, out / "data")
+digest = hashlib.sha256()
+for mode in THRESHOLD_MODES:
+    conf = inputs / f"{mode}.conf"
+    conf.write_text((data / "experiment.conf").read_text().replace("= shared", f"= {mode}"))
+    command(f"run {mode}", "run", conf, "--output-dir", out)
+    result = run_experiment(load_config(conf))
+    for method in result.values:
+        digest.update(result.values[method].tobytes() + result.reasons[method].tobytes())
+    digest.update("\\n".join(result.counts.vocabulary).encode())
+    for name in ("codes", "counts", "unigrams"):
+        digest.update(getattr(result.counts, name).tobytes())
+produced["kept"] = digest.hexdigest()
+for method in ("word", "definition", "definition-content"):
+    command(f"scan {method}", "scan", "--corpus", inputs / "toy_corpus.txt",
+            "--embeddings", inputs / "toy_embeddings.txt",
+            "--definitions", inputs / "toy_definitions.tsv", "--stopwords", inputs / "stopwords.txt",
+            "--method", method, "--threshold", "0.9", "--output", out / "hits.csv")
+for kind in ("random", "cooccur"):
+    command(f"sample {kind}", "sample-negatives", "--corpus", inputs / "toy_corpus.txt",
+            "--kind", kind, "--exclusions", inputs / "compounds.csv", "--n", "4", "--seed", "7")
+    command(f"sample large {kind}", "sample-negatives", "--corpus", large, "--kind", kind,
+            "--n", "500", "--seed", "7")
+print(json.dumps(produced))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        """Two fresh interpreters, with PYTHONHASHSEED 0 and 1, produce the
+        same bytes: ``run`` in both threshold modes, ``scan`` by every
+        method, ``sample-negatives`` of both kinds on the toy corpus and on
+        one large enough for rejection sampling, and what a run keeps."""
+        paths = (str(Path(mwedetect.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        produced = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            out.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+            done = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT, str(_DATA), str(out)],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            produced.append(json.loads(done.stdout))
+        first, second = produced
+        assert first == second
+        # Every command exits 0, and no output file is empty.
+        assert len(first) == 17
+        assert {value[0] for value in first.values() if isinstance(value, list)} == {0}
+        assert all(value for value in first.values() if isinstance(value, str))
+        assert len(first["sample large random"][1].splitlines()) == 501
 
 
 class TestCorpusCount:

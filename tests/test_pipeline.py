@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mwedetect import ScanHit, pipeline, scan_corpus
 from mwedetect.cli import main
-from mwedetect.corpus import build_bigram_counts, tokenize
+from mwedetect.corpus import BigramCounts, build_bigram_counts, count_corpus, tokenize
 from mwedetect.definitions import load_definitions, load_stopwords
 from mwedetect.embeddings import load_embeddings
 from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
@@ -798,6 +798,26 @@ class TestRunExperiment:
     def test_kept_scores_are_what_the_reports_count(self, config_path, mode):
         config = dataclasses.replace(load_config(config_path), threshold_mode=mode)
         _assert_kept_scores(run_experiment(config))
+
+    @pytest.mark.parametrize("mode", THRESHOLD_MODES)
+    def test_kept_counts_are_the_corpus_counts(self, config_path, mode):
+        config = dataclasses.replace(load_config(config_path), threshold_mode=mode)
+        result = run_experiment(config)
+        kept, counted = result.counts, count_corpus(config.corpus)
+        assert [field.name for field in dataclasses.fields(BigramCounts)] == [
+            "vocabulary", "codes", "counts", "unigrams"
+        ]
+        assert kept.vocabulary == counted.vocabulary
+        for name in ("codes", "counts", "unigrams"):
+            array = getattr(kept, name)
+            assert array.dtype == getattr(counted, name).dtype == np.int64
+            assert array.tobytes() == getattr(counted, name).tobytes()
+        # Both negative arms come from these counts.
+        for pair, source in zip(result.pairs, result.sources):
+            if source is RANDOM:
+                assert {pair.left, pair.right} <= set(kept.vocabulary)
+            elif source is COOCCUR:
+                assert kept.count(pair.left, pair.right) > 0
 
 
 @st.composite
