@@ -34,10 +34,6 @@ _LETTERS = bytes(byte if ord("a") <= byte <= ord("z") else ord(" ") for byte in 
 # 1M-token corpus; 4 Mi nearly doubled the 1M-token one.
 _CHUNK_CHARS = 1 << 18
 
-# Above this many ordered token pairs, uniform sampling switches from full
-# enumeration to seeded rejection sampling.
-_ENUMERATION_LIMIT = 1_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class BigramCounts:
@@ -310,53 +306,45 @@ def sample_random_pairs(
 
     Pairs listed in ``exclusions`` (LexemePairs or 2-tuples, matched exactly
     as ordered pairs) never appear, nor do duplicates within the sample.
-    The draw is reproducible: the vocabulary is sorted before the seeded
-    generator touches it, so set iteration order cannot leak in.
+    The draw is ``random.Random(seed).sample`` of the list of every
+    non-excluded ordered pair of distinct vocabulary tokens, in sorted
+    order, without building that list: the generator picks positions in
+    it, and each position is decoded into its pair. A repeated token counts
+    once, and the vocabulary is sorted before the generator touches it, so
+    set iteration order cannot leak in.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    vocab = sorted(vocabulary)
+    # Sorting first makes deduplication one pass over an already sorted
+    # vocabulary, such as BigramCounts gives.
+    vocab = [word for word, _ in itertools.groupby(sorted(vocabulary))]
     size = len(vocab)
     if size < 2 and n > 0:
         raise SamplingError(f"need at least 2 vocabulary tokens, have {size}")
-    excluded = set(map(_pair_key, exclusions))
 
-    total_ordered = size * (size - 1)
-    # Each exclusion blocks at most one pair, so the pairs it blocks are
-    # counted only when that could leave too few.
-    if n > total_ordered - len(excluded):
-        members = set(vocab)
-        blocked = sum(
-            1 for left, right in excluded if left != right and left in members and right in members
+    # Row i of the full list pairs vocab[i] with every other token, so the
+    # pair of ranks (i, j) sits at i * (size - 1) + j - (j > i).
+    blocked = set()
+    for left, right in map(_pair_key, exclusions):
+        i, j = bisect.bisect_left(vocab, left), bisect.bisect_left(vocab, right)
+        if left != right and vocab[i : i + 1] == [left] and vocab[j : j + 1] == [right]:
+            blocked.add(i * (size - 1) + j - (j > i))
+    available = size * (size - 1) - len(blocked)
+    if n > available:
+        raise SamplingError(
+            f"requested {n} random pairs but only {available} distinct "
+            f"non-excluded ordered pairs exist (short by {n - available})"
         )
-        available = total_ordered - blocked
-        if n > available:
-            raise SamplingError(
-                f"requested {n} random pairs but only {available} distinct "
-                f"non-excluded ordered pairs exist (short by {n - available})"
-            )
 
-    rng = random.Random(seed)
-    if total_ordered <= _ENUMERATION_LIMIT:
-        candidates = [
-            (left, right)
-            for left in vocab
-            for right in vocab
-            if left != right and (left, right) not in excluded
-        ]
-        chosen = rng.sample(candidates, n)
-    else:
-        seen: set[tuple[str, str]] = set()
-        chosen = []
-        while len(chosen) < n:
-            left = vocab[rng.randrange(size)]
-            right = vocab[rng.randrange(size)]
-            key = (left, right)
-            if left == right or key in excluded or key in seen:
-                continue
-            seen.add(key)
-            chosen.append(key)
-    return [LexemePair(left, right) for left, right in chosen]
+    # random.sample picks its positions from the list's length alone.
+    drawn = np.array(random.Random(seed).sample(range(available), n), np.int64)
+    # skips[k] - k available positions come before the k-th blocked one, so
+    # a draw moves past each blocked position with at most that many before it.
+    skips = np.array(sorted(blocked), np.int64)
+    drawn += np.searchsorted(skips - np.arange(len(skips)), drawn, side="right")
+    lefts, rest = np.divmod(drawn, size - 1)
+    rights = rest + (rest >= lefts)
+    return [LexemePair(vocab[i], vocab[j]) for i, j in zip(lefts.tolist(), rights.tolist())]
 
 
 def top_cooccurring_pairs(

@@ -20,6 +20,7 @@ Many ``LexemePair`` objects are scored as
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -39,6 +40,8 @@ from .embeddings import EmbeddingTable, row_cosines
 from .embeddings import cosine  # noqa: F401  bound here for perfbench's scoring.cosine hook
 from .errors import ConfigError
 from .pairs import LexemePair
+
+logger = logging.getLogger(__name__)
 
 LEFT_OOV = "left-oov"
 RIGHT_OOV = "right-oov"
@@ -120,7 +123,7 @@ def score_ids(
     gives that side's reason, the left side's first; then come
     ``zero-norm`` and ``non-finite``.
     ``stopwords`` is used only for definition content similarity; without a
-    set it is identical to definition similarity.
+    set it is identical to definition similarity, and one warning says so.
     """
     if method is not ScoreMethod.WORD_SIMILARITY and lexicon is None:
         raise ConfigError(f"method {method.value!r} needs a definition lexicon")
@@ -135,6 +138,8 @@ def score_ids(
         )
     else:
         content = method is ScoreMethod.DEFINITION_CONTENT_SIMILARITY
+        if content and stopwords is None:
+            logger.warning("definition-content without a stop-word set scores as definition")
         if resolved is None:
             resolved = resolve_definitions(lexicon, table, lexemes, stopwords if content else None)
         # A definition sum that overflows is reported below as non-finite,

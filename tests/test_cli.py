@@ -363,6 +363,26 @@ class TestArgumentHandling:
         assert out([*scan, "--method", "definition-content", "--definitions", DEFS,
                     "--stopwords", ""]) == out([*scan, "--method", "definition", "--definitions", DEFS])
 
+    def test_definition_content_without_stop_words_warns(self, tmp_path):
+        """``score`` and ``scan`` say on stderr that an empty ``--stopwords``
+        scores definition-content as definition; ``run`` warns of nothing."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(Path(mwedetect.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+        )}
+
+        def command(*argv):
+            done = subprocess.run([sys.executable, "-m", "mwedetect.cli", *map(str, argv)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            return done.returncode, done.stderr
+
+        content = ["--method", "definition-content", "--embeddings", EMB, "--definitions", DEFS,
+                   "--stopwords", ""]
+        warning = ("WARNING mwedetect.scoring: "
+                   "definition-content without a stop-word set scores as definition\n")
+        assert command("score", "jet", "lag", *content) == (0, warning)
+        assert command("scan", "--corpus", CORPUS, "--threshold", "0.9", *content) == (0, warning)
+        assert command("run", CONFIG, "--output-dir", tmp_path) == (0, "")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -416,8 +436,8 @@ def command(name, *argv):
         produced[f"{name} {path.name}"] = path.read_text(encoding="utf-8")
         path.unlink()
 
-# 1,320 distinct tokens give more ordered pairs than are enumerated, so random
-# negatives are drawn by rejection sampling; 120 of them are longer than the
+# 1,320 distinct tokens lie above the 1,000 words up to which earlier versions
+# enumerated the random negatives' candidates; 120 of them are longer than the
 # 12 letters count_corpus packs into a key.
 letters = itertools.product(string.ascii_lowercase, repeat=3)
 tokens = ["".join(t) for t in itertools.islice(letters, 1200)]
@@ -455,7 +475,7 @@ class TestHashSeedIndependence:
         """Two fresh interpreters, with PYTHONHASHSEED 0 and 1, produce the
         same bytes: ``run`` in both threshold modes, ``scan`` by every
         method, ``sample-negatives`` of both kinds on the toy corpus and on
-        one large enough for rejection sampling, and what a run keeps."""
+        one above 1,000 words, and what a run keeps."""
         paths = (str(Path(mwedetect.__file__).parents[1]), os.environ.get("PYTHONPATH"))
         produced = []
         for seed in ("0", "1"):

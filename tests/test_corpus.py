@@ -7,6 +7,7 @@ import random
 import re
 import string
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from mwedetect.corpus import (
 )
 from mwedetect.errors import CorpusError, SamplingError
 from mwedetect.pairs import LexemePair
+
+from reference import enumerated_random_pairs, random_pair_candidates
 
 
 # Characters with a Unicode case mapping that changes length or leaves ASCII.
@@ -406,17 +409,65 @@ class TestSampleRandomPairs:
         assert len(set(pairs)) == n
         assert pairs == sample_random_pairs(vocab, n, seed)
 
-    def test_rejection_sampling_on_a_large_vocabulary(self):
-        """1,001 tokens give more ordered pairs than are enumerated, so pairs
-        are drawn and rejected, the path every real corpus takes."""
+    def test_a_repeated_token_counts_once(self):
+        assert set(sample_random_pairs(["a", "a", "b"], 2, seed=0)) == {
+            LexemePair("a", "b"),
+            LexemePair("b", "a"),
+        }
+        with pytest.raises(SamplingError, match=r"only 2 distinct .*\(short by 2\)"):
+            sample_random_pairs(["a", "a", "b"], 4, seed=0)
+        with pytest.raises(SamplingError, match=r"only 6 distinct .*\(short by 3\)"):
+            sample_random_pairs(["a", "a", "b", "c"], 9, seed=0)
+        with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens, have 1"):
+            sample_random_pairs(["a", "a"], 1, seed=0)
+        assert sample_random_pairs(["c", "a", "b", "a", "c"], 6, seed=4) == sample_random_pairs(
+            ["a", "b", "c"], 6, seed=4
+        )
+
+    @given(
+        vocab=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=10),
+        # Tokens x and y are outside every vocabulary; a pair may be a
+        # self-pair, a LexemePair or a tuple, and may come in both orientations.
+        exclusions=st.lists(
+            st.tuples(st.sampled_from("abcdefxy"), st.sampled_from("abcdefxy"), st.booleans(),
+                      st.booleans()),
+            max_size=12,
+        ),
+        n=st.integers(min_value=0, max_value=32),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @example(vocab=["a", "a", "b"], exclusions=[], n=4, seed=0)
+    @example(vocab=["a", "b", "c"], exclusions=[("a", "b", True, True), ("c", "c", False, False)],
+             n=4, seed=1)
+    def test_equals_the_enumerated_draw(self, vocab, exclusions, n, seed):
+        """The draw is random.Random(seed).sample of every non-excluded
+        ordered pair, enumerated in sorted order, bit for bit."""
+        keys = []
+        for left, right, as_pair, both in exclusions:
+            for key in [(left, right), (right, left)][: 1 + both]:
+                keys.append(LexemePair(*key) if as_pair else key)
+        candidates = random_pair_candidates(vocab, keys)
+        if len(set(vocab)) < 2 and n > 0:
+            with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens"):
+                sample_random_pairs(vocab, n, seed, keys)
+        elif n > len(candidates):
+            with pytest.raises(SamplingError) as shortfall:
+                sample_random_pairs(vocab, n, seed, keys)
+            assert str(shortfall.value) == (
+                f"requested {n} random pairs but only {len(candidates)} distinct "
+                f"non-excluded ordered pairs exist (short by {n - len(candidates)})"
+            )
+        else:
+            assert sample_random_pairs(vocab, n, seed, keys) == enumerated_random_pairs(
+                vocab, n, seed, keys
+            )
+
+    def test_a_vocabulary_above_a_million_ordered_pairs(self):
+        """1,001 tokens give more than a million ordered pairs, where earlier
+        versions switched from enumeration to rejection sampling; the draw
+        is still the enumerated one."""
         vocab = [f"w{i:04d}" for i in range(1001)]
         unexcluded = sample_random_pairs(vocab, 500, seed=7)
-        assert unexcluded[:4] == [
-            LexemePair("w0331", "w0970"),
-            LexemePair("w0154", "w0404"),
-            LexemePair("w0666", "w0049"),
-            LexemePair("w0074", "w0840"),
-        ]
         # Exclude the first 100 draws in both orientations.
         keys = [(p.left, p.right) for p in unexcluded[:100]]
         keys += [(right, left) for left, right in keys]
@@ -424,9 +475,25 @@ class TestSampleRandomPairs:
         assert pairs == sample_random_pairs(
             vocab, 500, seed=7, exclusions=[LexemePair(*key) for key in keys]
         )
+        assert unexcluded == enumerated_random_pairs(vocab, 500, seed=7)
+        assert pairs == enumerated_random_pairs(vocab, 500, seed=7, exclusions=keys)
         assert len(pairs) == len(set(pairs)) == 500
         assert all(p.left != p.right for p in pairs)
         assert not {(p.left, p.right) for p in pairs} & set(keys)
+
+    def test_a_few_pairs_from_many_words_list_no_candidates(self):
+        """A million candidate pairs would take about 64 MB; the draw keeps
+        only its own."""
+        vocab = [f"w{i:04d}" for i in range(1000)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sample_random_pairs(vocab, 100, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTopCooccurringPairs:
