@@ -38,35 +38,32 @@ class Worker:
     ends without a result, killed by a signal for instance, raises
     ChildProcessError: ``"<what> ended without a result"``. The child holds
     no other worker's pipe end, and it leaves only through ``os._exit``.
-    Where ``os.fork`` is missing, ``result()`` makes the call itself.
+    Only the embeddings loader forks workers, and only where
+    ``os.sched_getaffinity`` exists, so ``os.fork`` does too.
     """
 
     def __init__(self, what: str, fn: Callable[..., Any], *args: Any) -> None:
         self._what = what
-        self._call: Callable[[], Any] | None = functools.partial(fn, *args)
+        self._call = functools.partial(fn, *args)
         self._pid: int | None = None
         self._reader = -1
 
     def __enter__(self) -> Worker:
-        if hasattr(os, "fork"):
-            reader, writer = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(reader)
-                os.close(writer)
-                raise
-            if pid == 0:
-                _child(reader, writer, self._call)
+        reader, writer = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(reader)
             os.close(writer)
-            self._pid, self._reader, self._call = pid, reader, None
-            _READERS.add(reader)
+            raise
+        if pid == 0:
+            _child(reader, writer, self._call)
+        os.close(writer)
+        self._pid, self._reader = pid, reader
+        _READERS.add(reader)
         return self
 
     def result(self) -> Any:
-        if self._call is not None:  # no fork on this platform
-            call, self._call = self._call, None
-            return call()
         reader, self._reader = self._reader, -1
         _READERS.discard(reader)
         with open(reader, "rb") as pipe:

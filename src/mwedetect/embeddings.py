@@ -91,52 +91,69 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     read-ahead can be named in place of an earlier bad line. Where a range
     starts moves it. On Python 3.12 and later ``os.fork`` warns when the
     process runs other threads, as numpy's BLAS pool does; the children
-    only parse text and leave through ``os._exit``. ``pipeline.load_inputs``
-    loads a command's other inputs while they parse.
+    only parse text and leave through ``os._exit``. ``Parsing`` lets a
+    caller load other inputs while they parse.
 
     Raises EmbeddingFormatError naming the first offending line on any format
     violation, and for an empty stream; for a path or an open file the
     message starts with its name. Raises ChildProcessError, naming the file,
     when a child ends without a result (it was killed, for instance).
     """
-    with contextlib.ExitStack() as stack:
-        return Parsing(source, stack).result()
+    with Parsing(source) as parse:
+        return parse.result()
 
 
 class Parsing:
-    """``load_embeddings(source)`` begun, to load other inputs meanwhile.
+    """``load_embeddings(source)`` begun, to do other work in the ``with`` block.
 
-    The header is read and a split file's children are forked on
-    ``stack``; closing it kills those still running. ``result()`` returns
-    the table or raises the load's error; a source that is not split is
-    parsed there. ``pipeline.load_inputs`` loads the other inputs meanwhile.
+    Entering reads the header and forks a split file's children; leaving
+    the block kills those still running. ``result()`` returns the table or
+    raises the load's error; a source that is not split is parsed there.
+    When the block raises an Exception before ``result()``, the embeddings
+    are joined first, and their error, if any, is raised in place of the
+    block's: errors come in the order of one load after another. Any other
+    exit, an interrupt for instance, kills the children without joining them.
     """
 
-    def __init__(self, source: str | os.PathLike | Iterable[str], stack: contextlib.ExitStack):
-        is_path = isinstance(source, (str, os.PathLike))
+    def __init__(self, source: str | os.PathLike | Iterable[str]) -> None:
         self.source = source
+        self._joined = False
+
+    def __enter__(self) -> Parsing:
+        source = self.source
+        is_path = isinstance(source, (str, os.PathLike))
         self.label = os.fspath(source) if is_path else ""
-        lines = stack.enter_context(open(source, encoding="utf-8-sig")) if is_path else source
-        with naming(source, EmbeddingFormatError):
-            self.declared, self.dimension, self.numbered = _read_head(iter(lines))
-        ranges = _line_ranges(self.label) if self.dimension else []
-        # Each range's first row, then the rows of all ranges.
-        *firsts, rows = itertools.accumulate((count for _, count in ranges), initial=0)
-        self.workers = []
-        if len(ranges) < 2:
-            self.matrix = np.empty((rows, self.dimension or 0))
-            return
-        # Anonymous and shared, so the children's writes land here.
-        shared = mmap.mmap(-1, rows * self.dimension * 8)
-        self.matrix = np.frombuffer(shared).reshape(rows, self.dimension)
-        for (start, count), row in zip(ranges, firsts):
-            what = f"{self.label}: the child parsing from line {row + 1}"
-            header = start == 0 and self.declared is not None
-            args = (self.label, start, count, header, self.dimension, self.matrix, row)
-            self.workers.append((row, stack.enter_context(Worker(what, _read_range, *args))))
+        with contextlib.ExitStack() as stack:
+            lines = stack.enter_context(open(source, encoding="utf-8-sig")) if is_path else source
+            with naming(source, EmbeddingFormatError):
+                self.declared, self.dimension, self.numbered = _read_head(iter(lines))
+            ranges = _line_ranges(self.label) if self.dimension else []
+            # Each range's first row, then the rows of all ranges.
+            *firsts, rows = itertools.accumulate((count for _, count in ranges), initial=0)
+            self.workers = []
+            if len(ranges) < 2:
+                self.matrix = np.empty((rows, self.dimension or 0))
+            else:
+                # Anonymous and shared, so the children's writes land here.
+                shared = mmap.mmap(-1, rows * self.dimension * 8)
+                self.matrix = np.frombuffer(shared).reshape(rows, self.dimension)
+                for (start, count), row in zip(ranges, firsts):
+                    what = f"{self.label}: the child parsing from line {row + 1}"
+                    header = start == 0 and self.declared is not None
+                    args = (self.label, start, count, header, self.dimension, self.matrix, row)
+                    worker = Worker(what, _read_range, *args)
+                    self.workers.append((row, stack.enter_context(worker)))
+            self._stack = stack.pop_all()
+        return self
+
+    def __exit__(self, kind: object, error: object, traceback: object) -> None:
+        with self._stack:
+            if isinstance(error, Exception) and not self._joined:
+                self.result()
 
     def result(self) -> EmbeddingTable:
         """The table: the children joined, or the one range parsed here."""
+        self._joined = True
         with naming(self.source, EmbeddingFormatError):
             if self.workers:
                 parts = [(row, worker.result()) for row, worker in self.workers]

@@ -36,7 +36,7 @@ from .embeddings import EmbeddingTable, Parsing
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
 from .scoring import UNSCORABLE_REASONS, ScoreMethod, is_compound, lexeme_ids, score_ids
-from ._io import Worker, naming, read_text, text_lines
+from ._io import naming, read_text, text_lines
 # Bound here for perfbench's pipeline.<name> hooks; nothing in this module calls them.
 from .corpus import build_bigram_counts, read_corpus  # noqa: F401
 from .embeddings import load_embeddings  # noqa: F401
@@ -155,19 +155,13 @@ def load_inputs(
     embeddings, definitions, stop words, compounds, corpus. An interrupt
     kills every child.
     """
-    with contextlib.ExitStack() as stack:
-        parse = None if embeddings is None else Parsing(embeddings, stack)
-        try:
-            lexicon = None if definitions is None else load_definitions(definitions)
-            words = None if stopwords is None else load_stopwords(stopwords)
-            pairs = None if compounds is None else load_compounds(compounds, *columns)
-            counts = None if corpus is None else count_corpus(corpus)
-        except Exception:
-            if parse is not None:
-                parse.result()
-            raise
+    with contextlib.nullcontext() if embeddings is None else Parsing(embeddings) as parse:
+        lexicon = None if definitions is None else load_definitions(definitions)
+        words = None if stopwords is None else load_stopwords(stopwords)
+        pairs = None if compounds is None else load_compounds(compounds, *columns)
+        counts = None if corpus is None else count_corpus(corpus)
         table = None if parse is None else parse.result()
-        return table, lexicon, words, pairs, counts
+    return table, lexicon, words, pairs, counts
 
 
 def split_dataset(
@@ -441,15 +435,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     calibration split, and evaluates the held-out split once per negative
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
-    recall identical across negative sources by construction. The inputs
-    load through ``load_inputs``, which counts the corpus in this process
-    while forked children parse a split embeddings file. Once both
-    negative arms are drawn, a forked worker scores the negatives, all
-    three methods, while this process splits the dataset and scores the
-    positives; without ``os.fork`` the negatives are scored where their
-    scores are collected. Either way each pair gets the same scores. Pairs
-    stay in the order they were drawn and scored; calibration and
-    evaluation count them through masks, so they do not depend on order.
+    recall identical across negative sources by construction. While
+    forked children parse a split embeddings file (``Parsing``), this
+    process loads the other inputs with ``load_inputs``, counting the corpus
+    last, draws both negative arms and splits the pairs; any error there
+    comes after the embeddings' own. Then every pair is scored once under
+    each method, in the order drawn, positives first; calibration and
+    evaluation count pairs through masks, so they do not depend on order.
     The result keeps the counts and every pair's value and reason per method.
     """
     for field in dataclasses.fields(config):
@@ -458,47 +450,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if field.default is dataclasses.MISSING and not input_path.exists():
             raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
-    table, lexicon, stopwords, positives, counts = load_inputs(
-        config.embeddings, config.definitions, config.stopwords, config.compounds, config.corpus,
-        (config.compound_left_column, config.compound_right_column),
-    )
-
-    exclusions = both_orientations(positives)
-    n = len(positives)
-    arms = {
-        PairSource.LADEC: positives,
-        PairSource.RANDOM: sample_random_pairs(
-            counts.vocabulary, n, config.sample_seed, exclusions
-        ),
-        PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
-    }
-
-    def score(pairs: list[LexemePair]) -> dict[ScoreMethod, tuple[np.ndarray, np.ndarray]]:
-        lexemes, left, right = lexeme_ids(pairs)
-        # Both definition methods sum from the same resolved definitions.
-        resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
-        return {
-            method: score_ids(method, table, lexicon, stopwords, lexemes, left, right, resolved)
-            for method in METHODS
+    with Parsing(config.embeddings) as parse:
+        _, lexicon, stopwords, positives, counts = load_inputs(
+            None, config.definitions, config.stopwords, config.compounds, config.corpus,
+            (config.compound_left_column, config.compound_right_column),
+        )
+        exclusions = both_orientations(positives)
+        n = len(positives)
+        arms = {
+            PairSource.LADEC: positives,
+            PairSource.RANDOM: sample_random_pairs(
+                counts.vocabulary, n, config.sample_seed, exclusions
+            ),
+            PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
         }
-
-    # A pair's scores do not depend on the pairs scored with it, so a forked
-    # worker scores the negatives while this process splits the pairs and
-    # scores the positives.
-    negatives = [pair for source in NEGATIVE_SOURCES for pair in arms[source]]
-    pair_source = np.repeat(np.array(list(arms), object), [len(pairs) for pairs in arms.values()])
-    with Worker("the worker scoring the negatives", score, negatives) as worker:
+        pair_source = np.repeat(np.array(list(arms), object), [len(arm) for arm in arms.values()])
         calibration = split_dataset(pair_source, config.fraction, config.split_seed)
-        positive_scores = score(positives)
-        negative_scores = worker.result()
-    # The values, then the reasons, of every pair in drawn order.
-    values, reasons = (
-        {
-            method: np.concatenate((positive_scores[method][k], negative_scores[method][k]))
-            for method in METHODS
-        }
-        for k in (0, 1)
-    )
+        table = parse.result()
+
+    pairs = tuple(pair for arm in arms.values() for pair in arm)
+    lexemes, left, right = lexeme_ids(pairs)
+    # Both definition methods sum from the same resolved definitions.
+    resolved = resolve_definitions(lexicon, table, lexemes, stopwords)
+    values, reasons = {}, {}
+    for method in METHODS:
+        values[method], reasons[method] = score_ids(
+            method, table, lexicon, stopwords, lexemes, left, right, resolved
+        )
     positive = pair_source == PairSource.LADEC
 
     # Cached: in shared mode both arms of a method share one calibration.
@@ -539,7 +517,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(
         reports=reports,
         thresholds=thresholds,
-        pairs=(*positives, *negatives),
+        pairs=pairs,
         sources=pair_source,
         calibration=calibration,
         values=values,

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mwedetect import _io, embeddings
 from mwedetect.cli import main
-from mwedetect.embeddings import cosine, load_embeddings, row_cosines, row_dots
+from mwedetect.embeddings import Parsing, cosine, load_embeddings, row_cosines, row_dots
 from mwedetect.errors import EmbeddingFormatError, NonFiniteError, ZeroNormError
 
 from conftest import assert_no_child_left
@@ -638,6 +638,43 @@ class TestWorkerLifecycle:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 30
+        assert_no_child_left()
+
+    def test_error_in_the_block_gives_way_to_the_embeddings_error(self, split_path):
+        with pytest.raises(RuntimeError, match="^in the block$"):
+            with Parsing(split_path):
+                raise RuntimeError("in the block")
+        split_path.write_text(split_path.read_text(encoding="utf-8").replace("w11 11 1", "w11 11 x"),
+                              encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match=": line 12: non-numeric"):
+            with Parsing(split_path):
+                raise RuntimeError("in the block")
+        assert_no_child_left()
+
+    def test_error_after_the_result_propagates_unchanged(self, split_path):
+        error = RuntimeError("after the result")
+        with pytest.raises(RuntimeError) as caught:
+            with Parsing(split_path) as parse:
+                assert len(parse.result()) == 12
+                raise error
+        assert caught.value is error
+        assert_no_child_left()
+
+    def test_base_exception_in_the_block_kills_the_children_unjoined(
+        self, split_path, monkeypatch
+    ):
+        read_range = embeddings._read_range
+
+        def slow(*args):
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_range(*args)
+
+        monkeypatch.setattr(embeddings, "_read_range", slow)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            with Parsing(split_path):
+                raise KeyboardInterrupt
         assert time.monotonic() - started < 30
         assert_no_child_left()
 

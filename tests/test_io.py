@@ -339,18 +339,3 @@ def test_a_worker_holds_no_other_workers_pipe_end():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not _io._READERS and all(not _is_open(fd) for fd in readers)
-
-
-def test_without_fork_a_worker_calls_in_place_when_collected(monkeypatch):
-    monkeypatch.delattr(os, "fork", raising=False)
-    calls = []
-
-    def fail():
-        calls.append(os.getpid())
-        raise CorpusError("no tokens")
-
-    with Worker("inline", fail) as worker:
-        assert calls == []
-        with pytest.raises(CorpusError, match="no tokens"):
-            worker.result()
-    assert calls == [os.getpid()]

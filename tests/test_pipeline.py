@@ -9,7 +9,6 @@ import math
 import os
 import random
 import re
-import signal
 import string
 import tempfile
 import time
@@ -21,12 +20,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mwedetect import ScanHit, pipeline, scan_corpus
-from mwedetect.cli import main
+from mwedetect import ScanHit, embeddings, pipeline, scan_corpus
 from mwedetect.corpus import BigramCounts, build_bigram_counts, count_corpus, tokenize
 from mwedetect.definitions import load_definitions, load_stopwords
 from mwedetect.embeddings import load_embeddings
-from mwedetect.errors import ConfigError, CorpusError, DatasetError, SamplingError
+from mwedetect.errors import (
+    ConfigError,
+    CorpusError,
+    DatasetError,
+    EmbeddingFormatError,
+    SamplingError,
+)
 from mwedetect.pairs import LexemePair
 from mwedetect.pipeline import (
     NEGATIVE_SOURCES,
@@ -1013,63 +1017,72 @@ def _every_reason_config(tmp: Path) -> ExperimentConfig:
     return _written_config(tmp, files, sample_seed=3, split_seed=4)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the negatives are scored in a fork")
-class TestScoringWorker:
-    """``run_experiment`` scores the negatives in a forked worker."""
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
+)
+class TestRunWhileTheEmbeddingsParse:
+    """``run_experiment`` loads its other inputs, draws both negative arms
+    and splits the pairs while forked children parse a split embeddings
+    file; it forks no other child."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        config = _every_reason_config(tmp_path)
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(embeddings._line_ranges(str(config.embeddings))) == 3
+        return config
 
     @pytest.mark.parametrize("mode", THRESHOLD_MODES)
-    def test_same_result_with_and_without_the_worker(self, tmp_path, monkeypatch, mode):
-        config = dataclasses.replace(_every_reason_config(tmp_path), threshold_mode=mode)
+    def test_one_child_per_range_and_the_result_of_one_range(self, config, monkeypatch, mode):
+        config = dataclasses.replace(config, threshold_mode=mode)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-        forked = run_experiment(config)
-        assert len(forks) == 1  # the scoring
+        split = run_experiment(config)
+        assert len(forks) == 3  # one child per range, and no other
         # Every unscorable reason occurs among the pairs of the run; the kept
         # reasons are a fresh score_ids of the pairs (_assert_kept_scores).
-        reasons = set(np.concatenate(list(forked.reasons.values())).tolist())
+        reasons = set(np.concatenate(list(split.reasons.values())).tolist())
         assert reasons == set(range(len(UNSCORABLE_REASONS) + 1))
 
-        monkeypatch.delattr(os, "fork")
-        inline = run_experiment(config)
-        assert inline.reports == forked.reports
-        assert inline.thresholds == forked.thresholds
-        assert_same_split(inline, forked)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_range = run_experiment(config)
+        assert len(forks) == 3
+        assert one_range.reports == split.reports
+        assert one_range.thresholds == split.thresholds
+        assert_same_split(one_range, split)
+        assert_no_child_left()
 
-    def test_killed_worker_is_a_child_process_error(self, tmp_path, monkeypatch, capsys):
-        config = _every_reason_config(tmp_path)
-        parent = os.getpid()
-
-        def killed(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return score_ids(*args)
-
-        monkeypatch.setattr(pipeline, "score_ids", killed)
-        expected = "^the worker scoring the negatives ended without a result$"
-        with pytest.raises(ChildProcessError, match=expected):
+    def test_bad_embeddings_come_before_a_sampling_error(self, config):
+        # Two words give two random pairs, fewer than the 15 compounds.
+        config.corpus.write_text("fa fb\n", encoding="utf-8")
+        with pytest.raises(SamplingError):
             run_experiment(config)
         assert_no_child_left()
-        # As an OSError it ends the command line with exit 1.
-        conf = tmp_path / "experiment.conf"
-        conf.write_text("".join(f"{name} = {getattr(config, name)}\n" for name in
-                                ("embeddings", "compounds", "corpus", "definitions", "stopwords")),
-                        encoding="utf-8")
-        assert main(["run", str(conf), "--output-dir", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("error: the worker scoring the negatives")
+        lines = config.embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        token, _, values = lines[-1].partition(" ")
+        lines[-1] = f"{token} x{values[values.index(' '):]}"
+        config.embeddings.write_text("".join(lines), encoding="utf-8")
+        expected = f"^{re.escape(str(config.embeddings))}: line {len(lines)}: non-numeric"
+        with pytest.raises(EmbeddingFormatError, match=expected):
+            run_experiment(config)
         assert_no_child_left()
 
-    def test_interrupt_while_the_worker_runs(self, tmp_path, monkeypatch):
-        config = _every_reason_config(tmp_path)
+    def test_interrupt_while_drawing_the_arms_leaves_no_child(self, config, monkeypatch):
+        read_range = embeddings._read_range
         parent = os.getpid()
 
-        def interrupted(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            time.sleep(60)  # the parent must kill the worker, not wait for it
-            return score_ids(*args)
+        def slow(*args):
+            time.sleep(60)  # the parent must kill the child, not wait for it
+            return read_range(*args)
 
-        monkeypatch.setattr(pipeline, "score_ids", interrupted)
+        def interrupted(*args):
+            assert os.getpid() == parent
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(embeddings, "_read_range", slow)
+        monkeypatch.setattr(pipeline, "sample_random_pairs", interrupted)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_experiment(config)
