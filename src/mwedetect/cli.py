@@ -53,7 +53,7 @@ def _path(value: str) -> str:
 
 
 def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
-    if method is not ScoreMethod.WORD_SIMILARITY and definitions is None:
+    if method is not ScoreMethod.WORD_SIMILARITY and not definitions:
         raise ConfigError(f"--definitions is required for method {method.value!r}")
     if method is ScoreMethod.DEFINITION_CONTENT_SIMILARITY and stopwords is None:
         raise ConfigError(f"--stopwords is required for method {method.value!r}")
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The inputs of a scoring method, shared by score and scan.
     method_inputs = argparse.ArgumentParser(add_help=False)
     method_inputs.add_argument("--method", required=True, choices=[m.value for m in ScoreMethod])
-    method_inputs.add_argument("--embeddings", required=True)
+    method_inputs.add_argument("--embeddings", required=True, type=_path)
     method_inputs.add_argument("--definitions")
     method_inputs.add_argument("--stopwords")
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--threshold", required=True, type=float)
     scan.add_argument("--min-count", type=int, default=1)
     scan.add_argument("--top-n", type=int, default=None)
-    scan.add_argument("--output", help="write hits CSV here instead of standard output")
+    scan.add_argument("--output", type=_path, help="write hits CSV here instead of standard output")
     scan.set_defaults(func=cmd_scan)
 
     sample = subparsers.add_parser("sample-negatives", help="draw negative pairs from a corpus")
@@ -264,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--exclusions", help="CSV of pairs to exclude (both orientations)")
     sample.add_argument("--exclusions-left-column", default="c1")
     sample.add_argument("--exclusions-right-column", default="c2")
-    sample.add_argument("--output", help="write pairs CSV here instead of standard output")
+    sample.add_argument(
+        "--output", type=_path, help="write pairs CSV here instead of standard output"
+    )
     sample.set_defaults(func=cmd_sample_negatives)
     return parser
 

@@ -11,6 +11,22 @@ from mwedetect.embeddings import EmbeddingTable, load_embeddings
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# A file or pipe left open warns when it is collected, often in a finalizer,
+# where the warning becomes an unraisable exception; both fail the test.
+_LEAK_GUARD = (
+    pytest.mark.filterwarnings("error::ResourceWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+)
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Give every test under ``tests/`` the leak guard's marks; those of
+    ``perfbench/tests`` go without until they close every file they read."""
+    for item in items:
+        if item.path.is_relative_to(DATA_DIR.parent):
+            for mark in _LEAK_GUARD:
+                item.add_marker(mark)
+
 
 def alphabetic_token(prefix: str, i: int) -> str:
     """A distinct alphabetic token for each ``i``: ``prefix``, then its decimal digits as letters."""

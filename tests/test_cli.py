@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -389,8 +390,14 @@ class TestArgumentHandling:
             ["sample-negatives", "--corpus", "", "--kind", "cooccur", "--n", "2"],
             ["scan", "--corpus", "", "--embeddings", EMB, "--method", "word", "--threshold", "0.5"],
             ["run", CONFIG, "--output-dir", ""],
+            ["score", "jet", "lag", "--method", "word", "--embeddings", ""],
+            ["scan", "--corpus", CORPUS, "--embeddings", "", "--method", "word", "--threshold", "0.5"],
+            ["scan", "--corpus", CORPUS, "--embeddings", EMB, "--method", "word", "--threshold", "0.5",
+             "--output", ""],
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "cooccur", "--n", "2", "--output", ""],
         ],
-        ids=["sample-negatives", "scan", "run"],
+        ids=["sample-negatives", "scan", "run", "score --embeddings", "scan --embeddings",
+             "scan --output", "sample-negatives --output"],
     )
     def test_an_empty_corpus_or_output_dir_is_an_error(self, argv, tmp_path, monkeypatch, capsys):
         # Path("") is the working directory: its files would be counted as
@@ -403,6 +410,24 @@ class TestArgumentHandling:
         flag = argv[argv.index("") - 1]
         assert capsys.readouterr() == ("", f"error: argument {flag}: empty path\n")
         assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["score", "jet", "lag", "--embeddings", EMB],
+            ["scan", "--corpus", CORPUS, "--embeddings", EMB, "--threshold", "0.5"],
+        ],
+        ids=["score", "scan"],
+    )
+    def test_an_empty_definitions_is_missing_for_a_definition_method(
+        self, argv, monkeypatch, capsys
+    ):
+        # Checked before any load, so no embeddings are parsed in vain.
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: pytest.fail("a file was read"))
+        assert main([*argv, "--method", "definition", "--definitions", ""]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --definitions is required for method 'definition'\n"
+        )
 
     def test_value_error_from_a_command_propagates(self, monkeypatch):
         # A ValueError is a bug, not a user error: main must not report it as exit 1.
@@ -495,6 +520,75 @@ class TestHashSeedIndependence:
         assert {value[0] for value in first.values() if isinstance(value, list)} == {0}
         assert all(value for value in first.values() if isinstance(value, str))
         assert len(first["sample large random"][1].splitlines()) == 501
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or not hasattr(os, "mkfifo"),
+    reason="the loader splits files on Linux only, and the pipe needs mkfifo",
+)
+class TestSameOutputsHoweverTheEmbeddingsAreRead:
+    """``score`` and ``scan`` by every method and ``run`` in both threshold
+    modes print and write the same bytes whether the embeddings file is
+    parsed as one range, as three ranges by forked children, or read from a
+    named pipe as one stream."""
+
+    def test_one_range_three_ranges_and_a_pipe(self, tmp_path, monkeypatch, capsys):
+        data = shutil.copytree(_DATA, tmp_path / "data")
+        out = tmp_path / "out"
+        out.mkdir()
+        file = data / "toy_embeddings.txt"
+        pipe = data / "embeddings.pipe"
+        os.mkfifo(pipe)
+        monkeypatch.setattr(embeddings, "BLOCK_LINES", 2)
+
+        def produced(path):
+            """Each command's exit code and stdout, and each file it wrote."""
+            inputs = ["--embeddings", path, "--definitions", data / "toy_definitions.tsv",
+                      "--stopwords", data / "stopwords.txt"]
+            commands = {}
+            for method in ("word", "definition", "definition-content"):
+                commands[f"score {method}"] = ["score", "jet", "lag", "--method", method, *inputs]
+                commands[f"scan {method}"] = [
+                    "scan", "--corpus", data / "toy_corpus.txt", "--threshold", "0.5",
+                    "--method", method, *inputs, "--output", out / "hits.csv",
+                ]
+            config = (data / "experiment.conf").read_text(encoding="utf-8")
+            for mode in pipeline.THRESHOLD_MODES:
+                conf = data / f"{mode}.conf"
+                conf.write_text(
+                    config.replace(f"= {file.name}", f"= {path.name}").replace("= shared", f"= {mode}"),
+                    encoding="utf-8",
+                )
+                assert load_config(conf).embeddings == path
+                commands[f"run {mode}"] = ["run", conf, "--output-dir", out]
+            outputs = {}
+            for name, argv in commands.items():
+                writer = None
+                if path == pipe:
+                    writer = threading.Thread(
+                        target=pipe.write_bytes, args=(file.read_bytes(),), daemon=True
+                    )
+                    writer.start()
+                outputs[name] = (main([str(arg) for arg in argv]), capsys.readouterr().out)
+                if writer:
+                    writer.join(timeout=10)
+                    assert not writer.is_alive()
+                for written in sorted(out.glob("*.csv")):
+                    outputs[f"{name} {written.name}"] = written.read_bytes()
+                    written.unlink()
+            return outputs
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert len(embeddings._line_ranges(str(file))) == 1
+        one_range = produced(file)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert len(embeddings._line_ranges(str(file))) == 3
+        assert produced(file) == one_range
+        assert embeddings._line_ranges(str(pipe)) == []
+        assert produced(pipe) == one_range
+        # Every command exits 0; each scan writes a hits file and each run two.
+        assert [value[0] for value in one_range.values() if isinstance(value, tuple)] == [0] * 8
+        assert len(one_range) == 8 + 3 + 2 * 2
 
 
 class TestCorpusCount:
