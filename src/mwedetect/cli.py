@@ -123,11 +123,11 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.output_dir is not None:
         config = dataclasses.replace(config, output_dir=Path(args.output_dir).resolve())
+    out_dir = config.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = run_experiment(config)
     mode = result.config.threshold_mode
 
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports_path = out_dir / "reports.csv"
     thresholds_path = out_dir / "thresholds.csv"
     _write_csv_rows(
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.set_defaults(func=cmd_score)
 
     run = subparsers.add_parser("run", help="calibrate and evaluate a full experiment")
-    run.add_argument("config")
+    run.add_argument("config", type=_path)
     run.add_argument("--output-dir", type=_path, help="override the config's output_dir")
     run.set_defaults(func=cmd_run)
 

@@ -104,7 +104,7 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
 
 
 class Parsing:
-    """``load_embeddings(source)`` begun, to do other work in the ``with`` block.
+    """``load_embeddings(source)`` begun, to load the other inputs in the ``with`` block.
 
     Entering reads the header and forks a split file's children; leaving
     the block kills those still running. ``result()`` returns the table or

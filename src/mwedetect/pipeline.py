@@ -10,7 +10,8 @@ one threshold to every bigram of raw text.
 Both score their pairs through ``scoring.score_ids`` as arrays: lexeme ids
 in, one value array per method out, NaN where a pair is unscorable.
 Calibration, evaluation and the scan's hit selection work on those arrays
-with masks; no per-pair outcome objects are built.
+with masks; no per-pair outcome objects are built. Every command loads its
+input files with one ``load_inputs`` call.
 """
 
 from __future__ import annotations
@@ -150,8 +151,9 @@ def load_inputs(
     columns, or ``columns``) and corpus counts of the files given, and None
     for each file not given.
 
-    While a split embeddings file's children parse (``Parsing``), this
-    process loads the other four, the corpus last. Errors come in the order
+    Every command loads through here. While a split embeddings file's
+    children parse (``Parsing``), this process loads the other four, the
+    corpus last; no child outlives the call. Errors come in the order
     embeddings, definitions, stop words, compounds, corpus. An interrupt
     kills every child.
     """
@@ -435,14 +437,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     calibration split, and evaluates the held-out split once per negative
     source. In shared mode the threshold comes from the random-pair
     negatives alone and is applied to both arms, which makes held-out
-    recall identical across negative sources by construction. While
-    forked children parse a split embeddings file (``Parsing``), this
-    process loads the other inputs with ``load_inputs``, counting the corpus
-    last, draws both negative arms and splits the pairs; any error there
-    comes after the embeddings' own. Then every pair is scored once under
-    each method, in the order drawn, positives first; calibration and
-    evaluation count pairs through masks, so they do not depend on order.
-    The result keeps the counts and every pair's value and reason per method.
+    recall identical across negative sources by construction. One
+    ``load_inputs`` call loads every input file; only then are both
+    negative arms drawn and the pairs split, so a load error comes before
+    a sampling or split error, and the embeddings' error before any other.
+    Every pair is scored once under each method, in the order drawn,
+    positives first; calibration and evaluation count pairs through masks,
+    so they do not depend on order. The result keeps the counts and every
+    pair's value and reason per method.
     """
     for field in dataclasses.fields(config):
         # The required fields are the input files.
@@ -450,24 +452,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         if field.default is dataclasses.MISSING and not input_path.exists():
             raise ConfigError(f"config key {field.name!r}: no such file: {input_path}")
 
-    with Parsing(config.embeddings) as parse:
-        _, lexicon, stopwords, positives, counts = load_inputs(
-            None, config.definitions, config.stopwords, config.compounds, config.corpus,
-            (config.compound_left_column, config.compound_right_column),
-        )
-        exclusions = both_orientations(positives)
-        n = len(positives)
-        arms = {
-            PairSource.LADEC: positives,
-            PairSource.RANDOM: sample_random_pairs(
-                counts.vocabulary, n, config.sample_seed, exclusions
-            ),
-            PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
-        }
-        pair_source = np.repeat(np.array(list(arms), object), [len(arm) for arm in arms.values()])
-        calibration = split_dataset(pair_source, config.fraction, config.split_seed)
-        table = parse.result()
-
+    table, lexicon, stopwords, positives, counts = load_inputs(
+        config.embeddings, config.definitions, config.stopwords, config.compounds, config.corpus,
+        (config.compound_left_column, config.compound_right_column),
+    )
+    exclusions = both_orientations(positives)
+    n = len(positives)
+    arms = {
+        PairSource.LADEC: positives,
+        PairSource.RANDOM: sample_random_pairs(
+            counts.vocabulary, n, config.sample_seed, exclusions
+        ),
+        PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
+    }
+    pair_source = np.repeat(np.array(list(arms), object), [len(arm) for arm in arms.values()])
+    calibration = split_dataset(pair_source, config.fraction, config.split_seed)
     pairs = tuple(pair for arm in arms.values() for pair in arm)
     lexemes, left, right = lexeme_ids(pairs)
     # Both definition methods sum from the same resolved definitions.

@@ -187,6 +187,16 @@ class TestRunCommand:
         main(["run", CONFIG, "--output-dir", str(tmp_path / "golden")])
         assert "outside [-1, 1]" not in capsys.readouterr().out
 
+    def test_an_output_dir_that_is_a_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("the run started"))
+        output = tmp_path / "compounds.csv"
+        output.write_text("c1,c2\n", encoding="utf-8")
+        with pytest.raises(FileExistsError) as exists:
+            output.mkdir(parents=True, exist_ok=True)
+        assert main(["run", CONFIG, "--output-dir", str(output)]) == 1
+        assert capsys.readouterr() == ("", f"error: {exists.value}\n")
+        assert output.read_text(encoding="utf-8") == "c1,c2\n"
+
     def test_missing_input_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "exp.conf"
         config.write_text(
@@ -395,9 +405,10 @@ class TestArgumentHandling:
             ["scan", "--corpus", CORPUS, "--embeddings", EMB, "--method", "word", "--threshold", "0.5",
              "--output", ""],
             ["sample-negatives", "--corpus", CORPUS, "--kind", "cooccur", "--n", "2", "--output", ""],
+            ["run", ""],
         ],
         ids=["sample-negatives", "scan", "run", "score --embeddings", "scan --embeddings",
-             "scan --output", "sample-negatives --output"],
+             "scan --output", "sample-negatives --output", "run config"],
     )
     def test_an_empty_corpus_or_output_dir_is_an_error(self, argv, tmp_path, monkeypatch, capsys):
         # Path("") is the working directory: its files would be counted as
@@ -407,8 +418,10 @@ class TestArgumentHandling:
         for name in ("load_config", "load_inputs"):
             monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a file was read"))
         assert main(argv) == 1
-        flag = argv[argv.index("") - 1]
-        assert capsys.readouterr() == ("", f"error: argument {flag}: empty path\n")
+        before = argv[argv.index("") - 1]
+        # An empty flag value names its flag, and the empty run positional its name.
+        name = before if before.startswith("--") else "config"
+        assert capsys.readouterr() == ("", f"error: argument {name}: empty path\n")
         assert [path.name for path in tmp_path.iterdir()] == ["notes.txt"]
 
     @pytest.mark.parametrize(

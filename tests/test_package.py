@@ -1,9 +1,12 @@
-"""The package's public names are exactly its modules' public names."""
+"""The package's public names are exactly its modules' public names, and the
+README's library examples run."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+import shutil
 
 import mwedetect
 
@@ -50,3 +53,20 @@ def test_names_documented_as_library_api_import_from_the_package():
         resolve_definitions,
         row_cosines,
     )
+
+
+def test_readme_python_examples_run(data_dir, tmp_path, monkeypatch):
+    readme = (data_dir.parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 3
+    shutil.copytree(data_dir, tmp_path, dirs_exist_ok=True)
+    # The README's placeholder names for the bundled inputs.
+    for name, source in (
+        ("vectors.txt", "toy_embeddings.txt"),
+        ("definitions.tsv", "toy_definitions.tsv"),
+        ("corpus.txt", "toy_corpus.txt"),
+    ):
+        shutil.copy(tmp_path / source, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -11,7 +11,6 @@ import random
 import re
 import string
 import tempfile
-import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -1020,10 +1019,11 @@ def _every_reason_config(tmp: Path) -> ExperimentConfig:
 @pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity"), reason="the loader splits files on Linux only"
 )
-class TestRunWhileTheEmbeddingsParse:
-    """``run_experiment`` loads its other inputs, draws both negative arms
-    and splits the pairs while forked children parse a split embeddings
-    file; it forks no other child."""
+class TestRunAfterTheEmbeddingsParse:
+    """``run_experiment`` loads every input with ``load_inputs``, whose
+    forked children parse a split embeddings file, and draws both negative
+    arms and splits the pairs only once those children are reaped; it forks
+    no other child."""
 
     @pytest.fixture
     def config(self, tmp_path, monkeypatch):
@@ -1069,24 +1069,18 @@ class TestRunWhileTheEmbeddingsParse:
             run_experiment(config)
         assert_no_child_left()
 
-    def test_interrupt_while_drawing_the_arms_leaves_no_child(self, config, monkeypatch):
-        read_range = embeddings._read_range
-        parent = os.getpid()
+    def test_no_child_is_left_while_the_arms_are_drawn(self, config, monkeypatch):
+        sample = pipeline.sample_random_pairs
+        draws = []
 
-        def slow(*args):
-            time.sleep(60)  # the parent must kill the child, not wait for it
-            return read_range(*args)
+        def after_the_join(*args, **kwargs):
+            assert_no_child_left()
+            draws.append(args)
+            return sample(*args, **kwargs)
 
-        def interrupted(*args):
-            assert os.getpid() == parent
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(embeddings, "_read_range", slow)
-        monkeypatch.setattr(pipeline, "sample_random_pairs", interrupted)
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            run_experiment(config)
-        assert time.monotonic() - started < 30
+        monkeypatch.setattr(pipeline, "sample_random_pairs", after_the_join)
+        run_experiment(config)
+        assert len(draws) == 1
         assert_no_child_left()
 
 
