@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import enum
 import logging
+import os
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -50,6 +51,16 @@ def _path(value: str) -> str:
     if not value:  # Path("") would be the working directory
         raise argparse.ArgumentTypeError("empty path")
     return value
+
+
+def _require_output_dir(path: str | None) -> None:
+    """Raise the error that opening ``path`` would raise once the work is
+    done, before it starts, when the directory of ``path`` cannot be found."""
+    if path is not None:
+        try:
+            os.stat(Path(path).parent)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _require_method_inputs(method: ScoreMethod, definitions, stopwords) -> None:
@@ -182,6 +193,7 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
     if args.top_n is not None and args.top_n < 1:
         raise ConfigError(f"--top-n must be >= 1, got {args.top_n}")
+    _require_output_dir(args.output)
     table, lexicon, stopwords, _, counts = load_inputs(
         args.embeddings, args.definitions or None, args.stopwords or None, corpus=args.corpus
     )
@@ -206,13 +218,16 @@ def cmd_scan(args) -> int:
 def cmd_sample_negatives(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    _require_output_dir(args.output)
     columns = (args.exclusions_left_column, args.exclusions_right_column)
     _, _, _, compounds, counts = load_inputs(
         compounds=args.exclusions or None, corpus=args.corpus, columns=columns
     )
     exclusions = both_orientations(compounds or ())
     if args.kind == "random":
-        sampled = sample_random_pairs(counts.vocabulary, args.n, args.seed, exclusions)
+        sampled = sample_random_pairs(counts, args.n, args.seed, exclusions)
         header = ["left", "right"]
         rows = [(pair.left, pair.right) for pair in sampled]
     else:

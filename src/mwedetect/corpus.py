@@ -6,7 +6,9 @@ the sorted vocabulary. ``count_corpus`` reads a corpus a chunk at a time,
 keeps only each chunk's distinct words and token indexes, ranks the words
 once at the end and counts the bigrams with one sort; ``read_corpus`` and
 ``build_bigram_counts`` are the same count by way of the whole token
-sequence. Both samplers are deterministic given their inputs and seed.
+sequence. Both negative samplers read a ``BigramCounts``: they turn their
+exclusions into codes, pick codes and decode them with ``pairs``, and they
+are deterministic given their inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import bisect
 import functools
 import itertools
 import random
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -289,46 +291,47 @@ def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
     )
 
 
-def _pair_key(pair) -> tuple[str, str]:
-    if isinstance(pair, LexemePair):
-        return (pair.left, pair.right)
-    left, right = pair
-    return (left, right)
+def _excluded_codes(counts: BigramCounts, exclusions: Iterable) -> np.ndarray:
+    """The distinct codes, ascending, of the ``exclusions`` (LexemePairs or
+    2-tuples) whose tokens are both in the vocabulary."""
+    codes = set()
+    for pair in exclusions:
+        left, right = (pair.left, pair.right) if isinstance(pair, LexemePair) else pair
+        codes.add(counts.code(left, right))
+    codes.discard(None)
+    return np.array(sorted(codes), np.int64)
 
 
 def sample_random_pairs(
-    vocabulary: Collection[str],
+    counts: BigramCounts,
     n: int,
     seed: int,
     exclusions: Iterable = (),
 ) -> list[LexemePair]:
-    """Draw ``n`` distinct ordered pairs of distinct tokens, uniformly.
+    """Draw ``n`` distinct ordered pairs of distinct vocabulary tokens, uniformly.
 
     Pairs listed in ``exclusions`` (LexemePairs or 2-tuples, matched exactly
     as ordered pairs) never appear, nor do duplicates within the sample.
     The draw is ``random.Random(seed).sample`` of the list of every
-    non-excluded ordered pair of distinct vocabulary tokens, in sorted
-    order, without building that list: the generator picks positions in
-    it, and each position is decoded into its pair. A repeated token counts
-    once, and the vocabulary is sorted before the generator touches it, so
-    set iteration order cannot leak in.
+    non-excluded ordered pair of distinct tokens of ``counts.vocabulary``,
+    in sorted order, without building that list: the generator picks
+    positions in it, and each position is decoded into its code. The seed
+    is an integer >= 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    # Sorting first makes deduplication one pass over an already sorted
-    # vocabulary, such as BigramCounts gives.
-    vocab = [word for word, _ in itertools.groupby(sorted(vocabulary))]
-    size = len(vocab)
+    if seed < 0:  # random.Random would draw as for abs(seed)
+        raise ValueError("seed must be nonnegative")
+    size = len(counts.vocabulary)
     if size < 2 and n > 0:
         raise SamplingError(f"need at least 2 vocabulary tokens, have {size}")
 
-    # Row i of the full list pairs vocab[i] with every other token, so the
-    # pair of ranks (i, j) sits at i * (size - 1) + j - (j > i).
-    blocked = set()
-    for left, right in map(_pair_key, exclusions):
-        i, j = bisect.bisect_left(vocab, left), bisect.bisect_left(vocab, right)
-        if left != right and vocab[i : i + 1] == [left] and vocab[j : j + 1] == [right]:
-            blocked.add(i * (size - 1) + j - (j > i))
+    # Row i of the full list pairs token i with every other token, so the
+    # code i * size + j of a pair of distinct ranks sits at
+    # i * (size - 1) + j - (j > i). Ascending codes give ascending positions.
+    excluded = _excluded_codes(counts, exclusions)
+    lefts, rights = counts.ranks(excluded)
+    blocked = (excluded - lefts - (rights > lefts))[lefts != rights]
     available = size * (size - 1) - len(blocked)
     if n > available:
         raise SamplingError(
@@ -338,13 +341,12 @@ def sample_random_pairs(
 
     # random.sample picks its positions from the list's length alone.
     drawn = np.array(random.Random(seed).sample(range(available), n), np.int64)
-    # skips[k] - k available positions come before the k-th blocked one, so
+    # blocked[k] - k available positions come before the k-th blocked one, so
     # a draw moves past each blocked position with at most that many before it.
-    skips = np.array(sorted(blocked), np.int64)
-    drawn += np.searchsorted(skips - np.arange(len(skips)), drawn, side="right")
+    drawn += np.searchsorted(blocked - np.arange(len(blocked)), drawn, side="right")
     lefts, rest = np.divmod(drawn, size - 1)
-    rights = rest + (rest >= lefts)
-    return [LexemePair(vocab[i], vocab[j]) for i, j in zip(lefts.tolist(), rights.tolist())]
+    # Row i skips rank i: a right rank at or past it is one more.
+    return counts.pairs(lefts * size + rest + (rest >= lefts))
 
 
 def top_cooccurring_pairs(
@@ -356,38 +358,32 @@ def top_cooccurring_pairs(
 
     Ordered by descending count, then lexicographically by (left, right)
     so equal counts break ties deterministically. No more than ``n + e``
-    bigrams are looked at, with ``e`` the number of exclusions:
-    ``np.partition`` finds the count of the (n + e)-th most frequent, one
-    ``np.lexsort`` by (-count, code) orders the bigrams at or above it,
-    since code order is the lexical order, and they are taken in that
-    order, the excluded ones skipped.
+    bigrams are looked at, with ``e`` the number of distinct exclusions
+    whose tokens are both in the vocabulary: ``np.partition`` finds the
+    count of the (n + e)-th most frequent, one ``np.lexsort`` by
+    (-count, code) orders the bigrams at or above it, since code order is
+    the lexical order, and the first ``n`` of them whose codes are not
+    excluded are taken.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    excluded = set(map(_pair_key, exclusions))
+    excluded = _excluded_codes(counts, exclusions)
     tallies = counts.counts
     looked_at = min(len(tallies), n + len(excluded)) if n else 0
-    chosen: list[LexemePair] = []
+    codes = np.empty(0, np.int64)
     if looked_at:
         cut = -np.partition(-tallies, looked_at - 1)[looked_at - 1]
         top = np.flatnonzero(tallies >= cut)
         codes = counts.codes[top[np.lexsort((counts.codes[top], -tallies[top]))][:looked_at]]
-        vocabulary = counts.vocabulary
-        lefts, rights = counts.ranks(codes)
-        for i, j in zip(lefts.tolist(), rights.tolist()):
-            key = (vocabulary[i], vocabulary[j])
-            if key not in excluded:
-                chosen.append(LexemePair(*key))
-                if len(chosen) == n:
-                    break
+        codes = codes[np.isin(codes, excluded, invert=True)][:n]
     # Fewer than n chosen means every bigram was looked at: at most e of
     # the first n + e are excluded.
-    if len(chosen) < n:
+    if len(codes) < n:
         raise SamplingError(
-            f"requested {n} co-occurring pairs but only {len(chosen)} "
-            f"non-excluded bigrams exist (short by {n - len(chosen)})"
+            f"requested {n} co-occurring pairs but only {len(codes)} "
+            f"non-excluded bigrams exist (short by {n - len(codes)})"
         )
-    return chosen
+    return counts.pairs(codes)
 
 
 __all__ = [

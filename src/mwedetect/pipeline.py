@@ -178,10 +178,12 @@ def split_dataset(
     pairs, which refines label stratification and keeps each negative
     population represented proportionally on both sides. Group sizes are
     floored, then clamped so every group of two or more lands at least one
-    pair on each side. Deterministic per seed.
+    pair on each side. Deterministic per seed, an integer >= 0.
     """
     if not 0.0 < fraction < 1.0:
         raise DatasetError(f"split fraction must be in (0, 1), got {fraction}")
+    if seed < 0:  # random.Random would shuffle as for abs(seed)
+        raise DatasetError(f"split seed must be >= 0, got {seed}")
     sources = np.asarray(sources, dtype=object)
     rng = random.Random(seed)
     calibration = np.zeros(len(sources), dtype=bool)
@@ -323,6 +325,9 @@ class ExperimentConfig:
     output_dir: Path = Path(".")
 
     def __post_init__(self) -> None:
+        for key in ("sample_seed", "split_seed"):  # random.Random(-s) draws as for s
+            if (seed := getattr(self, key)) < 0:
+                raise ConfigError(f"config key {key!r}: must be >= 0, got {seed}")
         if not 0.0 < self.fraction < 1.0:
             raise ConfigError(f"config key 'fraction': must be in (0, 1), got {self.fraction}")
         if self.threshold_mode not in THRESHOLD_MODES:
@@ -460,9 +465,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     n = len(positives)
     arms = {
         PairSource.LADEC: positives,
-        PairSource.RANDOM: sample_random_pairs(
-            counts.vocabulary, n, config.sample_seed, exclusions
-        ),
+        PairSource.RANDOM: sample_random_pairs(counts, n, config.sample_seed, exclusions),
         PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
     }
     pair_source = np.repeat(np.array(list(arms), object), [len(arm) for arm in arms.values()])

@@ -324,6 +324,16 @@ class TestSampleNegativesCommand:
             f"error: {exclusions}: compound CSV line 3: field larger than field limit (131072)\n"
         )
 
+    def test_a_negative_seed_is_an_error(self, capsys, monkeypatch):
+        # random.Random(-3) draws what random.Random(3) draws.
+        monkeypatch.setattr(cli, "load_inputs", lambda *a, **k: pytest.fail("inputs were read"))
+        code = main(
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "random", "--n", "4",
+             "--seed", "-3"]
+        )
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -3\n")
+
     def test_output_flag_writes_file(self, tmp_path):
         out = tmp_path / "pairs.csv"
         code = main(
@@ -332,6 +342,30 @@ class TestSampleNegativesCommand:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8").splitlines()[0] == "left,right,count"
+
+
+class TestOutputInAMissingDirectory:
+    """An --output whose directory is missing fails with open's error
+    before any input is read, not after the work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--method", "word", "--embeddings", EMB, "--corpus", CORPUS,
+             "--threshold", "0.9"],
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "random", "--n", "4"],
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "cooccur", "--n", "4"],
+        ],
+        ids=["scan", "sample-negatives random", "sample-negatives cooccur"],
+    )
+    def test_fails_before_the_inputs_are_read(self, argv, tmp_path, monkeypatch, capsys):
+        output = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as missing:
+            open(output, "w")
+        monkeypatch.setattr(cli, "load_inputs", lambda *a, **k: pytest.fail("inputs were read"))
+        assert main([*argv, "--output", str(output)]) == 1
+        assert capsys.readouterr() == ("", f"error: {missing.value}\n")
+        assert not output.parent.exists()
 
 
 class TestArgumentHandling:

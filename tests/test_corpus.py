@@ -356,18 +356,19 @@ class TestSampleRandomPairs:
     VOCAB = {"ant", "bee", "cat", "dog", "elk"}
 
     def test_deterministic_per_seed(self):
-        first = sample_random_pairs(self.VOCAB, 5, seed=13)
-        second = sample_random_pairs(self.VOCAB, 5, seed=13)
+        counts = build_bigram_counts(self.VOCAB)
+        first = sample_random_pairs(counts, 5, seed=13)
+        second = sample_random_pairs(counts, 5, seed=13)
         assert first == second
 
     def test_vocabulary_iteration_order_is_irrelevant(self):
         as_list = ["elk", "dog", "cat", "bee", "ant"]
-        assert sample_random_pairs(self.VOCAB, 5, seed=13) == sample_random_pairs(
-            as_list, 5, seed=13
-        )
+        assert sample_random_pairs(
+            build_bigram_counts(self.VOCAB), 5, seed=13
+        ) == sample_random_pairs(build_bigram_counts(as_list), 5, seed=13)
 
     def test_pairs_are_distinct_tokens_from_vocabulary(self):
-        pairs = sample_random_pairs(self.VOCAB, 10, seed=1)
+        pairs = sample_random_pairs(build_bigram_counts(self.VOCAB), 10, seed=1)
         assert len(set(pairs)) == 10
         for pair in pairs:
             assert pair.left in self.VOCAB
@@ -376,7 +377,9 @@ class TestSampleRandomPairs:
 
     def test_exclusions_are_ordered_pairs(self):
         excluded = LexemePair("ant", "bee")
-        pairs = sample_random_pairs(self.VOCAB, 19, seed=3, exclusions=[excluded])
+        pairs = sample_random_pairs(
+            build_bigram_counts(self.VOCAB), 19, seed=3, exclusions=[excluded]
+        )
         assert excluded not in pairs
         # 5*4 = 20 ordered pairs minus the excluded one leaves exactly 19,
         # so the reversed orientation must still be present.
@@ -384,14 +387,22 @@ class TestSampleRandomPairs:
 
     def test_oversampling_reports_shortfall(self):
         with pytest.raises(SamplingError, match="short by 1"):
-            sample_random_pairs(self.VOCAB, 21, seed=0)
+            sample_random_pairs(build_bigram_counts(self.VOCAB), 21, seed=0)
 
     def test_tiny_vocabulary_rejected(self):
         with pytest.raises(SamplingError, match="at least 2"):
-            sample_random_pairs({"solo"}, 1, seed=0)
+            sample_random_pairs(build_bigram_counts({"solo"}), 1, seed=0)
 
     def test_zero_request(self):
-        assert sample_random_pairs(self.VOCAB, 0, seed=0) == []
+        assert sample_random_pairs(build_bigram_counts(self.VOCAB), 0, seed=0) == []
+
+    def test_negative_arguments_rejected(self):
+        counts = build_bigram_counts(self.VOCAB)
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            sample_random_pairs(counts, -1, seed=0)
+        # random.Random(-13) draws what random.Random(13) draws.
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            sample_random_pairs(counts, 5, seed=-13)
 
     @given(
         vocab=st.sets(st.sampled_from("abcdefgh"), min_size=2, max_size=8),
@@ -402,27 +413,29 @@ class TestSampleRandomPairs:
         available = len(vocab) * (len(vocab) - 1)
         if n > available:
             with pytest.raises(SamplingError):
-                sample_random_pairs(vocab, n, seed)
+                sample_random_pairs(build_bigram_counts(vocab), n, seed)
             return
-        pairs = sample_random_pairs(vocab, n, seed)
+        pairs = sample_random_pairs(build_bigram_counts(vocab), n, seed)
         assert len(pairs) == n
         assert len(set(pairs)) == n
-        assert pairs == sample_random_pairs(vocab, n, seed)
+        assert pairs == sample_random_pairs(build_bigram_counts(vocab), n, seed)
 
     def test_a_repeated_token_counts_once(self):
-        assert set(sample_random_pairs(["a", "a", "b"], 2, seed=0)) == {
+        """build_bigram_counts holds a repeated token once in the vocabulary
+        that the draw reads."""
+        assert set(sample_random_pairs(build_bigram_counts(["a", "a", "b"]), 2, seed=0)) == {
             LexemePair("a", "b"),
             LexemePair("b", "a"),
         }
         with pytest.raises(SamplingError, match=r"only 2 distinct .*\(short by 2\)"):
-            sample_random_pairs(["a", "a", "b"], 4, seed=0)
+            sample_random_pairs(build_bigram_counts(["a", "a", "b"]), 4, seed=0)
         with pytest.raises(SamplingError, match=r"only 6 distinct .*\(short by 3\)"):
-            sample_random_pairs(["a", "a", "b", "c"], 9, seed=0)
+            sample_random_pairs(build_bigram_counts(["a", "a", "b", "c"]), 9, seed=0)
         with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens, have 1"):
-            sample_random_pairs(["a", "a"], 1, seed=0)
-        assert sample_random_pairs(["c", "a", "b", "a", "c"], 6, seed=4) == sample_random_pairs(
-            ["a", "b", "c"], 6, seed=4
-        )
+            sample_random_pairs(build_bigram_counts(["a", "a"]), 1, seed=0)
+        assert sample_random_pairs(
+            build_bigram_counts(["c", "a", "b", "a", "c"]), 6, seed=4
+        ) == sample_random_pairs(build_bigram_counts(["a", "b", "c"]), 6, seed=4)
 
     @given(
         vocab=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=10),
@@ -447,18 +460,19 @@ class TestSampleRandomPairs:
             for key in [(left, right), (right, left)][: 1 + both]:
                 keys.append(LexemePair(*key) if as_pair else key)
         candidates = random_pair_candidates(vocab, keys)
+        counts = build_bigram_counts(vocab)
         if len(set(vocab)) < 2 and n > 0:
             with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens"):
-                sample_random_pairs(vocab, n, seed, keys)
+                sample_random_pairs(counts, n, seed, keys)
         elif n > len(candidates):
             with pytest.raises(SamplingError) as shortfall:
-                sample_random_pairs(vocab, n, seed, keys)
+                sample_random_pairs(counts, n, seed, keys)
             assert str(shortfall.value) == (
                 f"requested {n} random pairs but only {len(candidates)} distinct "
                 f"non-excluded ordered pairs exist (short by {n - len(candidates)})"
             )
         else:
-            assert sample_random_pairs(vocab, n, seed, keys) == enumerated_random_pairs(
+            assert sample_random_pairs(counts, n, seed, keys) == enumerated_random_pairs(
                 vocab, n, seed, keys
             )
 
@@ -467,13 +481,14 @@ class TestSampleRandomPairs:
         versions switched from enumeration to rejection sampling; the draw
         is still the enumerated one."""
         vocab = [f"w{i:04d}" for i in range(1001)]
-        unexcluded = sample_random_pairs(vocab, 500, seed=7)
+        counts = build_bigram_counts(vocab)
+        unexcluded = sample_random_pairs(counts, 500, seed=7)
         # Exclude the first 100 draws in both orientations.
         keys = [(p.left, p.right) for p in unexcluded[:100]]
         keys += [(right, left) for left, right in keys]
-        pairs = sample_random_pairs(vocab, 500, seed=7, exclusions=keys)
+        pairs = sample_random_pairs(counts, 500, seed=7, exclusions=keys)
         assert pairs == sample_random_pairs(
-            vocab, 500, seed=7, exclusions=[LexemePair(*key) for key in keys]
+            counts, 500, seed=7, exclusions=[LexemePair(*key) for key in keys]
         )
         assert unexcluded == enumerated_random_pairs(vocab, 500, seed=7)
         assert pairs == enumerated_random_pairs(vocab, 500, seed=7, exclusions=keys)
@@ -484,12 +499,12 @@ class TestSampleRandomPairs:
     def test_a_few_pairs_from_many_words_list_no_candidates(self):
         """A million candidate pairs would take about 64 MB; the draw keeps
         only its own."""
-        vocab = [f"w{i:04d}" for i in range(1000)]
+        counts = build_bigram_counts([f"w{i:04d}" for i in range(1000)])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            sample_random_pairs(vocab, 100, seed=3)
+            sample_random_pairs(counts, 100, seed=3)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

@@ -211,6 +211,12 @@ class TestSplitDataset:
             with pytest.raises(DatasetError, match="fraction"):
                 split_dataset(sources, fraction=fraction, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) shuffles as random.Random(3) does.
+        with pytest.raises(DatasetError) as raised:
+            split_dataset(self._balanced(4, 4), fraction=0.5, seed=-3)
+        assert str(raised.value) == "split seed must be >= 0, got -3"
+
     def test_single_positive_is_infeasible(self):
         sources = self._balanced(1, 4)
         with pytest.raises(DatasetError, match="infeasible"):
@@ -231,7 +237,7 @@ class TestSplitDataset:
     @given(
         sources=st.lists(st.sampled_from(PairSource), max_size=40),
         fraction=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
-        seed=st.integers(),
+        seed=st.integers(min_value=0),
     )
     def test_flags_what_the_object_split_puts_in_calibration(self, sources, fraction, seed):
         labeled = [_LabeledPair(i, source) for i, source in enumerate(sources)]
@@ -559,8 +565,8 @@ _CONFIGS = st.builds(
     corpus=_ABSOLUTE_PATHS,
     definitions=_ABSOLUTE_PATHS,
     stopwords=_ABSOLUTE_PATHS,
-    sample_seed=st.integers(min_value=-(2**64), max_value=2**64),
-    split_seed=st.integers(min_value=-(2**64), max_value=2**64),
+    sample_seed=st.integers(min_value=0, max_value=2**64),
+    split_seed=st.integers(min_value=0, max_value=2**64),
     fraction=st.floats(min_value=0, max_value=1, exclude_min=True, exclude_max=True),
     threshold_mode=st.sampled_from(THRESHOLD_MODES),
     compound_left_column=_CONFIG_TEXT,
@@ -622,6 +628,14 @@ class TestLoadConfig:
     def test_non_numeric_seed(self, tmp_path):
         with pytest.raises(ConfigError, match="sample_seed"):
             load_config(self._write(tmp_path, self.REQUIRED + "sample_seed = soon\n"))
+
+    @pytest.mark.parametrize("key", ["sample_seed", "split_seed"])
+    def test_negative_seed(self, tmp_path, key):
+        # random.Random(-11) draws what random.Random(11) draws.
+        path = self._write(tmp_path, self.REQUIRED + f"{key} = -11\n")
+        with pytest.raises(ConfigError) as raised:
+            load_config(path)
+        assert str(raised.value) == f"{path}: config key '{key}': must be >= 0, got -11"
 
     def test_bad_threshold_mode(self, tmp_path):
         with pytest.raises(ConfigError, match="threshold_mode"):
