@@ -23,7 +23,6 @@ from .pairs import LexemePair
 from .pipeline import (
     SHARED,
     EvalReport,
-    both_orientations,
     load_config,
     load_inputs,
     run_experiment,
@@ -225,13 +224,12 @@ def cmd_sample_negatives(args) -> int:
     _, _, _, compounds, counts = load_inputs(
         compounds=args.exclusions or None, corpus=args.corpus, columns=columns
     )
-    exclusions = both_orientations(compounds or ())
     if args.kind == "random":
-        sampled = sample_random_pairs(counts, args.n, args.seed, exclusions)
+        sampled = sample_random_pairs(counts, args.n, args.seed, compounds or ())
         header = ["left", "right"]
         rows = [(pair.left, pair.right) for pair in sampled]
     else:
-        sampled = top_cooccurring_pairs(counts, args.n, exclusions)
+        sampled = top_cooccurring_pairs(counts, args.n, compounds or ())
         header = ["left", "right", "count"]
         rows = [(pair.left, pair.right, counts.count(pair.left, pair.right)) for pair in sampled]
     _write_csv_rows(args.output, header, rows)

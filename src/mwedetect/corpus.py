@@ -7,8 +7,8 @@ keeps only each chunk's distinct words and token indexes, ranks the words
 once at the end and counts the bigrams with one sort; ``read_corpus`` and
 ``build_bigram_counts`` are the same count by way of the whole token
 sequence. Both negative samplers read a ``BigramCounts``: they turn their
-exclusions into codes, pick codes and decode them with ``pairs``, and they
-are deterministic given their inputs and seed.
+exclusions into codes of both orientations, pick codes and decode them
+with ``pairs``, and they are deterministic given their inputs and seed.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -291,32 +292,34 @@ def build_bigram_counts(tokens: Sequence[str]) -> BigramCounts:
     )
 
 
-def _excluded_codes(counts: BigramCounts, exclusions: Iterable) -> np.ndarray:
-    """The distinct codes, ascending, of the ``exclusions`` (LexemePairs or
-    2-tuples) whose tokens are both in the vocabulary."""
-    codes = set()
-    for pair in exclusions:
-        left, right = (pair.left, pair.right) if isinstance(pair, LexemePair) else pair
-        codes.add(counts.code(left, right))
-    codes.discard(None)
-    return np.array(sorted(codes), np.int64)
+def _excluded_codes(counts: BigramCounts, compounds: Collection[LexemePair]) -> np.ndarray:
+    """The distinct codes, ascending, of ``compounds`` in both orientations,
+    leaving out each compound with a word outside the vocabulary."""
+    get, size = counts.index.get, len(counts.vocabulary)
+    lefts, rights = (
+        np.fromiter(map(get, map(side, compounds), itertools.repeat(-1)), np.int64, len(compounds))
+        for side in (operator.attrgetter("left"), operator.attrgetter("right"))
+    )
+    known = (lefts >= 0) & (rights >= 0)
+    lefts, rights = lefts[known], rights[known]
+    return np.union1d(lefts * size + rights, rights * size + lefts)
 
 
 def sample_random_pairs(
     counts: BigramCounts,
     n: int,
     seed: int,
-    exclusions: Iterable = (),
+    exclusions: Collection[LexemePair] = (),
 ) -> list[LexemePair]:
     """Draw ``n`` distinct ordered pairs of distinct vocabulary tokens, uniformly.
 
-    Pairs listed in ``exclusions`` (LexemePairs or 2-tuples, matched exactly
-    as ordered pairs) never appear, nor do duplicates within the sample.
-    The draw is ``random.Random(seed).sample`` of the list of every
-    non-excluded ordered pair of distinct tokens of ``counts.vocabulary``,
-    in sorted order, without building that list: the generator picks
-    positions in it, and each position is decoded into its code. The seed
-    is an integer >= 0.
+    No compound in ``exclusions`` appears, in either orientation: the
+    scorers are symmetric, so a swapped compound scores like the compound.
+    The draw is ``random.Random(seed).sample`` of the list of the remaining
+    ordered pairs of distinct tokens of ``counts.vocabulary``, in sorted
+    order, without building that list: the generator picks positions in
+    it, and each position is decoded into its code. The seed is an integer
+    >= 0.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -352,14 +355,14 @@ def sample_random_pairs(
 def top_cooccurring_pairs(
     counts: BigramCounts,
     n: int,
-    exclusions: Iterable = (),
+    exclusions: Collection[LexemePair] = (),
 ) -> list[LexemePair]:
-    """Return the ``n`` most frequent non-excluded bigrams.
+    """Return the ``n`` most frequent bigrams not in ``exclusions``, in either orientation.
 
     Ordered by descending count, then lexicographically by (left, right)
     so equal counts break ties deterministically. No more than ``n + e``
-    bigrams are looked at, with ``e`` the number of distinct exclusions
-    whose tokens are both in the vocabulary: ``np.partition`` finds the
+    bigrams are looked at, with ``e`` the number of distinct codes of the
+    exclusions, both orientations counted: ``np.partition`` finds the
     count of the (n + e)-th most frequent, one ``np.lexsort`` by
     (-count, code) orders the bigrams at or above it, since code order is
     the lexical order, and the first ``n`` of them whose codes are not

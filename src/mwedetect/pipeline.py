@@ -102,7 +102,7 @@ def load_compounds(
         try:
             if reader.fieldnames is None:
                 raise DatasetError("compound CSV is empty")
-            missing = [c for c in (left_column, right_column) if c not in reader.fieldnames]
+            missing = [repr(c) for c in (left_column, right_column) if c not in reader.fieldnames]
             if missing:
                 raise DatasetError(f"compound CSV lacks column(s): {', '.join(missing)}")
             for rownum, row in enumerate(reader, start=2):
@@ -126,16 +126,6 @@ def load_compounds(
         if not pairs:
             raise DatasetError("compound CSV contains no usable pairs")
     return list(pairs)
-
-
-def both_orientations(pairs: Iterable[LexemePair]) -> set[tuple[str, str]]:
-    """The ``(left, right)`` keys of ``pairs`` in both orientations.
-
-    Excluding both orientations keeps negatives label-clean: the scorers
-    are symmetric, so a compound with its constituents swapped would score
-    like the compound.
-    """
-    return {key for p in pairs for key in ((p.left, p.right), (p.right, p.left))}
 
 
 def load_inputs(
@@ -461,12 +451,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         config.embeddings, config.definitions, config.stopwords, config.compounds, config.corpus,
         (config.compound_left_column, config.compound_right_column),
     )
-    exclusions = both_orientations(positives)
     n = len(positives)
     arms = {
         PairSource.LADEC: positives,
-        PairSource.RANDOM: sample_random_pairs(counts, n, config.sample_seed, exclusions),
-        PairSource.COOCCUR: top_cooccurring_pairs(counts, n, exclusions),
+        PairSource.RANDOM: sample_random_pairs(counts, n, config.sample_seed, positives),
+        PairSource.COOCCUR: top_cooccurring_pairs(counts, n, positives),
     }
     pair_source = np.repeat(np.array(list(arms), object), [len(arm) for arm in arms.values()])
     calibration = split_dataset(pair_source, config.fraction, config.split_seed)
@@ -605,7 +594,6 @@ __all__ = [
     "PairSource",
     "EvalReport",
     "load_compounds",
-    "both_orientations",
     "load_inputs",
     "split_dataset",
     "calibrate_threshold",

@@ -197,6 +197,18 @@ class TestRunCommand:
         assert capsys.readouterr() == ("", f"error: {exists.value}\n")
         assert output.read_text(encoding="utf-8") == "c1,c2\n"
 
+    def test_an_empty_compound_column_is_named(self, tmp_path, capsys):
+        for source in _DATA.iterdir():
+            shutil.copy(source, tmp_path)
+        config = tmp_path / "experiment.conf"
+        config.write_text(
+            config.read_text(encoding="utf-8") + "compound_left_column =\n", encoding="utf-8"
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'compounds.csv'}: compound CSV lacks column(s): ''\n"
+        )
+
     def test_missing_input_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "exp.conf"
         config.write_text(
@@ -322,6 +334,16 @@ class TestSampleNegativesCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {exclusions}: compound CSV line 3: field larger than field limit (131072)\n"
+        )
+
+    def test_an_empty_exclusions_column_is_named(self, capsys):
+        code = main(
+            ["sample-negatives", "--corpus", CORPUS, "--kind", "random", "--n", "2",
+             "--exclusions", COMPOUNDS, "--exclusions-left-column", ""]
+        )
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", f"error: {COMPOUNDS}: compound CSV lacks column(s): ''\n"
         )
 
     def test_a_negative_seed_is_an_error(self, capsys, monkeypatch):

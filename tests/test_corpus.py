@@ -352,6 +352,15 @@ class TestBigramCountsProperties:
         assert [(p.left, p.right) for p in counts.pairs(counts.codes)] == ranked
 
 
+def _both_orientations(compounds):
+    """The ``(left, right)`` keys of ``compounds`` in both orientations."""
+    return {key for p in compounds for key in ((p.left, p.right), (p.right, p.left))}
+
+
+# Tokens x and y are outside every vocabulary, and a compound may be a self-pair.
+_COMPOUNDS = st.builds(LexemePair, st.sampled_from("abcdefxy"), st.sampled_from("abcdefxy"))
+
+
 class TestSampleRandomPairs:
     VOCAB = {"ant", "bee", "cat", "dog", "elk"}
 
@@ -375,15 +384,17 @@ class TestSampleRandomPairs:
             assert pair.right in self.VOCAB
             assert pair.left != pair.right
 
-    def test_exclusions_are_ordered_pairs(self):
-        excluded = LexemePair("ant", "bee")
-        pairs = sample_random_pairs(
-            build_bigram_counts(self.VOCAB), 19, seed=3, exclusions=[excluded]
-        )
-        assert excluded not in pairs
-        # 5*4 = 20 ordered pairs minus the excluded one leaves exactly 19,
-        # so the reversed orientation must still be present.
-        assert LexemePair("bee", "ant") in pairs
+    def test_a_compound_is_excluded_in_both_orientations(self):
+        counts = build_bigram_counts(self.VOCAB)
+        compound = LexemePair("ant", "bee")
+        pairs = sample_random_pairs(counts, 18, seed=3, exclusions=[compound])
+        # 5*4 = 20 ordered pairs minus the compound in both orientations
+        # leaves exactly 18, so every other pair must be present.
+        assert compound not in pairs
+        assert LexemePair("bee", "ant") not in pairs
+        assert len(set(pairs)) == 18
+        with pytest.raises(SamplingError, match=r"only 18 distinct .*\(short by 1\)"):
+            sample_random_pairs(counts, 19, seed=3, exclusions=[compound])
 
     def test_oversampling_reports_shortfall(self):
         with pytest.raises(SamplingError, match="short by 1"):
@@ -439,40 +450,32 @@ class TestSampleRandomPairs:
 
     @given(
         vocab=st.lists(st.sampled_from("abcdef"), min_size=2, max_size=10),
-        # Tokens x and y are outside every vocabulary; a pair may be a
-        # self-pair, a LexemePair or a tuple, and may come in both orientations.
-        exclusions=st.lists(
-            st.tuples(st.sampled_from("abcdefxy"), st.sampled_from("abcdefxy"), st.booleans(),
-                      st.booleans()),
-            max_size=12,
-        ),
+        compounds=st.lists(_COMPOUNDS, max_size=12),
         n=st.integers(min_value=0, max_value=32),
         seed=st.integers(min_value=0, max_value=2**32),
     )
-    @example(vocab=["a", "a", "b"], exclusions=[], n=4, seed=0)
-    @example(vocab=["a", "b", "c"], exclusions=[("a", "b", True, True), ("c", "c", False, False)],
+    @example(vocab=["a", "a", "b"], compounds=[], n=4, seed=0)
+    @example(vocab=["a", "b", "c"], compounds=[LexemePair("a", "b"), LexemePair("c", "c")],
              n=4, seed=1)
-    def test_equals_the_enumerated_draw(self, vocab, exclusions, n, seed):
-        """The draw is random.Random(seed).sample of every non-excluded
-        ordered pair, enumerated in sorted order, bit for bit."""
-        keys = []
-        for left, right, as_pair, both in exclusions:
-            for key in [(left, right), (right, left)][: 1 + both]:
-                keys.append(LexemePair(*key) if as_pair else key)
+    def test_equals_the_enumerated_draw(self, vocab, compounds, n, seed):
+        """The draw is random.Random(seed).sample of every ordered pair that
+        is no compound in either orientation, enumerated in sorted order,
+        bit for bit."""
+        keys = _both_orientations(compounds)
         candidates = random_pair_candidates(vocab, keys)
         counts = build_bigram_counts(vocab)
         if len(set(vocab)) < 2 and n > 0:
             with pytest.raises(SamplingError, match="need at least 2 vocabulary tokens"):
-                sample_random_pairs(counts, n, seed, keys)
+                sample_random_pairs(counts, n, seed, compounds)
         elif n > len(candidates):
             with pytest.raises(SamplingError) as shortfall:
-                sample_random_pairs(counts, n, seed, keys)
+                sample_random_pairs(counts, n, seed, compounds)
             assert str(shortfall.value) == (
                 f"requested {n} random pairs but only {len(candidates)} distinct "
                 f"non-excluded ordered pairs exist (short by {n - len(candidates)})"
             )
         else:
-            assert sample_random_pairs(counts, n, seed, keys) == enumerated_random_pairs(
+            assert sample_random_pairs(counts, n, seed, compounds) == enumerated_random_pairs(
                 vocab, n, seed, keys
             )
 
@@ -483,18 +486,18 @@ class TestSampleRandomPairs:
         vocab = [f"w{i:04d}" for i in range(1001)]
         counts = build_bigram_counts(vocab)
         unexcluded = sample_random_pairs(counts, 500, seed=7)
-        # Exclude the first 100 draws in both orientations.
-        keys = [(p.left, p.right) for p in unexcluded[:100]]
-        keys += [(right, left) for left, right in keys]
-        pairs = sample_random_pairs(counts, 500, seed=7, exclusions=keys)
+        # Exclude the first 100 draws as compounds, so in both orientations.
+        compounds = unexcluded[:100]
+        keys = _both_orientations(compounds)
+        pairs = sample_random_pairs(counts, 500, seed=7, exclusions=compounds)
         assert pairs == sample_random_pairs(
-            counts, 500, seed=7, exclusions=[LexemePair(*key) for key in keys]
+            counts, 500, seed=7, exclusions=[LexemePair(*key) for key in sorted(keys)]
         )
         assert unexcluded == enumerated_random_pairs(vocab, 500, seed=7)
         assert pairs == enumerated_random_pairs(vocab, 500, seed=7, exclusions=keys)
         assert len(pairs) == len(set(pairs)) == 500
         assert all(p.left != p.right for p in pairs)
-        assert not {(p.left, p.right) for p in pairs} & set(keys)
+        assert not {(p.left, p.right) for p in pairs} & keys
 
     def test_a_few_pairs_from_many_words_list_no_candidates(self):
         """A million candidate pairs would take about 64 MB; the draw keeps
@@ -529,8 +532,9 @@ class TestTopCooccurringPairs:
 
     def test_exclusions_removed_before_ranking(self):
         counts = build_bigram_counts(tokenize("the cat sat the cat"))
-        top = top_cooccurring_pairs(counts, 1, exclusions=[("the", "cat")])
-        assert top == [LexemePair("cat", "sat")]
+        for compound in (LexemePair("the", "cat"), LexemePair("cat", "the")):
+            top = top_cooccurring_pairs(counts, 1, exclusions=[compound])
+            assert top == [LexemePair("cat", "sat")]
 
     def test_shortfall_raises(self):
         counts = build_bigram_counts(tokenize("one two"))
@@ -546,40 +550,67 @@ class TestTopCooccurringPairs:
         assert ranked == sorted(ranked, reverse=True)
 
 
-# "e" is drawn only for exclusions, so some excluded pairs lie outside the
+# "e" is drawn only for compounds, so some compounds lie outside the
 # vocabulary.
 _TOP_TOKENS = ("a", "b", "c", "d")
-_TOP_KEYS = st.tuples(st.sampled_from((*_TOP_TOKENS, "e")), st.sampled_from(_TOP_TOKENS))
+_TOP_COMPOUNDS = st.builds(
+    LexemePair, st.sampled_from((*_TOP_TOKENS, "e")), st.sampled_from(_TOP_TOKENS)
+)
 
 
 class TestTopCooccurringPairsProperties:
     @given(
         tokens=st.lists(st.sampled_from(_TOP_TOKENS), max_size=40),
-        exclusions=st.lists(_TOP_KEYS, max_size=6),
-        as_lexeme_pairs=st.booleans(),
+        exclusions=st.lists(_TOP_COMPOUNDS, max_size=6),
         n=st.integers(min_value=0, max_value=18),
     )
     # Counts ab 2, cd 2, ba 1, bc 1, dc 1: the cut at n = 3 falls among the 1s.
-    @example(tokens=list("ababcdcd"), exclusions=[], as_lexeme_pairs=False, n=3)
-    @example(tokens=list("abab"), exclusions=[("a", "b")], as_lexeme_pairs=True, n=0)
-    # All that remain once bc is excluded.
-    @example(tokens=list("ababcdcd"), exclusions=[("b", "c")], as_lexeme_pairs=False, n=4)
-    def test_matches_full_sort(self, tokens, exclusions, as_lexeme_pairs, n):
+    @example(tokens=list("ababcdcd"), exclusions=[], n=3)
+    @example(tokens=list("abab"), exclusions=[LexemePair("a", "b")], n=0)
+    # All that remain once bc and cb are excluded.
+    @example(tokens=list("ababcdcd"), exclusions=[LexemePair("c", "b")], n=4)
+    def test_matches_full_sort(self, tokens, exclusions, n):
         """Equal to the full sort by (-count, left, right), ties and exclusions
-        included, for n drawn, 0 and all that remain; short by k raises."""
+        in both orientations included, for n drawn, 0 and all that remain;
+        short by k raises."""
         counts = Counter(zip(tokens, tokens[1:]))
         bigrams = build_bigram_counts(tokens)
-        excluded = [LexemePair(*key) for key in exclusions] if as_lexeme_pairs else exclusions
+        keys = _both_orientations(exclusions)
         remaining = [
             (left, right, count)
             for (left, right), count in counts.items()
-            if (left, right) not in exclusions
+            if (left, right) not in keys
         ]
         remaining.sort(key=lambda item: (-item[2], item[0], item[1]))
         for k in {n, 0, len(remaining)}:
             if k > len(remaining):
                 with pytest.raises(SamplingError, match=f"short by {k - len(remaining)}"):
-                    top_cooccurring_pairs(bigrams, k, excluded)
+                    top_cooccurring_pairs(bigrams, k, exclusions)
             else:
                 expected = [LexemePair(left, right) for left, right, _ in remaining[:k]]
-                assert top_cooccurring_pairs(bigrams, k, excluded) == expected
+                assert top_cooccurring_pairs(bigrams, k, exclusions) == expected
+
+
+class TestCompoundsExcludedInBothOrientations:
+    @given(
+        tokens=st.lists(st.sampled_from("abcd"), max_size=30),
+        compounds=st.lists(_COMPOUNDS, max_size=8),
+        n=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    # Bigrams aa, ab, bc: the self-pair takes aa and ba takes ab.
+    @example(tokens=list("aabc"), compounds=[LexemePair("a", "a"), LexemePair("b", "a")],
+             n=4, seed=0)
+    def test_neither_sampler_returns_a_compound(self, tokens, compounds, n, seed):
+        """Compounds with words outside the vocabulary and self-pairs among
+        them: neither sampler returns a compound in either orientation, and
+        the random draw is the enumerated one with both orientations excluded."""
+        counts = build_bigram_counts(tokens)
+        keys = _both_orientations(compounds)
+        drawn = min(n, len(random_pair_candidates(tokens, keys)))
+        random_pairs = sample_random_pairs(counts, drawn, seed, compounds)
+        assert random_pairs == enumerated_random_pairs(tokens, drawn, seed, keys)
+        bigrams = set(zip(tokens, tokens[1:])) - keys
+        top = top_cooccurring_pairs(counts, min(n, len(bigrams)), compounds)
+        assert {(p.left, p.right) for p in top} <= bigrams
+        assert not {(p.left, p.right) for p in random_pairs + top} & keys

@@ -86,8 +86,10 @@ class TestLoadCompounds:
         assert pairs == [LexemePair("jet", "lag")]
 
     def test_missing_column_named_in_error(self):
-        with pytest.raises(DatasetError, match="c2"):
+        with pytest.raises(DatasetError, match=r"^compound CSV lacks column\(s\): 'c2'$"):
             load_compounds(["c1,other", "a,b"])
+        with pytest.raises(DatasetError, match=r"^compound CSV lacks column\(s\): '', 'c2'$"):
+            load_compounds(["c1,other", "a,b"], "")
 
     def test_empty_cell_names_row(self):
         with pytest.raises(DatasetError, match="row 3"):
