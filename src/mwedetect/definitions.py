@@ -40,29 +40,13 @@ DEFINITION_REASONS = (NO_DEFINITION, ALL_STOPWORDS, ALL_OOV)
 BLOCK_ROWS = 512
 
 
-@dataclass(frozen=True)
-class DefinitionLexicon:
-    """Lexeme (lowercase) -> the text of its first definition.
+def load_definitions(source: str | os.PathLike | Iterable[str]) -> dict[str, str]:
+    """Parse a `lexeme<TAB>definition` stream into the lexicon, a dict from
+    each lexeme, lowercased, to the text of its first definition.
 
-    ``resolve_definitions`` tokenizes only the definitions it is asked for,
-    so a run pays for the definitions it scores, not for the whole lexicon.
-    """
-
-    definitions: dict[str, str]
-
-    def __contains__(self, lexeme: str) -> bool:
-        return lexeme.lower() in self.definitions
-
-    def __len__(self) -> int:
-        return len(self.definitions)
-
-
-def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLexicon:
-    """Parse a `lexeme<TAB>definition` stream into a DefinitionLexicon.
-
-    When a lexeme repeats, only its first line is kept: the lexicon stores
-    first definitions only. A definition must hold at least one token of
-    the corpus tokenizer, which ``resolve_definitions`` applies to it.
+    When a lexeme repeats, only its first line is kept. A definition must
+    hold at least one token of the corpus tokenizer. The text is kept as it
+    is: ``resolve_definitions`` tokenizes only the definitions a run scores.
     """
     definitions: dict[str, str] = {}
     with text_lines(source, LexiconFormatError) as lines:
@@ -83,7 +67,7 @@ def load_definitions(source: str | os.PathLike | Iterable[str]) -> DefinitionLex
             if not has_token(definition):
                 raise LexiconFormatError(f"line {lineno}: definition has no usable tokens")
             definitions[lexeme] = definition
-    return DefinitionLexicon(definitions=definitions)
+    return definitions
 
 
 def load_stopwords(source: str | os.PathLike | Iterable[str]) -> frozenset[str]:
@@ -116,7 +100,7 @@ class DefinitionRows:
 
 
 def resolve_definitions(
-    lexicon: DefinitionLexicon,
+    lexicon: dict[str, str],
     table: EmbeddingTable,
     lexemes: Sequence[str],
     stopwords: frozenset[str] | set[str] | None,
@@ -126,7 +110,7 @@ def resolve_definitions(
     The definitions are tokenized in one pass, and each distinct token is
     looked up once.
     """
-    texts = list(map(lexicon.definitions.get, map(str.lower, lexemes)))
+    texts = list(map(lexicon.get, map(str.lower, lexemes)))
     defined = np.array([text is not None for text in texts], bool)
     words, ids, counts = tokenize_all([text for text in texts if text is not None])
     lengths = np.full(len(lexemes), -1, np.intp)
@@ -199,7 +183,7 @@ def definition_sums(
 
 
 def definition_embedding(
-    lexicon: DefinitionLexicon,
+    lexicon: dict[str, str],
     table: EmbeddingTable,
     lexeme: str,
     stopwords: frozenset[str] | set[str] | None = None,
@@ -216,7 +200,6 @@ def definition_embedding(
 
 
 __all__ = [
-    "DefinitionLexicon",
     "DefinitionRows",
     "resolve_definitions",
     "definition_sums",

@@ -47,7 +47,6 @@ class EmbeddingTable:
 
     index: dict[str, int]
     matrix: np.ndarray
-    source_label: str = ""
     duplicate_tokens: tuple[str, ...] = ()
 
     @property
@@ -70,8 +69,7 @@ def load_embeddings(source: str | os.PathLike | Iterable[str]) -> EmbeddingTable
     hold exactly ``V`` entry lines. On a duplicate token the first
     occurrence wins and the token is recorded in ``duplicate_tokens``
     alongside a logged warning. Values must be finite decimal floats as
-    numpy's text reader parses them. The table's ``source_label`` is the
-    path, or empty for a stream of lines.
+    numpy's text reader parses them.
 
     The lines are parsed as one or more ranges. A range's entry lines are
     judged a block of ``BLOCK_LINES`` at a time, in file order, and copied
@@ -185,12 +183,7 @@ class Parsing:
         else:
             matrix = matrix[: len(index)]
         matrix.flags.writeable = False
-        return EmbeddingTable(
-            index=index,
-            matrix=matrix,
-            source_label=self.label,
-            duplicate_tokens=tuple(duplicates),
-        )
+        return EmbeddingTable(index=index, matrix=matrix, duplicate_tokens=tuple(duplicates))
 
 
 def _read_entries(

@@ -27,8 +27,5 @@ class LexemePair:
                 raise ValueError(f"{name} token contains whitespace: {token!r}")
             object.__setattr__(self, name, token.lower())
 
-    def __str__(self) -> str:
-        return f"{self.left} {self.right}"
-
 
 __all__ = ["LexemePair"]

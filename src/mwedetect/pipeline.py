@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import BigramCounts, count_corpus, sample_random_pairs, top_cooccurring_pairs
-from .definitions import DefinitionLexicon, load_definitions, load_stopwords, resolve_definitions
+from .definitions import load_definitions, load_stopwords, resolve_definitions
 from .embeddings import EmbeddingTable, Parsing
 from .errors import ConfigError, CorpusError, DatasetError
 from .pairs import LexemePair
@@ -135,7 +135,7 @@ def load_inputs(
     compounds: str | os.PathLike | None = None,
     corpus: str | os.PathLike | None = None,
     columns: Sequence[str] = (),
-) -> tuple[EmbeddingTable | None, DefinitionLexicon | None, frozenset[str] | None,
+) -> tuple[EmbeddingTable | None, dict[str, str] | None, frozenset[str] | None,
            list[LexemePair] | None, BigramCounts | None]:
     """The table, lexicon, stop words, compounds (``load_compounds``'s CSV
     columns, or ``columns``) and corpus counts of the files given, and None
@@ -222,10 +222,7 @@ def calibrate_threshold(
             f"calibration scores must be finite: {bad_pos} positive and {bad_neg} negative "
             "score(s) are NaN or infinite"
         )
-    # Sorted, each value once, as np.unique gives them; np.unique itself
-    # loads numpy.ma the first time it runs in a process (15 ms, numpy 2.4).
-    values = np.sort(np.concatenate((pos, neg)))
-    values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    values = np.unique(np.concatenate((pos, neg)))
     lower, upper = values[:-1], values[1:]
     midpoints = (lower + upper) / 2.0
     candidates = np.concatenate(
@@ -538,7 +535,7 @@ def scan_corpus(
     threshold: float,
     min_count: int = 1,
     top_n: int | None = None,
-    lexicon: DefinitionLexicon | None = None,
+    lexicon: dict[str, str] | None = None,
     stopwords: frozenset[str] | None = None,
 ) -> list[ScanHit]:
     """Classify every bigram of a corpus's counts; keep compound hits.

@@ -30,7 +30,6 @@ import numpy as np
 from . import definitions
 from .definitions import (
     DEFINITION_REASONS,
-    DefinitionLexicon,
     DefinitionRows,
     definition_sums,
     resolve_definitions,
@@ -104,7 +103,7 @@ def lexeme_ids(pairs: Iterable[LexemePair]) -> tuple[list[str], np.ndarray, np.n
 def score_ids(
     method: ScoreMethod,
     table: EmbeddingTable,
-    lexicon: DefinitionLexicon | None,
+    lexicon: dict[str, str] | None,
     stopwords: frozenset[str] | set[str] | None,
     lexemes: Sequence[str],
     left: np.ndarray,
@@ -167,7 +166,7 @@ def score_ids(
 def score_pair(
     method: ScoreMethod,
     table: EmbeddingTable,
-    lexicon: DefinitionLexicon | None,
+    lexicon: dict[str, str] | None,
     stopwords: frozenset[str] | set[str] | None,
     pair: LexemePair,
 ) -> ScoreOutcome:

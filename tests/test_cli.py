@@ -22,7 +22,6 @@ import mwedetect
 from mwedetect import cli, embeddings, pipeline
 from mwedetect.cli import main
 from mwedetect.corpus import BigramCounts
-from mwedetect.definitions import DefinitionLexicon
 from mwedetect.embeddings import EmbeddingTable
 from mwedetect.errors import (
     CorpusError,
@@ -874,7 +873,7 @@ class TestLoadInputs:
     inputs = TestEmbeddingsParsedBesideTheLoaders.inputs
     FILES = ("toy_embeddings.txt", "toy_definitions.tsv", "stopwords.txt", "compounds.csv",
              "toy_corpus.txt")
-    TYPES = (EmbeddingTable, DefinitionLexicon, frozenset, list, BigramCounts)
+    TYPES = (EmbeddingTable, dict, frozenset, list, BigramCounts)
 
     def test_each_file_not_given_is_none(self, inputs):
         for given in itertools.product((False, True), repeat=len(self.FILES)):

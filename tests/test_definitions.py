@@ -16,7 +16,6 @@ from mwedetect.definitions import (
     ALL_OOV,
     ALL_STOPWORDS,
     NO_DEFINITION,
-    DefinitionLexicon,
     definition_embedding,
     definition_sums,
     load_definitions,
@@ -33,23 +32,22 @@ class TestLoadDefinitions:
     def test_parses_and_tokenizes(self):
         lexicon = load_definitions(["hot\ta Jet, or similar!"])
         assert "hot" in lexicon
-        assert tokenize(lexicon.definitions["hot"]) == ("a", "jet", "or", "similar")
+        assert tokenize(lexicon["hot"]) == ("a", "jet", "or", "similar")
 
     def test_first_definition_wins(self):
         lexicon = load_definitions(["bank\tmoney house", "bank\triver side"])
         assert "bank" in lexicon
-        assert tokenize(lexicon.definitions["bank"]) == ("money", "house")
+        assert tokenize(lexicon["bank"]) == ("money", "house")
 
     def test_lexeme_lowercased(self):
         lexicon = load_definitions(["Jet\tfast plane"])
-        assert "jet" in lexicon
-        assert "JET" in lexicon
-        assert tokenize(lexicon.definitions["JET".lower()]) == ("fast", "plane")
+        assert list(lexicon) == ["jet"]
+        assert tokenize(lexicon["jet"]) == ("fast", "plane")
 
     def test_only_first_tab_separates(self):
         lexicon = load_definitions(["a\tb\tc"])
         assert "a" in lexicon
-        assert tokenize(lexicon.definitions["a"]) == ("b", "c")
+        assert tokenize(lexicon["a"]) == ("b", "c")
 
     def test_blank_lines_skipped(self):
         lexicon = load_definitions(["", "x\ty", "   "])
@@ -74,7 +72,7 @@ class TestLoadDefinitions:
     def test_missing_lexeme_returns_none(self):
         lexicon = load_definitions(["x\ty"])
         assert "absent" not in lexicon
-        assert "absent" not in lexicon.definitions
+        assert lexicon.get("absent") is None
 
 
 class TestLoadStopwords:
@@ -144,10 +142,9 @@ class TestLoaderRulesProperties:
             assert str(caught.value) == expected
         else:
             lexicon = load_definitions(lines)
-            assert lexicon.definitions == expected
+            assert lexicon == expected
             for lexeme, definition in expected.items():
-                assert lexeme in lexicon
-                assert tokenize(lexicon.definitions[lexeme]) == _reference_tokens(definition)
+                assert tokenize(lexicon[lexeme]) == _reference_tokens(definition)
 
     @given(_LEXICON_LINES)
     def test_stopwords_match_per_line_rules(self, lines):
@@ -164,7 +161,7 @@ def _summed(rows):
     """``definition_embedding`` of a lexeme whose definition has exactly ``rows`` as vectors."""
     tokens = tuple(alphabetic_token("t", i) for i in range(len(rows)))
     table = make_table(dict(zip(tokens, rows)), dimension=len(rows[0]))
-    lexicon = DefinitionLexicon(definitions={"x": " ".join(tokens)})
+    lexicon = {"x": " ".join(tokens)}
     vector, reason = definition_embedding(lexicon, table, "x")
     assert reason is None
     return vector
@@ -189,7 +186,7 @@ class TestDefinitionEmbedding:
         first = np.array([1.0, 2.0])
         second = np.array([3.0, 4.0])
         table = make_table({"ta": first, "tb": second}, dimension=2)
-        lexicon = DefinitionLexicon(definitions={"x": "ta tb", "y": "ta"})
+        lexicon = {"x": "ta tb", "y": "ta"}
         definition_embedding(lexicon, table, "x")
         np.testing.assert_array_equal(first, [1.0, 2.0])
         np.testing.assert_array_equal(second, [3.0, 4.0])
@@ -221,13 +218,13 @@ class TestDefinitionEmbedding:
         assert reason == NO_DEFINITION
 
     def test_all_oov_reason(self, toy_table):
-        lexicon = DefinitionLexicon(definitions={"x": "qqq rrr"})
+        lexicon = {"x": "qqq rrr"}
         vector, reason = definition_embedding(lexicon, toy_table, "x")
         assert vector is None
         assert reason == ALL_OOV
 
     def test_all_stopwords_reason(self, toy_table):
-        lexicon = DefinitionLexicon(definitions={"x": "the a"})
+        lexicon = {"x": "the a"}
         vector, reason = definition_embedding(lexicon, toy_table, "x", frozenset({"the", "a"}))
         assert vector is None
         assert reason == ALL_STOPWORDS
@@ -235,12 +232,12 @@ class TestDefinitionEmbedding:
     def test_stopword_filter_runs_before_oov_check(self, toy_table):
         # "the" is in the embedding table, so the all-stopwords verdict must
         # come from filtering, not from vocabulary lookup.
-        lexicon = DefinitionLexicon(definitions={"x": "the"})
+        lexicon = {"x": "the"}
         _, reason = definition_embedding(lexicon, toy_table, "x", frozenset({"the"}))
         assert reason == ALL_STOPWORDS
 
     def test_empty_stopword_set_equals_no_stopword_set(self, toy_table, toy_lexicon):
-        for lexeme in toy_lexicon.definitions:
+        for lexeme in toy_lexicon:
             unfiltered, _ = definition_embedding(toy_lexicon, toy_table, lexeme)
             empty_filtered, _ = definition_embedding(
                 toy_lexicon, toy_table, lexeme, frozenset()
@@ -251,13 +248,13 @@ class TestDefinitionEmbedding:
         # The loader rejects such a definition, but a lexicon built directly
         # may hold one: filtering leaves no token, and without a filter no
         # token has a vector.
-        lexicon = DefinitionLexicon(definitions={"x": "123"})
+        lexicon = {"x": "123"}
         assert definition_embedding(lexicon, toy_table, "x", frozenset()) == (None, ALL_STOPWORDS)
         assert definition_embedding(lexicon, toy_table, "x") == (None, ALL_OOV)
 
     def test_oov_only_definition_with_empty_filter(self):
         table = load_embeddings(["w 1 0"])
-        lexicon = DefinitionLexicon(definitions={"x": "unknown"})
+        lexicon = {"x": "unknown"}
         _, reason = definition_embedding(lexicon, table, "x", frozenset())
         assert reason == ALL_OOV
 
@@ -291,13 +288,12 @@ def _bulk_inputs(draw):
     lexemes = draw(st.lists(st.sampled_from(_LEXEMES + ("LA", "absent")), max_size=10))
     stopwords = draw(st.none() | st.frozensets(st.sampled_from(_WORDS)))
     block_rows = draw(st.integers(min_value=1, max_value=5))
-    lexicon = DefinitionLexicon(definitions=definitions)
-    return make_table(vectors, dim), lexicon, lexemes, stopwords, block_rows
+    return make_table(vectors, dim), definitions, lexemes, stopwords, block_rows
 
 
 def _reference_sum(table, lexicon, lexeme, stopwords):
     """One lexeme's (vector, reason), with its rows added left to right."""
-    definition = lexicon.definitions.get(lexeme.lower())
+    definition = lexicon.get(lexeme.lower())
     if definition is None:
         return None, NO_DEFINITION
     tokens = definition.split(" ")
@@ -316,7 +312,8 @@ def _dropped_oov(table, lexicon, lexemes, stopwords):
     """The out-of-vocabulary tokens of the definitions that get a sum, one lexeme at a time."""
     dropped = 0
     for lexeme in lexemes:
-        tokens = tokenize(lexicon.definitions[lexeme.lower()]) if lexeme in lexicon else ()
+        definition = lexicon.get(lexeme.lower())
+        tokens = () if definition is None else tokenize(definition)
         if stopwords is not None:
             tokens = [t for t in tokens if t not in stopwords]
         missing = sum(t not in table for t in tokens)

@@ -105,10 +105,21 @@ class TestLoadEmbeddings:
         table = load_embeddings(["zero 0 0", "one 1 0"])
         np.testing.assert_array_equal(table.matrix[table.index["zero"]], [0.0, 0.0])
 
-    def test_source_label_defaults_to_path(self, data_dir):
-        table = load_embeddings(data_dir / "toy_embeddings.txt")
-        assert table.source_label.endswith("toy_embeddings.txt")
-
+    @pytest.mark.parametrize("named", [True, False], ids=["path", "stream"])
+    def test_duplicate_warning_names_the_source(self, tmp_path, caplog, named):
+        """The duplicate-token warning names a file by its path and a stream
+        of lines as ``<stream>``."""
+        lines = ["dup 1 0\n", "dup 2 0\n", "other 0 1\n"]
+        path = tmp_path / "dup_embeddings.txt"
+        path.write_text("".join(lines), encoding="utf-8")
+        with caplog.at_level("WARNING", logger=embeddings.logger.name):
+            load_embeddings(path if named else lines)
+        messages = [record.getMessage() for record in caplog.records]
+        label = os.fspath(path) if named else "<stream>"
+        assert messages == [
+            f"embedding source {label}: 1 duplicate token(s) ignored"
+            " (first occurrence kept), e.g. 'dup'"
+        ]
 
     @pytest.mark.parametrize("token", ["a\u00a0b", "\x1c", "a\u2028", "\u3000x"])
     def test_unicode_whitespace_in_token_rejected(self, token):

@@ -65,7 +65,7 @@ BOM_CASES = {
     "corpus": ("jet lag\n", lambda tokens: tokens),
     "counts": ("jet lag\n", lambda counts: (counts.vocabulary, counts.codes.tobytes())),
     "embeddings": ("jet 1 0\nlag 0 1\n", lambda table: (table.index, table.matrix.tobytes())),
-    "definitions": ("jet\ta jet\n", lambda lexicon: lexicon.definitions),
+    "definitions": ("jet\ta jet\n", lambda lexicon: lexicon),
     "stopwords": ("the\n", lambda words: words),
     "compounds": ("c1,c2\njet,lag\n", lambda pairs: pairs),
     "config": (

@@ -18,7 +18,6 @@ from mwedetect.definitions import (
     ALL_OOV,
     ALL_STOPWORDS,
     NO_DEFINITION,
-    DefinitionLexicon,
     resolve_definitions,
 )
 from mwedetect.corpus import build_bigram_counts, tokenize
@@ -54,9 +53,6 @@ class TestLexemePair:
     def test_normalizes_to_lowercase(self):
         pair = LexemePair("Jet", "LAG")
         assert (pair.left, pair.right) == ("jet", "lag")
-
-    def test_str_joins_with_space(self):
-        assert str(LexemePair("hot", "dog")) == "hot dog"
 
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -146,14 +142,14 @@ class TestDefinitionSimilarity:
         assert outcome.value == 1.0
 
     def test_missing_definition_unscorable(self, toy_table):
-        lexicon = DefinitionLexicon(definitions={"jet": "a jet"})
+        lexicon = {"jet": "a jet"}
         outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.unscorable_reason == NO_DEFINITION
 
     def test_uses_definition_vectors_not_word_vectors(self, toy_table):
         # Orthogonal word vectors, identical definitions: the definition
         # method must ignore the word-level disagreement entirely.
-        lexicon = DefinitionLexicon(definitions={"jet": "home", "lag": "home"})
+        lexicon = {"jet": "home", "lag": "home"}
         outcome = score_pair(DEFINITION, toy_table, lexicon, None, LexemePair("jet", "lag"))
         assert outcome.value == 1.0
         word = score_pair(WORD, toy_table, None, None, LexemePair("jet", "lag"))
@@ -165,12 +161,12 @@ class TestDefinitionContentSimilarity:
         # With the stop word removed both definitions reduce to the same
         # token, so the score is exactly 1 despite different raw sums.
         table = load_embeddings(["the 9 9", "x 1 0"])
-        lexicon = DefinitionLexicon(definitions={"a": "the x", "b": "x"})
+        lexicon = {"a": "the x", "b": "x"}
         outcome = score_pair(CONTENT, table, lexicon, frozenset({"the"}), LexemePair("a", "b"))
         assert outcome.value == 1.0
 
     def test_empty_stopword_set_is_the_identity(self, toy_table, toy_lexicon):
-        vocab = list(toy_lexicon.definitions)
+        vocab = list(toy_lexicon)
         for left, right in itertools.product(vocab, repeat=2):
             pair = LexemePair(left, right)
             filtered = score_pair(CONTENT, toy_table, toy_lexicon, frozenset(), pair)
@@ -178,7 +174,7 @@ class TestDefinitionContentSimilarity:
             assert filtered == unfiltered
 
     def test_all_stopword_definition_unscorable(self, toy_table, toy_stopwords):
-        lexicon = DefinitionLexicon(definitions={"x": "the a", "y": "jet"})
+        lexicon = {"x": "the a", "y": "jet"}
         outcome = score_pair(CONTENT, toy_table, lexicon, toy_stopwords, LexemePair("x", "y"))
         assert outcome.unscorable_reason == "all-stopwords"
 
@@ -218,7 +214,7 @@ def _scoring_inputs(draw):
         )
     )
     stopwords = draw(st.frozensets(st.sampled_from(_TOKENS)))
-    return table, DefinitionLexicon(definitions=definitions), stopwords
+    return table, definitions, stopwords
 
 
 def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
@@ -227,7 +223,7 @@ def _side(method, table, lexicon, stopwords, lexeme, oov_reason):
         if lexeme not in table:
             return None, oov_reason
         return table.matrix[table.index[lexeme.lower()]], None
-    definition = lexicon.definitions.get(lexeme)
+    definition = lexicon.get(lexeme)
     if definition is None:
         return None, NO_DEFINITION
     tokens = definition.split(" ")
@@ -279,7 +275,7 @@ class TestNonFiniteScores:
         # is reported as non-finite, so numpy's overflow warning must not
         # escape as well.
         table = load_embeddings(["a 1e308 1", "b 1 -1"])
-        lexicon = DefinitionLexicon(definitions={"x": "a a", "y": "b"})
+        lexicon = {"x": "a a", "y": "b"}
         assert NON_FINITE in UNSCORABLE_REASONS
         for method in (DEFINITION, CONTENT):
             for pair in (LexemePair("x", "y"), LexemePair("y", "x")):
@@ -318,7 +314,7 @@ def _batch_inputs(draw):
     lexeme = st.sampled_from(_LEXEMES)
     pairs = draw(st.lists(st.builds(LexemePair, lexeme, lexeme), max_size=12))
     block_rows = draw(st.integers(min_value=1, max_value=5))
-    return table, DefinitionLexicon(definitions=definitions), stopwords, pairs, block_rows
+    return table, definitions, stopwords, pairs, block_rows
 
 
 def _reference_outcome(method, table, lexicon, stopwords, pair):
@@ -407,6 +403,35 @@ class TestScoreIdsProperties:
                 got = (UNSCORABLE_REASONS[reason - 1], None) if reason else (None, value.hex())
                 assert got == _bits(expected)
                 assert math.isnan(value) == bool(reason)
+
+
+class TestCaseFolding:
+    def test_uppercase_lexemes_score_as_lowercase(self, toy_table, toy_lexicon, toy_stopwords):
+        """Scoring folds the case of the lexemes it is given: uppercase ones,
+        one out of vocabulary and undefined included, resolve to the same
+        definition rows and score to the same value bytes and reasons under
+        every method."""
+        lower = [*toy_lexicon, "zzz"]
+        upper = [lexeme.upper() for lexeme in lower]
+        left, right = (ids.ravel() for ids in np.indices((len(lower), len(lower))))
+        for stopwords in (None, toy_stopwords):
+            ours, theirs = (
+                resolve_definitions(toy_lexicon, toy_table, lexemes, stopwords)
+                for lexemes in (lower, upper)
+            )
+            assert ours.rows.tolist() == theirs.rows.tolist()
+            assert ours.lengths.tolist() == theirs.lengths.tolist()
+            if stopwords is None:
+                assert ours.stop is None and theirs.stop is None
+            else:
+                assert ours.stop.tolist() == theirs.stop.tolist()
+        for method in ALL_METHODS:
+            inputs = (method, toy_table, toy_lexicon, toy_stopwords)
+            values, reasons = score_ids(*inputs, lower, left, right)
+            upper_values, upper_reasons = score_ids(*inputs, upper, left, right)
+            assert values.tobytes() == upper_values.tobytes()
+            assert reasons.tolist() == upper_reasons.tolist()
+            assert 0 < np.count_nonzero(reasons) < len(reasons)
 
 
 class TestScorePairDispatch:
